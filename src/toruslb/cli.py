@@ -8,10 +8,12 @@ identical configuration plus seed yields byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 from toruslb import bounds as bounds_mod
 from toruslb.evaluate import edge_loads, load_report_to_csv, run_trials, worst_case_load
@@ -43,7 +45,6 @@ class RunConfig:
     traffic: str = "split-diamond"
     trials: int = 1000
     seed: int = DEFAULT_SEED
-    jobs: int = 1
     out: str | None = None
 
     def spec(self) -> TorusSpec:
@@ -65,7 +66,7 @@ def _build_scheme(name: str, config: RunConfig) -> OriginPolicy:
         return build_llb(spec, config.radius())
     if name == "gllb":
         r1, r2 = gllb_radii(spec, config.k)
-        return build_gllb(spec, r1, r2)
+        return build_gllb(spec, min(r1, spec.rows // 2), min(r2, spec.cols // 2))
     if name == "ring":
         return build_ring_lb(spec)
     raise ValueError(f"unknown scheme {name!r}")
@@ -82,10 +83,26 @@ def _build_traffic(name: str, config: RunConfig, seed: int | None = None) -> Tra
     raise ValueError(f"unknown traffic {name!r}")
 
 
-def _open_out(config: RunConfig) -> TextIO:
-    if config.out and config.out != "-":
-        return open(config.out, "w")
-    return sys.stdout
+@contextmanager
+def _output(config: RunConfig) -> Iterator[TextIO]:
+    """Standard output, or ``--out`` written through a temporary file in the
+    same directory that replaces the target only once the command succeeds,
+    so a failed run leaves no partial file behind."""
+    if not config.out or config.out == "-":
+        yield sys.stdout
+        return
+    target = os.path.abspath(config.out)
+    tmp = os.path.join(
+        os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp"
+    )
+    sink = open(tmp, "x")
+    try:
+        with sink:
+            yield sink
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _footer(sink: TextIO, config: RunConfig) -> None:
@@ -106,7 +123,6 @@ def _table_rows(config: RunConfig, metric: Callable[[OriginPolicy, TrafficMatrix
             partial(gen_random_sparse, spec, config.k),
             trials=config.trials,
             base_seed=config.seed,
-            jobs=config.jobs,
         )
         means.append(summary)
     return rows, means
@@ -114,35 +130,31 @@ def _table_rows(config: RunConfig, metric: Callable[[OriginPolicy, TrafficMatrix
 
 def cmd_table1(config: RunConfig) -> int:
     rows, means = _table_rows(config, lambda p, d: edge_loads(p, d).max_load)
-    sink = _open_out(config)
-    sink.write("traffic,ecmp,vlb,llb,o_opt,opt\n")
-    for name, vals in rows:
+    with _output(config) as sink:
+        sink.write("traffic,ecmp,vlb,llb,o_opt,opt\n")
+        for name, vals in rows:
+            sink.write(
+                f"{name},{vals[0]!r},{vals[1]!r},{vals[2]!r},external,external\n"
+            )
         sink.write(
-            f"{name},{vals[0]!r},{vals[1]!r},{vals[2]!r},external,external\n"
+            "random,"
+            + ",".join(repr(s.max_load_mean) for s in means)
+            + ",external,external\n"
         )
-    sink.write(
-        "random,"
-        + ",".join(repr(s.max_load_mean) for s in means)
-        + ",external,external\n"
-    )
-    sink.write("# o_opt/opt columns require an external LP solve;"
-               " see export-lp and export-opt\n")
-    _footer(sink, config)
-    if sink is not sys.stdout:
-        sink.close()
+        sink.write("# o_opt/opt columns require an external LP solve;"
+                   " see export-lp and export-opt\n")
+        _footer(sink, config)
     return 0
 
 
 def cmd_table2(config: RunConfig) -> int:
     rows, means = _table_rows(config, lambda p, d: edge_loads(p, d).avg_hops)
-    sink = _open_out(config)
-    sink.write("traffic,ecmp,vlb,llb\n")
-    for name, vals in rows:
-        sink.write(f"{name},{vals[0]!r},{vals[1]!r},{vals[2]!r}\n")
-    sink.write("random," + ",".join(repr(s.avg_hops_mean) for s in means) + "\n")
-    _footer(sink, config)
-    if sink is not sys.stdout:
-        sink.close()
+    with _output(config) as sink:
+        sink.write("traffic,ecmp,vlb,llb\n")
+        for name, vals in rows:
+            sink.write(f"{name},{vals[0]!r},{vals[1]!r},{vals[2]!r}\n")
+        sink.write("random," + ",".join(repr(s.avg_hops_mean) for s in means) + "\n")
+        _footer(sink, config)
     return 0
 
 
@@ -150,39 +162,35 @@ def cmd_bounds(config: RunConfig) -> int:
     spec = config.spec()
     if config.k > spec.rows * spec.cols // 2:
         raise ValueError("k range must stay within N^2/2")
-    sink = _open_out(config)
-    sink.write("k,cut_lb,oblivious_lb,measured_llb,llb_ub\n")
-    policies: dict[int, OriginPolicy] = {}
-    for k in range(2, config.k + 1):
-        r = bounds_mod.best_llb_radius(k, max_r=max(1, spec.rows // 2 - 1))
-        if r not in policies:
-            policies[r] = build_llb(spec, r)
-        measured = worst_case_load(policies[r], k).value
-        sink.write(
-            f"{k},{bounds_mod.cut_lower_bound(k)!r},"
-            f"{bounds_mod.oblivious_lower_bound(k)!r},{measured!r},"
-            f"{bounds_mod.llb_load_upper(r, k)!r}\n"
-        )
-    _footer(sink, config)
-    if sink is not sys.stdout:
-        sink.close()
+    with _output(config) as sink:
+        sink.write("k,cut_lb,oblivious_lb,measured_llb,llb_ub\n")
+        policies: dict[int, OriginPolicy] = {}
+        for k in range(2, config.k + 1):
+            r = bounds_mod.best_llb_radius(k, max_r=max(1, spec.rows // 2 - 1))
+            if r not in policies:
+                policies[r] = build_llb(spec, r)
+            measured = worst_case_load(policies[r], k).value
+            sink.write(
+                f"{k},{bounds_mod.cut_lower_bound(k)!r},"
+                f"{bounds_mod.oblivious_lower_bound(k)!r},{measured!r},"
+                f"{bounds_mod.llb_load_upper(r, k)!r}\n"
+            )
+        _footer(sink, config)
     return 0
 
 
 def cmd_worst_case(config: RunConfig) -> int:
     policy = _build_scheme(config.scheme, config)
     result = worst_case_load(policy, config.k)
-    sink = _open_out(config)
-    sink.write("scheme,k,value,edge_tail_x,edge_tail_y,dir\n")
     e = result.edge
-    sink.write(
-        f"{config.scheme},{config.k},{result.value!r},{e.tail.x},{e.tail.y},{e.dir.token}\n"
-    )
-    sink.write("# witness follows\n")
-    sink.write(traffic_to_csv(result.witness))
-    _footer(sink, config)
-    if sink is not sys.stdout:
-        sink.close()
+    with _output(config) as sink:
+        sink.write("scheme,k,value,edge_tail_x,edge_tail_y,dir\n")
+        sink.write(
+            f"{config.scheme},{config.k},{result.value!r},{e.tail.x},{e.tail.y},{e.dir.token}\n"
+        )
+        sink.write("# witness follows\n")
+        sink.write(traffic_to_csv(result.witness))
+        _footer(sink, config)
     return 0
 
 
@@ -190,21 +198,17 @@ def cmd_evaluate(config: RunConfig) -> int:
     policy = _build_scheme(config.scheme, config)
     demand = _build_traffic(config.traffic, config)
     report = edge_loads(policy, demand)
-    sink = _open_out(config)
-    sink.write(f"# scheme={config.scheme},traffic={config.traffic}\n")
-    sink.write(f"# max_load={report.max_load!r},avg_hops={report.avg_hops!r}\n")
-    sink.write(load_report_to_csv(report))
-    _footer(sink, config)
-    if sink is not sys.stdout:
-        sink.close()
+    with _output(config) as sink:
+        sink.write(f"# scheme={config.scheme},traffic={config.traffic}\n")
+        sink.write(f"# max_load={report.max_load!r},avg_hops={report.avg_hops!r}\n")
+        sink.write(load_report_to_csv(report))
+        _footer(sink, config)
     return 0
 
 
 def cmd_export_lp(config: RunConfig) -> int:
-    sink = _open_out(config)
-    counts = export_reduced_oblivious_lp(config.spec(), config.k, sink)
-    if sink is not sys.stdout:
-        sink.close()
+    with _output(config) as sink:
+        counts = export_reduced_oblivious_lp(config.spec(), config.k, sink)
     print(
         f"variables={counts.variables} constraints={counts.constraints} "
         f"flow_variables={counts.flow_variables}",
@@ -215,10 +219,8 @@ def cmd_export_lp(config: RunConfig) -> int:
 
 def cmd_export_opt(config: RunConfig) -> int:
     demand = _build_traffic(config.traffic, config)
-    sink = _open_out(config)
-    counts = export_opt_lp(config.spec(), demand, sink)
-    if sink is not sys.stdout:
-        sink.close()
+    with _output(config) as sink:
+        counts = export_opt_lp(config.spec(), demand, sink)
     print(
         f"variables={counts.variables} constraints={counts.constraints}",
         file=sys.stderr,
@@ -255,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["split-diamond", "hotspot", "random"])
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--out", default=None)
         p.set_defaults(func=func)
     return parser
@@ -273,7 +274,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         traffic=args.traffic,
         trials=args.trials,
         seed=args.seed,
-        jobs=args.jobs,
         out=args.out,
     )
 

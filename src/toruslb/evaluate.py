@@ -17,8 +17,8 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from toruslb.policy import FullPolicy, OriginPolicy, Policy, check_reflection_invariance
-from toruslb.torus import DirectedEdge, Direction, Node, node_add, node_sub
+from toruslb.policy import FullPolicy, Policy, check_reflection_invariance, edge_entries
+from toruslb.torus import DirectedEdge, Direction, Node
 from toruslb.traffic import TrafficMatrix
 
 VALUE_TOL = 1e-9
@@ -30,10 +30,15 @@ class SpecMismatch(ValueError):
 
 @dataclass
 class LoadReport:
-    per_edge: dict[DirectedEdge, float]
+    load: np.ndarray  # capacity-normalized load per edge, [dir, y, x]
     max_load: float
     argmax_edge: DirectedEdge | None
     avg_hops: float
+
+    @property
+    def per_edge(self) -> dict[DirectedEdge, float]:
+        """Load of every loaded edge, in sorted edge order."""
+        return dict(edge_entries(self.load))
 
 
 @dataclass
@@ -49,23 +54,22 @@ def edge_loads(p: Policy, d: TrafficMatrix) -> LoadReport:
     if p.spec != d.spec:
         raise SpecMismatch("policy and traffic use different torus specs")
     spec = p.spec
-    per_edge: dict[DirectedEdge, float] = {}
+    caps = np.array([spec.capacity(direction) for direction in Direction])[:, None, None]
+    load = np.zeros((4, spec.rows, spec.cols))
     hops = 0.0
     for (s, t), amount in d.entries.items():
         flows = p.pair_flows(s, t)
-        for edge, frac in flows.items():
-            per_edge[edge] = per_edge.get(edge, 0.0) + amount * frac / spec.capacity(edge.dir)
-            hops += amount * frac
+        load += amount * flows / caps
+        hops += amount * float(flows.sum())
     total = d.total()
-    if per_edge:
-        argmax_edge = max(sorted(per_edge), key=lambda e: per_edge[e])
-        max_load = per_edge[argmax_edge]
-    else:
-        argmax_edge, max_load = None, 0.0
+    by_edge = load.transpose(2, 1, 0)  # sorted edge order: tail x, tail y, dir
+    x, y, direction = np.unravel_index(np.argmax(by_edge), by_edge.shape)
+    max_load = float(by_edge[x, y, direction])
+    argmax_edge = DirectedEdge(Node(int(x), int(y)), Direction(int(direction)))
     return LoadReport(
-        per_edge=per_edge,
+        load=load,
         max_load=max_load,
-        argmax_edge=argmax_edge,
+        argmax_edge=argmax_edge if max_load > 0 else None,
         avg_hops=hops / total if total > 0 else 0.0,
     )
 
@@ -174,9 +178,7 @@ def _k_matching_sparse(
             if nr <= v < nr + nc and cost < 0 and graph[v][rev][1] > 0:
                 flow_pairs[(u, v)] = graph[v][rev][1]
 
-    assignment = [
-        (rows[u], cols[v - nr]) for (u, v) in sorted(flow_pairs) for _ in range(1)
-    ]
+    assignment = [(rows[u], cols[v - nr]) for (u, v) in sorted(flow_pairs)]
 
     # Hose-model duals from the final potentials (cardinality multiplier from
     # clamping the sink potential at the source's level).
@@ -205,21 +207,13 @@ def k_matching_max(
 
 def pair_weights_on_edge(p: Policy, edge: DirectedEdge) -> dict[tuple[Node, Node], float]:
     """f^{s,t}_edge for every pair with nonzero flow on ``edge``."""
-    spec = p.spec
-    weights: dict[tuple[Node, Node], float] = {}
-    if isinstance(p, OriginPolicy):
-        for t_off, flows in p.flows.items():
-            for e, v in flows.items():
-                if e.dir != edge.dir or v <= 0:
-                    continue
-                s = node_sub(spec, edge.tail, e.tail)
-                weights[(s, node_add(spec, s, t_off))] = v
-    else:
-        for (s, t), flows in p.flows.items():
-            v = flows.get(edge, 0.0)
-            if v > 0:
-                weights[(s, t)] = v
-    return weights
+    nodes = list(p.spec.nodes())
+    weights = p.on_edge(edge)
+    s_idx, t_idx = np.nonzero(weights > 0)
+    return {
+        (nodes[s], nodes[t]): v
+        for s, t, v in zip(s_idx.tolist(), t_idx.tolist(), weights[s_idx, t_idx].tolist())
+    }
 
 
 def candidate_edges(p: Policy) -> list[DirectedEdge]:
@@ -287,26 +281,15 @@ def run_trials(
     generator: Callable[[int], TrafficMatrix],
     trials: int,
     base_seed: int,
-    jobs: int = 1,
 ) -> TrialSummary:
     """Evaluate a policy on ``trials`` generated demands (trial i uses seed
     base_seed + i) and summarize max load and mean hops."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-
-    def one(i: int) -> tuple[float, float]:
+    loads, hops = np.zeros(trials), np.zeros(trials)
+    for i in range(trials):
         report = edge_loads(p, generator(base_seed + i))
-        return report.max_load, report.avg_hops
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, range(trials)))
-    else:
-        results = [one(i) for i in range(trials)]
-    loads = np.array([r[0] for r in results])
-    hops = np.array([r[1] for r in results])
+        loads[i], hops[i] = report.max_load, report.avg_hops
     return TrialSummary(
         trials=trials,
         base_seed=base_seed,

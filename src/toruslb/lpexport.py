@@ -29,6 +29,8 @@ import re
 from dataclasses import dataclass
 from typing import IO, Iterable
 
+import numpy as np
+
 from toruslb.policy import OriginPolicy
 from toruslb.torus import (
     DirectedEdge,
@@ -49,10 +51,6 @@ _DIR_NAME = {
     Direction.NEG_HOR: "nh",
 }
 MAX_LINE = 255
-
-
-class IoError(OSError):
-    pass
 
 
 @dataclass
@@ -403,18 +401,20 @@ def check_opt_feasibility(
     spec: TorusSpec,
     demand: TrafficMatrix,
     model: LpModel,
-    pair_flows: dict[tuple[Node, Node], dict[DirectedEdge, float]],
+    pair_flows: dict[tuple[Node, Node], np.ndarray],
     theta: float,
     tol: float = 1e-7,
 ) -> list[str]:
-    """Substitute per-pair flows and a load bound into a parsed fixed-demand
-    model and report every violated constraint."""
+    """Substitute per-pair flows (``[dir, y, x]`` slabs, as
+    ``Policy.pair_flows`` returns them) and a load bound into a parsed
+    fixed-demand model and report every violated constraint."""
     values: dict[str, float] = {"th": theta}
     for p, (pair, _) in enumerate(sorted(demand.entries.items())):
-        flows = pair_flows.get(pair, {})
+        flows = pair_flows.get(pair)
         for edge in spec.edges():
             name = f"f_p{p}_e{edge.tail.x}_{edge.tail.y}_{_DIR_NAME[edge.dir]}"
-            values[name] = flows.get(edge, 0.0)
+            v = 0.0 if flows is None else flows[edge.dir, edge.tail.y, edge.tail.x]
+            values[name] = float(v)
     failures = []
     for con in model.constraints:
         lhs = sum(coef * values.get(name, 0.0) for name, coef in con.terms.items())
@@ -443,15 +443,12 @@ def check_oblivious_feasibility(
     values: dict[str, float] = {"th": theta}
     values.update(duals)
     origin = Node(0, 0)
-    for t, flows in policy.flows.items():
-        for edge in spec.edges():
-            name = index.canonical(t, edge)
-            values.setdefault(name, flows.get(edge, 0.0))
-    for t in spec.nodes():
+    for t, slab in zip(spec.nodes(), policy.flows.tolist()):
         if t == origin:
             continue
         for edge in spec.edges():
-            values.setdefault(index.canonical(t, edge), 0.0)
+            name = index.canonical(t, edge)
+            values.setdefault(name, slab[edge.dir][edge.tail.y][edge.tail.x])
 
     failures = []
     for con in model.constraints:

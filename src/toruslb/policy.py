@@ -1,10 +1,24 @@
 """Routing-policy representations and their structural checks.
 
-An :class:`OriginPolicy` stores, for each destination offset t, the fraction
-of origin-to-t traffic carried by each directed edge.  Translation invariance
-turns it into a full policy: the pair (s, s+t) uses edge (i, e) with fraction
-``g[t][(i - s, e)]``.  A :class:`FullPolicy` stores per-pair flows directly
-and is used for symmetrization experiments and arbitrary-policy evaluation.
+Both policy classes hold one dense float array.  Its node axes follow
+:meth:`TorusSpec.nodes` order (flat index ``y * cols + x``), and its last
+three axes form a *slab* ``[dir, y, x]``: the fraction of one route carried
+by the edge leaving (x, y) in direction ``dir`` (the :class:`Direction`
+value).
+
+* :class:`OriginPolicy` stores ``flows = G[t, dir, y, x]``, the route from
+  the origin to destination offset t.  The origin's own slab is all zeros.
+  Translation invariance gives every pair: s -> s+t uses ``G[t]`` rolled by
+  s (:func:`translate`).
+* :class:`FullPolicy` stores ``flows = F[s, t, dir, y, x]`` per pair and is
+  used for symmetrization experiments and arbitrary-policy evaluation.
+
+A zero slab means the policy routes nothing for that destination or pair;
+validation and CSV output skip it.  Translations are rolls and the point
+group acts by index permutations and direction swaps, so symmetrization and
+the reflection check are whole-array operations.  The per-destination
+``{DirectedEdge: fraction}`` dict form survives only as an input adapter,
+:meth:`OriginPolicy.from_flows`, which the CSV reader and tests use.
 """
 
 from __future__ import annotations
@@ -13,16 +27,17 @@ import csv
 from dataclasses import dataclass
 from io import StringIO
 
+import numpy as np
+
 from toruslb.torus import (
     Automorphism,
     DIRECTION_FROM_TOKEN,
     DirectedEdge,
+    Direction,
     Node,
     TorusSpec,
     apply_automorphism,
-    apply_to_edge,
-    invert_automorphism,
-    node_add,
+    apply_to_direction,
     node_sub,
     point_group,
 )
@@ -33,84 +48,139 @@ BOUND_TOL = 1e-12
 EdgeFlows = dict[DirectedEdge, float]
 
 
-@dataclass(frozen=True)
+def _flat(spec: TorusSpec, u: Node) -> int:
+    return u.y * spec.cols + u.x
+
+
+def translate(slab: np.ndarray, by: Node) -> np.ndarray:
+    """Shift the trailing ``[y, x]`` axes so the flow at u moves to u + by."""
+    return np.roll(slab, (by.y, by.x), axis=(-2, -1))
+
+
+def edge_entries(slab: np.ndarray) -> list[tuple[DirectedEdge, float]]:
+    """Nonzero entries of one ``[dir, y, x]`` slab in sorted edge order."""
+    xs, ys, ds = (a.tolist() for a in np.nonzero(slab.transpose(2, 1, 0)))
+    values = slab[ds, ys, xs].tolist()
+    return [
+        (DirectedEdge(Node(x, y), Direction(d)), v)
+        for x, y, d, v in zip(xs, ys, ds, values)
+    ]
+
+
+def _check_shape(spec: TorusSpec, flows: np.ndarray, node_axes: int) -> None:
+    shape = (spec.num_nodes,) * node_axes + (4, spec.rows, spec.cols)
+    if flows.shape != shape:
+        raise ValueError(f"flows have shape {flows.shape}, expected {shape}")
+
+
+@dataclass(frozen=True, eq=False)
 class OriginPolicy:
     spec: TorusSpec
-    flows: dict[Node, EdgeFlows]
+    flows: np.ndarray
 
-    def pair_flows(self, s: Node, t: Node) -> EdgeFlows:
-        """Edge flows for the pair s -> t, obtained by translating the
-        origin-to-offset route."""
-        offset = node_sub(self.spec, t, s)
-        base = self.flows.get(offset, {})
-        return {
-            DirectedEdge(node_add(self.spec, e.tail, s), e.dir): v
-            for e, v in base.items()
-        }
+    def __post_init__(self) -> None:
+        _check_shape(self.spec, self.flows, 1)
 
-    def destinations(self) -> list[Node]:
-        return sorted(self.flows.keys())
+    @classmethod
+    def from_flows(cls, spec: TorusSpec, flows: dict[Node, EdgeFlows]) -> OriginPolicy:
+        """Build from per-destination ``{DirectedEdge: fraction}`` dicts."""
+        g = np.zeros((spec.num_nodes, 4, spec.rows, spec.cols))
+        for t, edge_flows in flows.items():
+            for e, v in edge_flows.items():
+                g[_flat(spec, t), e.dir, e.tail.y, e.tail.x] = v
+        return cls(spec=spec, flows=g)
+
+    def pair_flows(self, s: Node, t: Node) -> np.ndarray:
+        """Edge flows ``[dir, y, x]`` for the pair s -> t, obtained by
+        translating the origin-to-offset route."""
+        return translate(self.flows[_flat(self.spec, node_sub(self.spec, t, s))], s)
+
+    def on_edge(self, edge: DirectedEdge) -> np.ndarray:
+        """``W[s, t]``: the fraction of pair s -> t on ``edge``, which is
+        ``G[t - s]`` read at the edge's tail translated by -s."""
+        spec = self.spec
+        ys, xs = np.divmod(np.arange(spec.num_nodes), spec.cols)
+        offset = ((ys - ys[:, None]) % spec.rows) * spec.cols + (xs - xs[:, None]) % spec.cols
+        tail_y = ((edge.tail.y - ys) % spec.rows)[:, None]
+        tail_x = ((edge.tail.x - xs) % spec.cols)[:, None]
+        return self.flows[offset, edge.dir, tail_y, tail_x]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FullPolicy:
     spec: TorusSpec
-    flows: dict[tuple[Node, Node], EdgeFlows]
+    flows: np.ndarray
 
-    def pair_flows(self, s: Node, t: Node) -> EdgeFlows:
-        return self.flows.get((s, t), {})
+    def __post_init__(self) -> None:
+        _check_shape(self.spec, self.flows, 2)
+
+    def pair_flows(self, s: Node, t: Node) -> np.ndarray:
+        return self.flows[_flat(self.spec, s), _flat(self.spec, t)]
+
+    def on_edge(self, edge: DirectedEdge) -> np.ndarray:
+        """``W[s, t]``: the fraction of pair s -> t on ``edge``."""
+        return self.flows[:, :, edge.dir, edge.tail.y, edge.tail.x]
 
 
 Policy = OriginPolicy | FullPolicy
 
 
-def _balance_violations(
-    spec: TorusSpec, label: str, flows: EdgeFlows, source: Node, dest: Node
-) -> list[str]:
-    violations = []
-    balance: dict[Node, float] = {}
-    for edge, v in flows.items():
-        if v < -BOUND_TOL or v > 1.0 + BOUND_TOL:
-            violations.append(f"{label}: flow {v!r} on {edge} outside [0, 1]")
-        balance[edge.tail] = balance.get(edge.tail, 0.0) + v
-        head = spec.edge_head(edge)
-        balance[head] = balance.get(head, 0.0) - v
-    balance[source] = balance.get(source, 0.0) - 1.0
-    balance[dest] = balance.get(dest, 0.0) + 1.0
-    for node, residual in sorted(balance.items()):
-        if abs(residual) > CONSERVATION_TOL:
-            violations.append(f"{label}: node {node} residual {residual:.3e}")
-    return violations
-
-
 def validate_policy(p: Policy) -> list[str]:
-    """Flow-conservation and box-bound check; empty list means valid."""
-    violations: list[str] = []
+    """Flow-conservation and box-bound check of every routed destination
+    (or pair); empty list means valid."""
+    spec = p.spec
+    n = spec.num_nodes
     if isinstance(p, OriginPolicy):
-        origin = Node(0, 0)
-        for t in p.destinations():
-            violations.extend(
-                _balance_violations(p.spec, f"dest {t}", p.flows[t], origin, t)
-            )
+        slabs, src, dst = p.flows, np.zeros(n, dtype=int), np.arange(n)
     else:
-        for (s, t) in sorted(p.flows.keys()):
-            violations.extend(
-                _balance_violations(p.spec, f"pair {s}->{t}", p.flows[(s, t)], s, t)
-            )
+        slabs = p.flows.reshape(n * n, 4, spec.rows, spec.cols)
+        src, dst = np.divmod(np.arange(n * n), n)
+    routed = np.flatnonzero(slabs.any(axis=(1, 2, 3)))
+    slabs, src, dst = slabs[routed], src[routed], dst[routed]
+    inflow = sum(translate(slabs[:, d], Node(*d.delta)) for d in Direction)
+    balance = slabs.sum(axis=1) - inflow
+    ys, xs = np.divmod(np.arange(n), spec.cols)
+    balance[np.arange(len(routed)), ys[src], xs[src]] -= 1.0
+    balance[np.arange(len(routed)), ys[dst], xs[dst]] += 1.0
+    out_of_box = ((slabs < -BOUND_TOL) | (slabs > 1.0 + BOUND_TOL)).any(axis=(1, 2, 3))
+    unbalanced = (np.abs(balance) > CONSERVATION_TOL).any(axis=(1, 2))
+    nodes = list(spec.nodes())
+    violations: list[str] = []
+    for i in np.flatnonzero(out_of_box | unbalanced):
+        s, t = nodes[src[i]], nodes[dst[i]]
+        label = f"dest {t}" if isinstance(p, OriginPolicy) else f"pair {s}->{t}"
+        for edge, v in edge_entries(slabs[i]):
+            if v < -BOUND_TOL or v > 1.0 + BOUND_TOL:
+                violations.append(f"{label}: flow {v!r} on {edge} outside [0, 1]")
+        for y, x in zip(*np.nonzero(np.abs(balance[i]) > CONSERVATION_TOL)):
+            node = Node(int(x), int(y))
+            violations.append(f"{label}: node {node} residual {balance[i, y, x]:.3e}")
     return violations
 
 
 def expand(g: OriginPolicy) -> FullPolicy:
     """Materialize the translation-invariant full policy for every pair."""
-    flows: dict[tuple[Node, Node], EdgeFlows] = {}
-    for s in g.spec.nodes():
-        for t_off in g.flows:
-            t = node_add(g.spec, s, t_off)
-            flows[(s, t)] = {
-                DirectedEdge(node_add(g.spec, e.tail, s), e.dir): v
-                for e, v in g.flows[t_off].items()
-            }
+    nodes = list(g.spec.nodes())
+    flows = np.stack([np.stack([g.pair_flows(s, t) for t in nodes]) for s in nodes])
     return FullPolicy(spec=g.spec, flows=flows)
+
+
+def _pull_back(spec: TorusSpec, flat: np.ndarray, phi: Automorphism) -> np.ndarray:
+    """``flat[..., dir, node]`` (node axes flattened) read at phi's images:
+    entry (a, b, ..., d, u) becomes flat[phi(a), phi(b), ..., phi(d), phi(u)]."""
+    image = [apply_automorphism(spec, phi, u) for u in spec.nodes()]
+    nodes = np.array([_flat(spec, u) for u in image])
+    dirs = np.array([apply_to_direction(phi, d) for d in Direction])
+    return flat[np.ix_(*[nodes] * (flat.ndim - 2), dirs, nodes)]
+
+
+def _average(spec: TorusSpec, flows: np.ndarray, group: list[Automorphism]) -> np.ndarray:
+    flat = flows.reshape(flows.shape[:-2] + (spec.num_nodes,))
+    weight = 1.0 / len(group)
+    out = np.zeros_like(flat)
+    for phi in group:
+        out += weight * _pull_back(spec, flat, phi)
+    return out.reshape(flows.shape)
 
 
 def symmetrize(f: FullPolicy, group: list[Automorphism]) -> FullPolicy:
@@ -119,57 +189,26 @@ def symmetrize(f: FullPolicy, group: list[Automorphism]) -> FullPolicy:
     input's."""
     if not group:
         raise ValueError("group must be nonempty")
-    spec = f.spec
-    weight = 1.0 / len(group)
-    out: dict[tuple[Node, Node], EdgeFlows] = {}
-    for phi in group:
-        inv = invert_automorphism(spec, phi)
-        for (a, b), edge_flows in f.flows.items():
-            s = apply_automorphism(spec, inv, a)
-            t = apply_automorphism(spec, inv, b)
-            dst = out.setdefault((s, t), {})
-            for e, v in edge_flows.items():
-                e_pre = apply_to_edge(spec, inv, e)
-                dst[e_pre] = dst.get(e_pre, 0.0) + weight * v
-    return FullPolicy(spec=spec, flows=out)
+    return FullPolicy(spec=f.spec, flows=_average(f.spec, f.flows, group))
 
 
 def symmetrize_origin(g: OriginPolicy) -> OriginPolicy:
     """Average an origin policy over the spec's point group, enforcing the
-    reflection identities destination class by destination class."""
-    spec = g.spec
-    group = point_group(spec)
-    weight = 1.0 / len(group)
-    out: dict[Node, EdgeFlows] = {}
-    for phi in group:
-        for t, edge_flows in g.flows.items():
-            t_img = apply_automorphism(spec, phi, t)
-            dst = out.setdefault(t_img, {})
-            for e, v in edge_flows.items():
-                e_img = apply_to_edge(spec, phi, e)
-                dst[e_img] = dst.get(e_img, 0.0) + weight * v
-    # Every point-group image of a built destination is covered, so each
-    # destination accumulated |stabilizer| * weight * (its own copies); the
-    # total per destination stays 1 because the group acts by bijections.
-    return OriginPolicy(spec=spec, flows=out)
+    reflection identities destination class by destination class.  Point-group
+    elements are involutions, so pulling back equals pushing forward."""
+    return OriginPolicy(spec=g.spec, flows=_average(g.spec, g.flows, point_group(g.spec)))
 
 
 def check_reflection_invariance(g: OriginPolicy, tol: float = CONSERVATION_TOL) -> bool:
     """True iff the applicable reflection identities hold: origin reflection
     always, the x=y reflection additionally on square symmetric specs."""
     spec = g.spec
-    for phi in point_group(spec):
-        if not phi.reflect_origin and not phi.reflect_xy:
-            continue
-        for t, edge_flows in g.flows.items():
-            t_img = apply_automorphism(spec, phi, t)
-            image = g.flows.get(t_img, {})
-            mapped = {apply_to_edge(spec, phi, e): v for e, v in edge_flows.items()}
-            keys = set(mapped) | set(image)
-            for e in keys:
-                if abs(mapped.get(e, 0.0) - image.get(e, 0.0)) > tol:
-                    return False
-    return True
+    flat = g.flows.reshape(spec.num_nodes, 4, spec.num_nodes)
+    return all(
+        np.abs(_pull_back(spec, flat, phi) - flat).max() <= tol
+        for phi in point_group(spec)
+        if phi.reflect_origin or phi.reflect_xy
+    )
 
 
 ORIGIN_CSV_HEADER = ["dst_x", "dst_y", "tail_x", "tail_y", "dir", "fraction"]
@@ -179,18 +218,20 @@ FULL_CSV_HEADER = ["src_x", "src_y"] + ORIGIN_CSV_HEADER
 def policy_to_csv(p: Policy) -> str:
     buf = StringIO()
     writer = csv.writer(buf)
+    nodes = sorted(p.spec.nodes())
     if isinstance(p, OriginPolicy):
         writer.writerow(ORIGIN_CSV_HEADER)
-        for t in p.destinations():
-            for e, v in sorted(p.flows[t].items()):
+        for t in nodes:
+            for e, v in edge_entries(p.flows[_flat(p.spec, t)]):
                 writer.writerow([t.x, t.y, e.tail.x, e.tail.y, e.dir.token, repr(v)])
     else:
         writer.writerow(FULL_CSV_HEADER)
-        for (s, t) in sorted(p.flows.keys()):
-            for e, v in sorted(p.flows[(s, t)].items()):
-                writer.writerow(
-                    [s.x, s.y, t.x, t.y, e.tail.x, e.tail.y, e.dir.token, repr(v)]
-                )
+        for s in nodes:
+            for t in nodes:
+                for e, v in edge_entries(p.pair_flows(s, t)):
+                    writer.writerow(
+                        [s.x, s.y, t.x, t.y, e.tail.x, e.tail.y, e.dir.token, repr(v)]
+                    )
     return buf.getvalue()
 
 
@@ -206,4 +247,4 @@ def origin_policy_from_csv(spec: TorusSpec, text: str) -> OriginPolicy:
         tx, ty, ex, ey, tok, v = row
         edge = DirectedEdge(Node(int(ex), int(ey)), DIRECTION_FROM_TOKEN[tok])
         flows.setdefault(Node(int(tx), int(ty)), {})[edge] = float(v)
-    return OriginPolicy(spec=spec, flows=flows)
+    return OriginPolicy.from_flows(spec, flows)

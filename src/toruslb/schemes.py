@@ -21,30 +21,19 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+import numpy as np
+
 from toruslb.paths import PathError, RadiusTooLarge, route_disjoint_quanta, stem
-from toruslb.policy import EdgeFlows, OriginPolicy, symmetrize_origin
+from toruslb.policy import EdgeFlows, OriginPolicy, symmetrize_origin, translate
 from toruslb.torus import (
     DirectedEdge,
     Direction,
     Node,
     TorusSpec,
     hop_distance,
+    node_neg,
     node_sub,
 )
-
-
-@dataclass(frozen=True)
-class LlbParams:
-    """Stem radii: ``r`` for square schemes, ``r1``/``r2`` per axis for the
-    generalized one."""
-
-    r: int
-    r1: int | None = None
-    r2: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("r must be positive")
 
 
 class GllbCase(Enum):
@@ -74,10 +63,6 @@ def _add_flow(flows: EdgeFlows, edge: DirectedEdge, value: float) -> None:
     if value == 0.0:
         return
     flows[edge] = flows.get(edge, 0.0) + value
-
-
-def _prune(flows: EdgeFlows) -> EdgeFlows:
-    return {e: v for e, v in flows.items() if v > 1e-15}
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +116,7 @@ def _ecmp_flows(spec: TorusSpec, t: Node) -> EdgeFlows:
             ):
                 frac = paths_from_origin[u] * paths_to_t[v] / total_paths
                 _add_flow(flows, DirectedEdge(u, d), frac)
-    return _prune(flows)
+    return flows
 
 
 def build_ecmp(spec: TorusSpec) -> OriginPolicy:
@@ -140,7 +125,7 @@ def build_ecmp(spec: TorusSpec) -> OriginPolicy:
     flows = {
         t: _ecmp_flows(spec, t) for t in spec.nodes() if t != Node(0, 0)
     }
-    return OriginPolicy(spec=spec, flows=flows)
+    return OriginPolicy.from_flows(spec, flows)
 
 
 # ---------------------------------------------------------------------------
@@ -150,31 +135,23 @@ def build_ecmp(spec: TorusSpec) -> OriginPolicy:
 def build_vlb(spec: TorusSpec) -> OriginPolicy:
     """Route through every node as an intermediate with weight 1/(rows*cols),
     each phase following ECMP shortest-path splitting.  The source and the
-    destination participate as intermediates themselves."""
-    origin = Node(0, 0)
-    ecmp = {t: _ecmp_flows(spec, t) for t in spec.nodes() if t != origin}
+    destination participate as intermediates themselves.
+
+    Phase 1 spreads from the origin to every node and is the same for every
+    destination.  Phase 2 collects from every node into t, which is the
+    collection into the origin translated by t; that in turn is the sum of
+    every ECMP route translated to end at the origin."""
     weight = 1.0 / spec.num_nodes
-    # phase 1 is destination-independent: spread to all intermediates
-    phase1: EdgeFlows = {}
-    for m, flows in ecmp.items():
-        for e, v in flows.items():
-            _add_flow(phase1, e, weight * v)
-    out: dict[Node, EdgeFlows] = {}
-    for t in spec.nodes():
-        if t == origin:
-            continue
-        flows = dict(phase1)
-        for m in spec.nodes():
-            leg = node_sub(spec, t, m)
-            if leg == origin:
-                continue
-            for e, v in ecmp[leg].items():
-                shifted = DirectedEdge(
-                    spec.wrap(e.tail.x + m.x, e.tail.y + m.y), e.dir
-                )
-                _add_flow(flows, shifted, weight * v)
-        out[t] = _prune(flows)
-    return OriginPolicy(spec=spec, flows=out)
+    ecmp = build_ecmp(spec).flows
+    nodes = list(spec.nodes())
+    spread = np.zeros_like(ecmp[0])
+    collect = np.zeros_like(ecmp[0])
+    for m, route in zip(nodes, ecmp):
+        spread += weight * route
+        collect += weight * translate(route, node_neg(spec, m))
+    flows = np.stack([spread + translate(collect, t) for t in nodes])
+    flows[0] = 0.0  # the origin's own slab
+    return OriginPolicy(spec=spec, flows=flows)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +304,7 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> EdgeFlows:
         for path in paths:
             for edge in path:
                 add_q(edge, 1)
-    return _prune({e: q * unit for e, q in qflows.items()})
+    return {e: q * unit for e, q in qflows.items()}
 
 
 def build_llb(spec: TorusSpec, r: int) -> OriginPolicy:
@@ -339,7 +316,7 @@ def build_llb(spec: TorusSpec, r: int) -> OriginPolicy:
     flows = {
         t: _stem_route(spec, t, r, r) for t in spec.nodes() if t != Node(0, 0)
     }
-    return symmetrize_origin(OriginPolicy(spec=spec, flows=flows))
+    return symmetrize_origin(OriginPolicy.from_flows(spec, flows))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +400,7 @@ def _ring_route(spec: TorusSpec, t: Node, vertical_rings: bool) -> EdgeFlows:
             ring_edge((pos + t_ring) % ring, t_cross, plus),
             v,
         )
-    return _prune(flows)
+    return flows
 
 
 def build_ring_lb(spec: TorusSpec) -> OriginPolicy:
@@ -435,7 +412,7 @@ def build_ring_lb(spec: TorusSpec) -> OriginPolicy:
         for t in spec.nodes()
         if t != Node(0, 0)
     }
-    return symmetrize_origin(OriginPolicy(spec=spec, flows=flows))
+    return symmetrize_origin(OriginPolicy.from_flows(spec, flows))
 
 
 # ---------------------------------------------------------------------------
@@ -521,4 +498,4 @@ def build_gllb(spec: TorusSpec, r1: int, r2: int) -> OriginPolicy:
     flows = {
         t: _stem_route(spec, t, r1, r2) for t in spec.nodes() if t != Node(0, 0)
     }
-    return symmetrize_origin(OriginPolicy(spec=spec, flows=flows))
+    return symmetrize_origin(OriginPolicy.from_flows(spec, flows))

@@ -108,7 +108,7 @@ def random_origin_policy(spec: TorusSpec, rng: np.random.Generator) -> OriginPol
                 edge_flows[edge] = edge_flows.get(edge, 0.0) + float(frac)
                 node = spec.step(node, Direction(int(d)))
         flows[t] = edge_flows
-    return OriginPolicy(spec=spec, flows=flows)
+    return OriginPolicy.from_flows(spec, flows)
 
 
 def enumerate_k_sparse_01(spec: TorusSpec, k: int):
@@ -149,9 +149,7 @@ def test_worst_case_equals_exhaustive_enumeration(dims):
 def test_worst_case_k1_is_max_pair_flow():
     spec = TorusSpec(4, 4)
     policy = random_origin_policy(spec, np.random.default_rng(3))
-    best = 0.0
-    for t, flows in policy.flows.items():
-        best = max(best, max(flows.values()))
+    best = float(policy.flows.max())
     assert worst_case_load(policy, 1).value == pytest.approx(best, abs=1e-12)
 
 
@@ -184,8 +182,6 @@ def test_run_trials_deterministic():
     a = run_trials(policy, gen, trials=20, base_seed=77)
     b = run_trials(policy, gen, trials=20, base_seed=77)
     assert a == b
-    c = run_trials(policy, gen, trials=20, base_seed=77, jobs=4)
-    assert a == c
 
 
 def test_spec_mismatch_rejected():

@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from toruslb.evaluate import edge_loads, worst_case_load
 from toruslb.paths import RadiusTooLarge
-from toruslb.policy import check_reflection_invariance, validate_policy
+from toruslb.policy import check_reflection_invariance, edge_entries, expand, validate_policy
 from toruslb.schemes import (
     GllbCase,
     build_ecmp,
@@ -15,6 +16,11 @@ from toruslb.schemes import (
 )
 from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, hop_distance
 from toruslb.traffic import gen_split_diamond
+
+
+def route(policy, t):
+    """A policy's origin-to-t route as {DirectedEdge: fraction}."""
+    return dict(edge_entries(policy.pair_flows(Node(0, 0), t)))
 
 
 def brute_force_shortest_paths(spec, t):
@@ -45,8 +51,8 @@ def brute_force_shortest_paths(spec, t):
 def test_ecmp_one_hop_and_diagonal():
     spec = TorusSpec(10, 10)
     g = build_ecmp(spec)
-    assert g.flows[Node(1, 0)] == {DirectedEdge(Node(0, 0), Direction.POS_HOR): 1.0}
-    diag = g.flows[Node(1, 1)]
+    assert route(g, Node(1, 0)) == {DirectedEdge(Node(0, 0), Direction.POS_HOR): 1.0}
+    diag = route(g, Node(1, 1))
     assert diag[DirectedEdge(Node(0, 0), Direction.POS_HOR)] == pytest.approx(0.5)
     assert diag[DirectedEdge(Node(0, 0), Direction.POS_VERT)] == pytest.approx(0.5)
 
@@ -61,11 +67,11 @@ def test_ecmp_against_path_enumeration():
             for e in p:
                 per_edge[e] = per_edge.get(e, 0) + 1
         for e, count in per_edge.items():
-            assert g.flows[t][e] == pytest.approx(count / len(paths))
+            assert route(g, t)[e] == pytest.approx(count / len(paths))
     # the (1,2) offset has 3 shortest paths, first hop split 2/3 toward
     # the longer axis and 1/3 toward the shorter one
     assert len(brute_force_shortest_paths(spec, Node(1, 2))) == 3
-    flows = g.flows[Node(1, 2)]
+    flows = route(g, Node(1, 2))
     assert flows[DirectedEdge(Node(0, 0), Direction.POS_VERT)] == pytest.approx(2 / 3)
     assert flows[DirectedEdge(Node(0, 0), Direction.POS_HOR)] == pytest.approx(1 / 3)
 
@@ -74,8 +80,8 @@ def test_ecmp_supported_on_shortest_edges_only():
     spec = TorusSpec(7, 7)
     g = build_ecmp(spec)
     origin = Node(0, 0)
-    for t, flows in g.flows.items():
-        for e, v in flows.items():
+    for t in spec.nodes():
+        for e, v in route(g, t).items():
             head = spec.edge_head(e)
             assert hop_distance(spec, origin, e.tail) + 1 + hop_distance(
                 spec, head, t
@@ -106,7 +112,7 @@ def test_llb_stem_edge_profile():
     spec = TorusSpec(10, 10)
     r = 3
     g = build_llb(spec, r)
-    flows = g.flows[Node(5, 5)]
+    flows = route(g, Node(5, 5))
     for h in range(r):
         edge = DirectedEdge(Node(0, h), Direction.POS_VERT)
         assert flows[edge] == pytest.approx((r - h) / (4 * r))
@@ -119,7 +125,7 @@ def test_llb_non_stem_flow_cap():
     quantum = 1 / (8 * r)
     t = Node(5, 5)
     stem_axis = {(0, d) for d in range(1, r + 1)}
-    for e, v in g.flows[t].items():
+    for e, v in route(g, t).items():
         on_source_axis = (e.tail.x == 0 and min(e.tail.y, 10 - e.tail.y) <= r) or (
             e.tail.y == 0 and min(e.tail.x, 10 - e.tail.x) <= r
         )
@@ -138,6 +144,21 @@ def test_vlb_split_diamond_value():
     )
 
 
+@pytest.mark.parametrize("dims", [(4, 4), (4, 6), (5, 5)])
+def test_vlb_equals_two_phase_ecmp_average(dims):
+    # every pair's VLB flows equal (1/NM) * sum_m [ECMP(s->m) + ECMP(m->t)],
+    # summed here over the expanded per-pair ECMP policy
+    spec = TorusSpec(*dims)
+    ecmp = expand(build_ecmp(spec)).flows
+    via = (ecmp.sum(axis=1)[:, None] + ecmp.sum(axis=0)[None, :]) / spec.num_nodes
+    vlb = build_vlb(spec)
+    nodes = list(spec.nodes())
+    for i, s in enumerate(nodes):
+        for j, t in enumerate(nodes):
+            if s != t:
+                np.testing.assert_allclose(vlb.pair_flows(s, t), via[i, j], rtol=0, atol=1e-12)
+
+
 def test_gllb_radii_formula():
     assert gllb_radii(TorusSpec(10, 10), 18) == (3, 3)
     assert gllb_radii(TorusSpec(4, 10), 8) == (2, 2)
@@ -149,7 +170,7 @@ def test_gllb_matches_llb_on_square():
     spec = TorusSpec(8, 8)
     g = build_gllb(spec, 2, 2)
     l = build_llb(spec, 2)
-    assert g.flows == l.flows
+    assert np.array_equal(g.flows, l.flows)
     assert abs(worst_case_load(g, 8).value - worst_case_load(l, 8).value) < 1e-9
 
 
@@ -174,7 +195,7 @@ def test_gllb_case_dispatch():
 
 def test_gllb_low_cut_is_ring():
     spec = TorusSpec(4, 10)
-    assert build_gllb(spec, 2, 2).flows == build_ring_lb(spec).flows
+    assert np.array_equal(build_gllb(spec, 2, 2).flows, build_ring_lb(spec).flows)
 
 
 def test_ring_per_pair_caps():
@@ -182,8 +203,8 @@ def test_ring_per_pair_caps():
     # vertical at most the two-way ring spread peak
     spec = TorusSpec(4, 10)
     ring = build_ring_lb(spec)
-    for t, flows in ring.flows.items():
-        for e, v in flows.items():
+    for t in spec.nodes():
+        for e, v in route(ring, t).items():
             if not e.dir.is_vertical:
                 assert v <= 1 / (2 * spec.rows) + 1e-12
 
@@ -205,15 +226,6 @@ def test_worst_case_representative_edge_consistency():
         g, 4, edges=[DirectedEdge(Node(0, 0), d) for d in Direction]
     ).value
     assert fast == pytest.approx(full, abs=1e-12)
-
-
-def test_llb_params_validation():
-    from toruslb.schemes import LlbParams
-
-    p = LlbParams(r=3, r1=3, r2=3)
-    assert (p.r, p.r1, p.r2) == (3, 3, 3)
-    with pytest.raises(ValueError):
-        LlbParams(r=0)
 
 
 def test_gllb_case_info_low_cut_parameters():
