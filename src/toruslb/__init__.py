@@ -1,6 +1,8 @@
 """Oblivious routing on 2-D tori under sparse traffic: schemes, exact
 worst-case evaluation, analytic bounds, and LP export."""
 
+__version__ = "0.1.0"
+
 from toruslb.evaluate import edge_loads, k_matching_max, run_trials, worst_case_load
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
 from toruslb.torus import (

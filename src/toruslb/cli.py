@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, TextIO
 
+from toruslb import __version__ as VERSION
 from toruslb import bounds as bounds_mod
 from toruslb.evaluate import edge_loads, load_report_to_csv, run_trials, worst_case_load
 from toruslb.lpexport import export_opt_lp, export_reduced_oblivious_lp
@@ -29,7 +30,6 @@ from toruslb.traffic import (
     traffic_to_csv,
 )
 
-VERSION = "0.1.0"
 DEFAULT_SEED = 20240917
 
 

@@ -1,11 +1,13 @@
-"""Stems, edge-disjoint path discovery between stems, and max-flow/min-cut
-utilities.
+"""Stems, edge-disjoint paths between node sets, and exact min cuts.
 
 A stem is the 4-legged cross of nodes within a per-axis radius of a center
 (center excluded).  The local load-balancing schemes spread traffic over the
 source stem, cross between stems on pairwise edge-disjoint paths, and
-aggregate at the destination stem; the path search here provides that
-crossing with two paths per stem node on each side.
+aggregate at the destination stem; ``route_disjoint_quanta`` provides that
+crossing with two paths per stem node on each side, and ``max_flow`` the
+min cuts that decide whether it exists.  Both run one integer max-flow
+routine, ``_augment`` (shortest augmenting paths), on edge ids
+``node_index * 4 + dir`` in ``TorusSpec.edges()`` order.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ class StemsOverlap(PathError):
 
 
 class CutTooSmall(PathError):
-    """Min cut between the stems cannot support two paths per stem node."""
+    """The cut between suppliers and demanders admits fewer paths than their
+    quotas ask for (for stems: fewer than two per stem node)."""
 
 
 EdgePath = list[DirectedEdge]
@@ -46,6 +49,16 @@ class Stem:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    @property
+    def nodes(self) -> frozenset[Node]:
+        """The members together with the center."""
+        return frozenset(self.members) | {self.center}
+
+
+def stems_overlap(a: Stem, b: Stem) -> bool:
+    """True when two stems, centers included, share a node."""
+    return not a.nodes.isdisjoint(b.nodes)
 
 
 def stem(spec: TorusSpec, center: Node, r1: int, r2: int) -> Stem:
@@ -98,77 +111,72 @@ def stem_slot_edges(spec: TorusSpec, center: Node, r1: int, r2: int, outward: bo
     return edges
 
 
-class _Dinic:
-    """Max flow on integer capacities with a reachable-set min cut."""
+def _edge_heads(spec: TorusSpec) -> list[int]:
+    """Head node index of every edge id ``node_index * 4 + dir``, where
+    ``node_index = y * cols + x`` follows ``spec.nodes()``; edge ids follow
+    ``spec.edges()``."""
+    rows, cols = spec.rows, spec.cols
+    deltas = [d.delta for d in Direction]
+    return [
+        (y + dy) % rows * cols + (x + dx) % cols
+        for y in range(rows)
+        for x in range(cols)
+        for dx, dy in deltas
+    ]
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
+def _augment(
+    heads: list[int], cap: list[int], supply: dict[int, int], demand: dict[int, int]
+) -> tuple[list[int], list[int]]:
+    """Integer max flow from supplier quotas to demander quotas by shortest
+    augmenting paths (Edmonds and Karp); ``supply`` and ``demand`` are drawn
+    down in place.
 
-    def _bfs_levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        queue = deque([s])
+    Each search is a breadth-first search seeded with every supplier that
+    has quota left, in ``supply`` order, that visits a node's edges in
+    ``Direction`` order and stops at the first node with demand left.  An
+    edge is usable while its flow is below capacity or while its reverse
+    carries flow; a push cancels reverse flow first and sends the path's
+    bottleneck at once.  Returns the per-edge flow and, from the last
+    search, the edge that reached each node (-1 for seeds, -2 unreached):
+    once no path is left, the reached nodes are the source side of a min
+    cut.
+    """
+    # the reverse of an edge leaves its head; opposite directions are dir ^ 1
+    back = [4 * v + ((e & 3) ^ 1) for e, v in enumerate(heads)]
+    flow = [0] * len(cap)
+    while True:
+        parent = [-2] * (len(heads) // 4)
+        queue: deque[int] = deque()
+        for u, quota in supply.items():
+            if quota > 0:
+                parent[u] = -1
+                queue.append(u)
         while queue:
             u = queue.popleft()
-            for idx in self.head[u]:
-                v = self.to[idx]
-                if self.cap[idx] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+            if demand.get(u, 0) > 0:
+                break
+            for e in range(4 * u, 4 * u + 4):
+                v = heads[e]
+                if parent[v] == -2 and (flow[e] < cap[e] or flow[back[e]] > 0):
+                    parent[v] = e
                     queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _dfs(self, u: int, t: int, pushed: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return pushed
-        while it[u] < len(self.head[u]):
-            idx = self.head[u][it[u]]
-            v = self.to[idx]
-            if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                d = self._dfs(v, t, min(pushed, self.cap[idx]), level, it)
-                if d > 0:
-                    self.cap[idx] -= d
-                    self.cap[idx ^ 1] += d
-                    return d
-            it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = self._bfs_levels(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, 1 << 62, level, it)
-                if pushed == 0:
-                    break
-                flow += pushed
-
-    def reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for idx in self.head[u]:
-                v = self.to[idx]
-                if self.cap[idx] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+        else:
+            return flow, parent
+        end = u
+        path = []
+        while parent[u] >= 0:
+            path.append(parent[u])
+            u = parent[u] >> 2
+        amount = min(
+            supply[u], demand[end], *(cap[e] - flow[e] + flow[back[e]] for e in path)
+        )
+        for e in path:
+            cancel = min(amount, flow[back[e]])
+            flow[back[e]] -= cancel
+            flow[e] += amount - cancel
+        supply[u] -= amount
+        demand[end] -= amount
 
 
 def max_flow(
@@ -182,57 +190,44 @@ def max_flow(
     returning the value and a witnessing min cut.
 
     Capacities default to the spec's per-direction values; rational values
-    are scaled to integers so the value and cut agree exactly.
+    are scaled to integers so the value and cut agree exactly.  The cut is
+    the one around the nodes reachable from the sources in the residual
+    graph, the same for every maximum flow.
     """
     if sources & sinks:
         raise PathError("sources and sinks must be disjoint")
-    caps: dict[DirectedEdge, Fraction] = {}
-    for edge in spec.edges():
-        if edge in removed:
-            continue
-        if capacities is not None:
-            c = capacities.get(edge, spec.capacity(edge.dir))
-        else:
-            c = spec.capacity(edge.dir)
-        caps[edge] = Fraction(c).limit_denominator(10**6)
-    scale = lcm(*(f.denominator for f in caps.values())) if caps else 1
+    edges = list(spec.edges())
+    fracs: dict[int, Fraction] = {}
+    for e, edge in enumerate(edges):
+        if edge not in removed:
+            c = (capacities or {}).get(edge, spec.capacity(edge.dir))
+            fracs[e] = Fraction(c).limit_denominator(10**6)
+    scale = lcm(*(f.denominator for f in fracs.values()))
+    cap = [0] * len(edges)
+    for e, frac in fracs.items():
+        cap[e] = int(frac * scale)
 
     index = {node: i for i, node in enumerate(spec.nodes())}
-    n = len(index)
-    source_id, sink_id = n, n + 1
-    dinic = _Dinic(n + 2)
-    edge_ids: dict[int, DirectedEdge] = {}
-    big = (sum(int(f * scale) for f in caps.values()) or 1) + 1
-    for edge, frac in sorted(caps.items()):
-        idx = dinic.add_edge(
-            index[edge.tail], index[spec.edge_head(edge)], int(frac * scale)
-        )
-        edge_ids[idx] = edge
-    for node in sorted(sources):
-        dinic.add_edge(source_id, index[node], big)
-    for node in sorted(sinks):
-        dinic.add_edge(index[node], sink_id, big)
-
-    value = dinic.max_flow(source_id, sink_id)
-    reach = dinic.reachable(source_id)
-    cut = {
-        edge
-        for idx, edge in edge_ids.items()
-        if index[edge.tail] in reach and index[spec.edge_head(edge)] not in reach
-    }
-    cut_value = sum(caps[e] for e in cut) * scale
-    assert cut_value == value, "max-flow/min-cut duality violated"
-    return value / scale, cut
+    big = sum(cap) + 1
+    supply = {index[node]: big for node in sources}
+    demand = {index[node]: big for node in sinks}
+    heads = _edge_heads(spec)
+    _, parent = _augment(heads, cap, supply, demand)
+    value = big * len(supply) - sum(supply.values())
+    cut_ids = [e for e in fracs if parent[e >> 2] != -2 and parent[heads[e]] == -2]
+    if sum(cap[e] for e in cut_ids) != value:
+        raise PathError("max-flow/min-cut duality violated")
+    return value / scale, {edges[e] for e in cut_ids}
 
 
 def min_cut_between_stems(
     spec: TorusSpec, src: Node, dst: Node, r1: int, r2: int
 ) -> float:
-    """Capacity-weighted min cut separating the two stems, by max flow from a
-    super-source attached to the source stem."""
+    """Capacity-weighted min cut separating the two stems, by max flow from
+    the source stem to the destination stem."""
     s_stem = stem(spec, src, r1, r2)
     t_stem = stem(spec, dst, r1, r2)
-    if (set(s_stem.members) | {src}) & (set(t_stem.members) | {dst}):
+    if stems_overlap(s_stem, t_stem):
         raise StemsOverlap(f"stems of {src} and {dst} intersect")
     value, _ = max_flow(spec, set(), set(s_stem.members), set(t_stem.members))
     return value
@@ -250,134 +245,86 @@ def route_disjoint_quanta(
     given per-node path counts and per-edge quantum capacities (default 1,
     i.e. pairwise edge-disjoint paths; ``forbidden`` edges carry nothing).
 
-    Each quantum is routed by a shortest breadth-first search over the
-    residual graph, seeded with every supplier that still has quota in the
-    given order, so a search may undo an earlier path's edge instead of
-    dead-ending.  Whenever the quotas admit a solution at all this finds one,
-    deterministically.
+    The quanta are routed by ``_augment``'s shortest augmenting paths,
+    seeded with the suppliers in the given order, so a later path may undo
+    an earlier path's edge instead of dead-ending; the integer flow is then
+    split into loop-free paths.  The result is deterministic, and
+    ``CutTooSmall`` is raised exactly when no routing of all quanta exists.
     """
-    supply: dict[Node, int] = {}
-    supply_order: list[Node] = []
+    nodes = list(spec.nodes())
+    index = {node: i for i, node in enumerate(nodes)}
+    supply: dict[int, int] = {}
     for node, quota in suppliers:
-        if node not in supply:
-            supply_order.append(node)
-        supply[node] = supply.get(node, 0) + quota
-    remaining: dict[Node, int] = {}
+        supply[index[node]] = supply.get(index[node], 0) + quota
+    demand: dict[int, int] = {}
     for node, quota in demanders:
-        remaining[node] = remaining.get(node, 0) + quota
-    if set(supply) & set(remaining):
+        demand[index[node]] = demand.get(index[node], 0) + quota
+    if supply.keys() & demand.keys():
         raise PathError("suppliers and demanders must be disjoint")
-    consumed: dict[Node, int] = {node: 0 for node in remaining}
-    flow: dict[DirectedEdge, int] = {}
+    cap = [default_capacity] * (4 * len(index))
+    for edge, c in (capacities or {}).items():
+        cap[4 * index[edge.tail] + edge.dir] = c
+    for edge in forbidden:
+        cap[4 * index[edge.tail] + edge.dir] = 0
 
-    def cap(edge: DirectedEdge) -> int:
-        if edge in forbidden:
-            return 0
-        if capacities is not None:
-            return capacities.get(edge, default_capacity)
-        return default_capacity
-
-    for _ in range(sum(supply.values())):
-        path = _bfs_residual(spec, supply_order, supply, remaining, flow, cap)
-        if path is None:
-            raise PathError(
-                f"no augmenting path; {sum(remaining.values())} quanta unrouted"
-            )
-        for edge in path:
-            back = DirectedEdge(spec.edge_head(edge), edge.dir.opposite)
-            if flow.get(back, 0) > 0:
-                flow[back] -= 1
-            else:
-                flow[edge] = flow.get(edge, 0) + 1
-        supply[path[0].tail] -= 1
-        end = spec.edge_head(path[-1])
-        remaining[end] -= 1
-        consumed[end] += 1
-    return _decompose_flow(spec, suppliers, consumed, flow)
-
-
-def _bfs_residual(
-    spec: TorusSpec,
-    supply_order: list[Node],
-    supply: dict[Node, int],
-    remaining: dict[Node, int],
-    flow: dict[DirectedEdge, int],
-    cap,
-) -> EdgePath | None:
-    """Shortest residual path from any supplier with quota to any node with
-    remaining demand.  An edge is traversable if its flow is below capacity,
-    or if its reverse currently carries flow (cancellation)."""
-    parent: dict[Node, DirectedEdge] = {}
-    seeds = [node for node in supply_order if supply[node] > 0]
-    seen = set(seeds)
-    queue = deque(seeds)
-    while queue:
-        u = queue.popleft()
-        if remaining.get(u, 0) > 0:
-            path: EdgePath = []
-            node = u
-            while node in parent:
-                edge = parent[node]
-                path.append(edge)
-                node = edge.tail
-            path.reverse()
-            return path
-        for d in Direction:
-            edge = DirectedEdge(u, d)
-            v = spec.edge_head(edge)
-            if v in seen:
-                continue
-            back = DirectedEdge(v, d.opposite)
-            if flow.get(edge, 0) < cap(edge) or flow.get(back, 0) > 0:
-                seen.add(v)
-                parent[v] = edge
-                queue.append(v)
-    return None
+    wanted = dict(demand)
+    total = sum(supply.values())
+    heads = _edge_heads(spec)
+    flow, _ = _augment(heads, cap, supply, demand)
+    unrouted = sum(supply.values())
+    if unrouted:
+        raise CutTooSmall(f"cut admits {total - unrouted} of {total} quanta")
+    consumed = {u: wanted[u] - demand[u] for u in wanted}
+    return [
+        [DirectedEdge(nodes[e >> 2], Direction(e & 3)) for e in path]
+        for path in _decompose_flow(
+            heads, [(index[node], quota) for node, quota in suppliers], consumed, flow
+        )
+    ]
 
 
 def _decompose_flow(
-    spec: TorusSpec,
-    suppliers: list[tuple[Node, int]],
-    consumed: dict[Node, int],
-    flow: dict[DirectedEdge, int],
-) -> list[EdgePath]:
-    """Split an integer edge flow into one path per supplied quantum."""
-    flow_out: dict[Node, list[DirectedEdge]] = {}
-    total_units = 0
-    for edge in sorted(flow):
-        for _ in range(flow[edge]):
-            flow_out.setdefault(edge.tail, []).append(edge)
-            total_units += 1
+    heads: list[int],
+    suppliers: list[tuple[int, int]],
+    consumed: dict[int, int],
+    flow: list[int],
+) -> list[list[int]]:
+    """Split an integer edge flow into one loop-free path of edge ids per
+    supplied quantum."""
+    flow_out: dict[int, list[int]] = {}
+    for e, units in enumerate(flow):
+        if units:
+            flow_out.setdefault(e >> 2, []).extend([e] * units)
     terminal = dict(consumed)
-    paths: list[EdgePath] = []
-    limit = total_units + 1
+    paths: list[list[int]] = []
+    limit = sum(flow) + 1
     for node, quota in suppliers:
         for _ in range(quota):
-            path: EdgePath = []
+            path: list[int] = []
             u = node
             for _step in range(limit):
                 if path and terminal.get(u, 0) > 0:
                     terminal[u] -= 1
                     break
-                edge = flow_out[u].pop(0)
-                path.append(edge)
-                u = spec.edge_head(edge)
+                e = flow_out[u].pop(0)
+                path.append(e)
+                u = heads[e]
             else:
                 raise PathError("flow decomposition failed to terminate")
-            paths.append(_trim_cycles(path, spec))
-    assert all(v == 0 for v in terminal.values()), "terminals left unserved"
+            paths.append(_trim_cycles(heads, path))
+    if any(terminal.values()):
+        raise PathError("terminals left unserved")
     return paths
 
 
-def _trim_cycles(path: EdgePath, spec: TorusSpec) -> EdgePath:
-    """Loop-erase a walk so the result visits each node at most once."""
-    if not path:
-        return []
-    nodes = [path[0].tail]
-    index = {path[0].tail: 0}
-    out: EdgePath = []
-    for edge in path:
-        head = spec.edge_head(edge)
+def _trim_cycles(heads: list[int], path: list[int]) -> list[int]:
+    """Loop-erase a nonempty walk of edge ids so the result visits each node
+    at most once."""
+    nodes = [path[0] >> 2]
+    index = {nodes[0]: 0}
+    out: list[int] = []
+    for e in path:
+        head = heads[e]
         if head in index:
             k = index[head]
             for dropped in nodes[k + 1 :]:
@@ -385,7 +332,7 @@ def _trim_cycles(path: EdgePath, spec: TorusSpec) -> EdgePath:
             del nodes[k + 1 :]
             del out[k:]
         else:
-            out.append(edge)
+            out.append(e)
             nodes.append(head)
             index[head] = len(nodes) - 1
     return out
@@ -396,7 +343,8 @@ def find_disjoint_stem_paths(
 ) -> list[EdgePath]:
     """2*(2r1+2r2) pairwise edge-disjoint paths between the stems of ``src``
     and ``dst``: two leaving each source-stem node, two arriving at each
-    destination-stem node, found by deterministic sequential BFS.
+    destination-stem node, found by ``route_disjoint_quanta``, which raises
+    ``CutTooSmall`` when the cut between the stems admits fewer.
 
     The search never rides the stems' own distribution or aggregation edges,
     so the paths compose with the local load-balancing phases without
@@ -404,7 +352,7 @@ def find_disjoint_stem_paths(
     """
     s_stem = stem(spec, src, r1, r2)
     t_stem = stem(spec, dst, r1, r2)
-    if (set(s_stem.members) | {src}) & (set(t_stem.members) | {dst}):
+    if stems_overlap(s_stem, t_stem):
         raise StemsOverlap(f"stems of {src} and {dst} intersect")
     forbidden = stem_slot_edges(spec, src, r1, r2, outward=True) | stem_slot_edges(
         spec, dst, r1, r2, outward=False
@@ -413,26 +361,11 @@ def find_disjoint_stem_paths(
     # 8r path endpoints, so no valid solution transits a stem: forbid re-entry
     # on the source side and exit on the destination side up front, which also
     # forces each path to leave perpendicular to its leg.
-    src_plus = set(s_stem.members) | {src}
-    dst_plus = set(t_stem.members) | {dst}
+    src_plus = s_stem.nodes
+    dst_plus = t_stem.nodes
     for edge in spec.edges():
         if spec.edge_head(edge) in src_plus or edge.tail in dst_plus:
             forbidden.add(edge)
     suppliers = [(node, 2) for node in s_stem.members]
     demanders = [(node, 2) for node in t_stem.members]
-    try:
-        return route_disjoint_quanta(spec, suppliers, demanders, forbidden)
-    except PathError as exc:
-        needed = 2 * len(s_stem.members)
-        value, _ = max_flow(
-            spec,
-            forbidden,
-            set(s_stem.members),
-            set(t_stem.members),
-            capacities={e: 1.0 for e in spec.edges()},
-        )
-        if value < needed:
-            raise CutTooSmall(
-                f"min cut {value} between stems supports fewer than {needed} paths"
-            ) from exc
-        raise PathError(f"greedy BFS failed despite sufficient cut: {exc}") from exc
+    return route_disjoint_quanta(spec, suppliers, demanders, forbidden)

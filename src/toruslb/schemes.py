@@ -23,7 +23,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from toruslb.paths import PathError, RadiusTooLarge, route_disjoint_quanta, stem
+from toruslb.paths import (
+    PathError,
+    RadiusTooLarge,
+    max_flow,
+    route_disjoint_quanta,
+    stem,
+    stems_overlap,
+)
 from toruslb.policy import EdgeFlows, OriginPolicy, symmetrize_origin, translate
 from toruslb.torus import (
     DirectedEdge,
@@ -201,7 +208,10 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> EdgeFlows:
     per-pair cap is what pins the scheme's exact worst-case load.
     """
     origin = Node(0, 0)
-    assert 2 * r1 < spec.rows and 2 * r2 < spec.cols
+    if 2 * r1 >= spec.rows or 2 * r2 >= spec.cols:
+        raise RadiusTooLarge(
+            f"need 2*r1 < rows and 2*r2 < cols, got r1={r1}, r2={r2}"
+        )
     unit = 1.0 / (4 * (r1 + r2))
     qflows: dict[DirectedEdge, int] = {}
 
@@ -276,11 +286,17 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> EdgeFlows:
 
     shared = set(keep0) & set(keep_t)
     for u in shared:
-        assert keep0[u] == keep_t[u], (t, u, keep0[u], keep_t[u])
+        if keep0[u] != keep_t[u]:
+            raise PathError(
+                f"destination {t}: stems hold {keep0[u]} and {keep_t[u]} quanta at {u}"
+            )
 
     suppliers = [(u, 2) for u in keep0 if u not in shared and u != t]
     demanders = [(v, 2) for v in keep_t if v not in shared and v != origin]
-    assert len(suppliers) == len(demanders), (t, len(suppliers), len(demanders))
+    if len(suppliers) != len(demanders):
+        raise PathError(
+            f"destination {t}: {len(suppliers)} suppliers for {len(demanders)} demanders"
+        )
     if suppliers:
         budgets = {e: c - qflows.get(e, 0) for e, c in slot_cap.items()}
         forbidden = {e for e, b in budgets.items() if b <= 0}
@@ -427,35 +443,29 @@ def gllb_radii(spec: TorusSpec, k: int) -> tuple[int, int]:
     return r1, r2
 
 
-def _stems_overlap(spec: TorusSpec, t: Node, r1: int, r2: int) -> bool:
-    origin = Node(0, 0)
-    plus0 = set(stem(spec, origin, r1, r2).members) | {origin}
-    plust = set(stem(spec, t, r1, r2).members) | {t}
-    return bool(plus0 & plust)
-
-
 @lru_cache(maxsize=None)
 def _probe_high_cut(spec: TorusSpec, r1: int, r2: int) -> bool:
     """True when the unit-capacity cut between distant stems supports two
     paths per stem node; bisection-limited geometries fail this and use the
     ring scheme instead."""
-    from toruslb.paths import max_flow
-
     if 2 * r1 >= spec.rows or 2 * r2 >= spec.cols:
         return False
-    far = Node(spec.cols // 2, spec.rows // 2)
-    if _stems_overlap(spec, far, r1, r2):
+    s_stem = stem(spec, Node(0, 0), r1, r2)
+    t_stem = stem(spec, Node(spec.cols // 2, spec.rows // 2), r1, r2)
+    if stems_overlap(s_stem, t_stem):
         return False
-    s_members = set(stem(spec, Node(0, 0), r1, r2).members)
-    t_members = set(stem(spec, far, r1, r2).members)
     value, _ = max_flow(
-        spec, set(), s_members, t_members, capacities={e: 1.0 for e in spec.edges()}
+        spec,
+        set(),
+        set(s_stem.members),
+        set(t_stem.members),
+        capacities={e: 1.0 for e in spec.edges()},
     )
     return value >= 4 * (r1 + r2)
 
 
 def classify_gllb_case(spec: TorusSpec, r1: int, r2: int, t: Node) -> GllbCase:
-    overlap = _stems_overlap(spec, t, r1, r2)
+    overlap = stems_overlap(stem(spec, Node(0, 0), r1, r2), stem(spec, t, r1, r2))
     high = _probe_high_cut(spec, r1, r2)
     if overlap:
         return GllbCase.OVERLAP_HIGH_CUT if high else GllbCase.OVERLAP_LOW_CUT

@@ -1,6 +1,9 @@
+import hashlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toruslb.paths import (
     CutTooSmall,
@@ -9,8 +12,11 @@ from toruslb.paths import (
     find_disjoint_stem_paths,
     max_flow,
     min_cut_between_stems,
+    route_disjoint_quanta,
     stem,
 )
+from toruslb.policy import policy_to_csv
+from toruslb.schemes import build_gllb, build_llb
 from toruslb.torus import Node, TorusSpec
 
 
@@ -130,3 +136,118 @@ def test_max_flow_respects_capacities():
     assert value == sum(spec.capacity(e.dir) for e in cut)
     # out-degree of a single source: two vertical and two horizontal links
     assert value <= 2 * 2.0 + 2 * 0.5
+
+
+# Oracles below share no code with the max-flow engine: they enumerate every
+# node bipartition of a tiny torus.
+
+
+def brute_force_cut(spec, cap, source_side_cost):
+    """min over node sets X of source_side_cost(X) + capacity of edges X -> not X."""
+    nodes = list(spec.nodes())
+    arcs = [(e.tail, spec.edge_head(e), c) for e, c in cap.items() if c]
+    best = None
+    for mask in range(1 << len(nodes)):
+        side = {u for i, u in enumerate(nodes) if mask >> i & 1}
+        cost = source_side_cost(side)
+        if cost is None:
+            continue
+        cost += sum(c for u, v, c in arcs if u in side and v not in side)
+        best = cost if best is None else min(best, cost)
+    return best
+
+
+@st.composite
+def tiny_networks(draw):
+    spec = TorusSpec(3, draw(st.sampled_from([3, 4])))
+    edges = list(spec.edges())
+    caps = draw(st.lists(st.integers(0, 3), min_size=len(edges), max_size=len(edges)))
+    nodes = list(spec.nodes())
+    picked = draw(st.permutations(nodes))
+    n_src = draw(st.integers(1, 4))
+    n_dst = draw(st.integers(1, 4))
+    return spec, dict(zip(edges, caps)), picked[:n_src], picked[n_src : n_src + n_dst]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tiny_networks())
+def test_max_flow_equals_brute_force_min_cut(network):
+    spec, cap, sources, sinks = network
+    value, cut = max_flow(
+        spec, set(), set(sources), set(sinks), capacities={e: float(c) for e, c in cap.items()}
+    )
+    expected = brute_force_cut(
+        spec,
+        cap,
+        lambda side: 0 if set(sources) <= side and not side & set(sinks) else None,
+    )
+    assert value == expected
+    assert sum(cap[e] for e in cut) == value
+    # the cut separates: without its edges no positive edge joins sources to sinks
+    reach = set(sources)
+    frontier = list(sources)
+    while frontier:
+        u = frontier.pop()
+        for e, c in cap.items():
+            v = spec.edge_head(e)
+            if e.tail == u and c > 0 and e not in cut and v not in reach:
+                reach.add(v)
+                frontier.append(v)
+    assert not reach & set(sinks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_networks(), st.data())
+def test_route_disjoint_quanta_against_brute_force_cut(network, data):
+    spec, cap, src_nodes, dst_nodes = network
+    supply = {u: data.draw(st.integers(1, 3)) for u in src_nodes}
+    demand = {v: data.draw(st.integers(1, 3)) for v in dst_nodes}
+    default = data.draw(st.integers(1, 2))
+    edges = list(spec.edges())
+    overrides = {e: c for e, c in cap.items() if data.draw(st.booleans())}
+    forbidden = {e for e in edges if data.draw(st.integers(0, 4)) == 0}
+    effective = {
+        e: 0 if e in forbidden else overrides.get(e, default) for e in edges
+    }
+    total = sum(supply.values())
+    cut = brute_force_cut(
+        spec,
+        effective,
+        lambda side: sum(q for u, q in supply.items() if u not in side)
+        + sum(q for v, q in demand.items() if v in side),
+    )
+    args = (spec, list(supply.items()), list(demand.items()), forbidden, overrides, default)
+    if cut < total:
+        with pytest.raises(CutTooSmall):
+            route_disjoint_quanta(*args)
+        return
+    paths = route_disjoint_quanta(*args)
+    assert len(paths) == total
+    for path in paths:
+        assert path
+        for a, b in zip(path, path[1:]):
+            assert spec.edge_head(a) == b.tail
+        assert not set(path) & forbidden
+    assert Counter(p[0].tail for p in paths) == Counter(supply)
+    ends = Counter(spec.edge_head(p[-1]) for p in paths)
+    assert all(ends[v] <= demand.get(v, 0) for v in ends)
+    use = Counter(e for p in paths for e in p)
+    assert all(use[e] <= effective[e] for e in use)
+
+
+# sha256 of policy_to_csv for stem-routed builds, recorded before the path
+# search moved to integer edge ids; any change to the search order shows here.
+POLICY_DIGESTS = [
+    ("llb", (6, 6), (2,), "4312a43806019b60bc2e07a5e3fe8df8ab510ac1401deff37730a79058a88848"),
+    ("llb", (10, 10), (3,), "1736673ddcaa620f660753a1062dd45079aa74ecb48637b33bbe40abaf3627c9"),
+    ("gllb", (6, 8), (2, 2), "ca7433586195183360f02378e0907aa8dab5c09f6d419e67ed5cf59e04055f7c"),
+    ("gllb", (8, 10), (3, 3), "5903954ca03ce7fcd119cede764519002faa5e671e3d35d848b75f6a7be06f6e"),
+    ("gllb", (5, 9), (2, 3), "0acf654e2aad780305b3bcdccd7f1f94e1f06f76bacc017614fc12e6baeddb25"),
+]
+
+
+@pytest.mark.parametrize("scheme,shape,radii,digest", POLICY_DIGESTS)
+def test_stem_policy_bytes_pinned(scheme, shape, radii, digest):
+    build = build_llb if scheme == "llb" else build_gllb
+    text = policy_to_csv(build(TorusSpec(*shape), *radii))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

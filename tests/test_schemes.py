@@ -11,6 +11,7 @@ from toruslb.schemes import (
     build_llb,
     build_ring_lb,
     build_vlb,
+    _stem_route,
     classify_gllb_case,
     gllb_radii,
 )
@@ -105,6 +106,12 @@ def test_llb_radius_validation():
         build_llb(TorusSpec(8, 8), 4)
     with pytest.raises(ValueError):
         build_llb(TorusSpec(4, 6), 1)
+
+
+def test_stem_route_radius_guard():
+    # a typed error that ``python -O`` keeps, not an assert
+    with pytest.raises(RadiusTooLarge):
+        _stem_route(TorusSpec(6, 6), Node(3, 3), 3, 3)
 
 
 def test_llb_stem_edge_profile():
