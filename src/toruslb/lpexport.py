@@ -9,12 +9,19 @@ edge, and their total (with gam weighted by k) is charged against the edge
 capacity times theta.  No solver is embedded; a round-trip parser is
 included so tests can verify the emitted files coefficient by coefficient.
 
-Variable naming (bit-exact, asserted by tests):
+Variable naming (bit-exact; ``tests/test_lpexport.py`` pins the emitted
+text by sha256 in ``test_reduced_lp_bytes_pinned`` and checks every name
+against orbits computed by ``apply_automorphism`` in
+``test_orbit_names_match_automorphism_orbits``):
 
 * ``g_t{tx}_{ty}_e{ex}_{ey}_{dir}`` - flow toward destination offset (tx, ty)
   on the edge with tail (ex, ey); dir is pv/nv/ph/nh.  With deduplication the
   name used is the lexicographically smallest point-group image, which is how
-  the reflection ties are encoded.
+  the reflection ties are encoded.  Each (destination, edge) pair has an
+  integer orbit key that sorts like the pair; one table per call, built with
+  one ``np.minimum`` per point-group element over the index permutations of
+  :func:`toruslb.torus.automorphism_index_maps`, holds every pair's smallest
+  image key, and each distinct key is formatted once (see ``_OrbitIndex``).
 * ``th`` - the load bound being minimized.
 * ``a_{cls}_s{x}_{y}``, ``b_{cls}_t{x}_{y}``, ``gam_{cls}`` - per-source,
   per-sink, and total-demand hose multipliers for load-edge class ``cls``
@@ -31,15 +38,14 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from toruslb.policy import OriginPolicy
+from toruslb.evaluate import SpecMismatch
+from toruslb.policy import OriginPolicy, translate
 from toruslb.torus import (
     DirectedEdge,
     Direction,
     Node,
     TorusSpec,
-    apply_automorphism,
-    apply_to_edge,
-    node_sub,
+    automorphism_index_maps,
     point_group,
 )
 from toruslb.traffic import TrafficMatrix
@@ -102,28 +108,44 @@ def load_edge_classes(spec: TorusSpec) -> list[tuple[str, DirectedEdge, float]]:
 
 
 class _OrbitIndex:
-    """Canonical representative of (destination, edge) under the point group,
-    so reflection-tied flow variables collapse to one name."""
+    """Orbit keys of every (destination, edge) pair, so reflection-tied flow
+    variables collapse to one name.
 
-    def __init__(self, spec: TorusSpec, dedup: bool):
+    A pair's key is ``(((t.x*R + t.y)*C + tail.x)*R + tail.y)*4 + dir`` on an
+    R-row, C-column torus; keys sort exactly like ``(t, edge)`` tuples.
+    ``key[t, dir, u]`` holds the pair's own key and ``rep[t, dir, u]`` the
+    smallest key over its point-group images (node axes flat, ``y*cols + x``).
+    """
+
+    def __init__(self, spec: TorusSpec):
         self.spec = spec
-        self.dedup = dedup
-        self.group = point_group(spec)
+        n = spec.num_nodes
+        ys, xs = np.divmod(np.arange(n), spec.cols)
+        lex = xs * spec.rows + ys
+        self.key = (lex[:, None, None] * n + lex) * 4 + np.arange(4)[:, None]
+        self.rep = self.orbit_min(self.key)
+        self._names: dict[int, str] = {}
 
-    def orbit(self, t: Node, edge: DirectedEdge) -> list[tuple[Node, DirectedEdge]]:
-        return [
-            (
-                apply_automorphism(self.spec, phi, t),
-                apply_to_edge(self.spec, phi, edge),
+    def orbit_min(self, table: np.ndarray) -> np.ndarray:
+        """Smallest entry of ``table[t, dir, u]`` over each cell's point-group
+        images: one ``np.minimum`` per group element."""
+        out = table.copy()
+        for phi in point_group(self.spec):
+            nodes, dirs = automorphism_index_maps(self.spec, phi)
+            np.minimum(out, table[np.ix_(nodes, dirs, nodes)], out=out)
+        return out
+
+    def name(self, key: int) -> str:
+        """The variable name of the pair with this key, formatted once."""
+        name = self._names.get(key)
+        if name is None:
+            t, rest = divmod(key, 4 * self.spec.num_nodes)
+            tail, d = divmod(rest, 4)
+            name = self._names[key] = _g_name(
+                Node(*divmod(t, self.spec.rows)),
+                DirectedEdge(Node(*divmod(tail, self.spec.rows)), Direction(d)),
             )
-            for phi in self.group
-        ]
-
-    def canonical(self, t: Node, edge: DirectedEdge) -> str:
-        if not self.dedup:
-            return _g_name(t, edge)
-        rep = min(self.orbit(t, edge))
-        return _g_name(rep[0], rep[1])
+        return name
 
 
 def _emit(sink: IO[str], lines: Iterable[str]) -> None:
@@ -155,58 +177,57 @@ def export_reduced_oblivious_lp(
     (as variable dedup, or explicit equalities with ``dedup=False``), box
     bounds, and one dualized hose constraint block per load-edge class."""
     origin = Node(0, 0)
-    index = _OrbitIndex(spec, dedup)
+    index = _OrbitIndex(spec)
+    var = index.rep if dedup else index.key
     nodes = list(spec.nodes())
-    dests = [t for t in nodes if t != origin]
+    n = len(nodes)
     classes = load_edge_classes(spec)
 
-    gvars: set[str] = set()
-    for t in dests:
-        for edge in spec.edges():
-            gvars.add(index.canonical(t, edge))
+    # back[d][u]: flat index of the tail of the edge entering node u along d
+    grid = np.arange(n).reshape(spec.rows, spec.cols)
+    back = [translate(grid, Node(*d.delta)).ravel().tolist() for d in Direction]
+    gvars = {index.name(key) for key in set(var[1:].ravel().tolist())}
 
     constraints: list[tuple[str, list[tuple[float, str]], str, float]] = []
 
-    # flow conservation per (destination, node), on canonical variables
-    seen_dest: set[str] = set()
-    for t in dests:
-        rep_t = min(apply_automorphism(spec, phi, t) for phi in index.group) if dedup else t
-        key = f"t{rep_t.x}_{rep_t.y}"
-        if key in seen_dest:
-            continue
-        seen_dest.add(key)
-        for i in nodes:
+    # flow conservation per (destination, node), on canonical variables; a key
+    # divided by 4n is its destination's rank x*rows + y, so a destination's
+    # smallest image is read off any of its keys
+    for rank in dict.fromkeys((var[1:, 0, 0] // (4 * n)).tolist()):
+        rep_t = Node(*divmod(rank, spec.rows))
+        row = var[rep_t.y * spec.cols + rep_t.x].tolist()
+        tag = f"t{rep_t.x}_{rep_t.y}"
+        for u, i in enumerate(nodes):
             terms: dict[str, float] = {}
             for d in Direction:
-                out_name = index.canonical(rep_t, DirectedEdge(i, d))
+                out_name = index.name(row[d][u])
                 terms[out_name] = terms.get(out_name, 0.0) + 1.0
-                tail = spec.wrap(i.x - d.delta[0], i.y - d.delta[1])
-                in_name = index.canonical(rep_t, DirectedEdge(tail, d))
+                in_name = index.name(row[d][back[d][u]])
                 terms[in_name] = terms.get(in_name, 0.0) - 1.0
             rhs = 1.0 if i == origin else (-1.0 if i == rep_t else 0.0)
             constraints.append(
                 (
-                    f"cons_{key}_n{i.x}_{i.y}",
-                    sorted(((c, n) for n, c in terms.items() if c != 0.0), key=lambda x: x[1]),
+                    f"cons_{tag}_n{i.x}_{i.y}",
+                    sorted(((c, v) for v, c in terms.items() if c != 0.0), key=lambda x: x[1]),
                     "=",
                     rhs,
                 )
             )
 
     if not dedup:
-        # explicit reflection ties binding each variable to its orbit head
-        tied: set[tuple[str, str]] = set()
-        for t in dests:
-            for edge in spec.edges():
-                orbit = index.orbit(t, edge)
-                head = _g_name(*min(orbit))
-                me = _g_name(t, edge)
-                if me != head and (me, head) not in tied:
-                    tied.add((me, head))
-                    constraints.append(
-                        (f"tie_{len(tied)}", [(1.0, me), (-1.0, head)], "=", 0.0)
-                    )
+        # explicit reflection ties binding each variable to its orbit head,
+        # in (destination, edge) order
+        me = index.key[1:].transpose(0, 2, 1).ravel()
+        head = index.rep[1:].transpose(0, 2, 1).ravel()
+        tied = me != head
+        for number, (a, b) in enumerate(zip(me[tied].tolist(), head[tied].tolist()), 1):
+            constraints.append(
+                (f"tie_{number}", [(1.0, index.name(a)), (-1.0, index.name(b))], "=", 0.0)
+            )
 
+    # the hose row of pair (s, tau) names the variable carrying that pair's
+    # flow on the class edge: on_edge read over the table of variable keys
+    keys_as_policy = OriginPolicy(spec, var.reshape(n, 4, spec.rows, spec.cols))
     dual_vars: set[str] = set()
     for label, edge, cap in classes:
         a_names = {s: f"a_{label}_s{s.x}_{s.y}" for s in nodes}
@@ -219,13 +240,12 @@ def export_reduced_oblivious_lp(
         budget += [(1.0, name) for name in sorted(b_names.values())]
         budget += [(float(k), gam), (-cap, "th")]
         constraints.append((f"load_{label}", budget, "<=", 0.0))
-        for s in nodes:
-            for tau in nodes:
+        pair_keys = keys_as_policy.on_edge(edge).tolist()
+        for s, keys in zip(nodes, pair_keys):
+            for tau, pair_key in zip(nodes, keys):
                 if s == tau:
                     continue
-                offset = node_sub(spec, tau, s)
-                pair_edge = DirectedEdge(node_sub(spec, origin, s), edge.dir)
-                gname = index.canonical(offset, pair_edge)
+                gname = index.name(pair_key)
                 constraints.append(
                     (
                         f"hose_{label}_s{s.x}_{s.y}_t{tau.x}_{tau.y}",
@@ -237,8 +257,7 @@ def export_reduced_oblivious_lp(
 
     lines = ["\\ reduced oblivious routing program", "Minimize", " obj: th", "Subject To"]
     for name, terms, sense, rhs in constraints:
-        sense_tok = {"=": "=", "<=": "<=", ">=": ">="}[sense]
-        lines.append(f" {name}: {_format_terms(terms)} {sense_tok} {rhs:.17g}")
+        lines.append(f" {name}: {_format_terms(terms)} {sense} {rhs:.17g}")
     lines.append("Bounds")
     for name in sorted(gvars):
         lines.append(f" 0 <= {name} <= 1")
@@ -397,6 +416,22 @@ def parse_lp(text: str) -> LpModel:
     return LpModel(sense=sense, objective=objective, constraints=constraints, bounds=bounds)
 
 
+def _violations(model: LpModel, values: dict[str, float], tol: float) -> list[str]:
+    """Every constraint of ``model`` that ``values`` (missing names read 0)
+    violates by more than ``tol``."""
+    failures = []
+    for con in model.constraints:
+        lhs = sum(coef * values.get(name, 0.0) for name, coef in con.terms.items())
+        ok = (
+            lhs <= con.rhs + tol
+            if con.sense == "<="
+            else lhs >= con.rhs - tol if con.sense == ">=" else abs(lhs - con.rhs) <= tol
+        )
+        if not ok:
+            failures.append(f"{con.name}: lhs={lhs:.9g} {con.sense} {con.rhs}")
+    return failures
+
+
 def check_opt_feasibility(
     spec: TorusSpec,
     demand: TrafficMatrix,
@@ -415,17 +450,7 @@ def check_opt_feasibility(
             name = f"f_p{p}_e{edge.tail.x}_{edge.tail.y}_{_DIR_NAME[edge.dir]}"
             v = 0.0 if flows is None else flows[edge.dir, edge.tail.y, edge.tail.x]
             values[name] = float(v)
-    failures = []
-    for con in model.constraints:
-        lhs = sum(coef * values.get(name, 0.0) for name, coef in con.terms.items())
-        ok = (
-            lhs <= con.rhs + tol
-            if con.sense == "<="
-            else lhs >= con.rhs - tol if con.sense == ">=" else abs(lhs - con.rhs) <= tol
-        )
-        if not ok:
-            failures.append(f"{con.name}: lhs={lhs:.9g} {con.sense} {con.rhs}")
-    return failures
+    return _violations(model, values, tol)
 
 
 def check_oblivious_feasibility(
@@ -439,27 +464,23 @@ def check_oblivious_feasibility(
 ) -> list[str]:
     """Substitute a policy's flows (with hose duals and its worst-case theta)
     into a parsed model and report every violated constraint."""
-    index = _OrbitIndex(spec, dedup=True)
+    if policy.spec != spec:
+        raise SpecMismatch("policy and model use different torus specs")
+    index = _OrbitIndex(spec)
     values: dict[str, float] = {"th": theta}
     values.update(duals)
-    origin = Node(0, 0)
-    for t, slab in zip(spec.nodes(), policy.flows.tolist()):
-        if t == origin:
-            continue
-        for edge in spec.edges():
-            name = index.canonical(t, edge)
-            values.setdefault(name, slab[edge.dir][edge.tail.y][edge.tail.x])
+    # position[t, dir, u] is the pair's place in nodes() x edges() order; the
+    # orbit member with the smallest position supplies the orbit's value, and
+    # the origin's own slab names no variable
+    n = spec.num_nodes
+    position = np.arange(n * n * 4).reshape(n, n, 4).transpose(0, 2, 1)
+    first = index.orbit_min(position) == position
+    first[0] = False
+    flows = policy.flows.reshape(n, 4, n)
+    for key, v in zip(index.rep[first].tolist(), flows[first].tolist()):
+        values.setdefault(index.name(key), v)
 
-    failures = []
-    for con in model.constraints:
-        lhs = sum(coef * values.get(name, 0.0) for name, coef in con.terms.items())
-        ok = (
-            lhs <= con.rhs + tol
-            if con.sense == "<="
-            else lhs >= con.rhs - tol if con.sense == ">=" else abs(lhs - con.rhs) <= tol
-        )
-        if not ok:
-            failures.append(f"{con.name}: lhs={lhs:.9g} {con.sense} {con.rhs}")
+    failures = _violations(model, values, tol)
     for name, (lo, hi) in model.bounds.items():
         v = values.get(name, 0.0)
         if lo is not None and v < lo - tol:

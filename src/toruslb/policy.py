@@ -36,8 +36,7 @@ from toruslb.torus import (
     Direction,
     Node,
     TorusSpec,
-    apply_automorphism,
-    apply_to_direction,
+    automorphism_index_maps,
     node_sub,
     point_group,
 )
@@ -168,9 +167,7 @@ def expand(g: OriginPolicy) -> FullPolicy:
 def _pull_back(spec: TorusSpec, flat: np.ndarray, phi: Automorphism) -> np.ndarray:
     """``flat[..., dir, node]`` (node axes flattened) read at phi's images:
     entry (a, b, ..., d, u) becomes flat[phi(a), phi(b), ..., phi(d), phi(u)]."""
-    image = [apply_automorphism(spec, phi, u) for u in spec.nodes()]
-    nodes = np.array([_flat(spec, u) for u in image])
-    dirs = np.array([apply_to_direction(phi, d) for d in Direction])
+    nodes, dirs = automorphism_index_maps(spec, phi)
     return flat[np.ix_(*[nodes] * (flat.ndim - 2), dirs, nodes)]
 
 

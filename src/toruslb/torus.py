@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 
 class TorusError(ValueError):
     pass
@@ -208,6 +210,19 @@ def apply_to_direction(phi: Automorphism, d: Direction) -> Direction:
 def apply_to_edge(spec: TorusSpec, phi: Automorphism, edge: DirectedEdge) -> DirectedEdge:
     return DirectedEdge(
         apply_automorphism(spec, phi, edge.tail), apply_to_direction(phi, edge.dir)
+    )
+
+
+def automorphism_index_maps(
+    spec: TorusSpec, phi: Automorphism
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi as index permutations for arrays over nodes and directions: the
+    flat index ``y * cols + x`` of each node's image, in :meth:`TorusSpec.nodes`
+    order, and each direction's image, in :class:`Direction` order."""
+    images = [apply_automorphism(spec, phi, u) for u in spec.nodes()]
+    return (
+        np.array([v.y * spec.cols + v.x for v in images]),
+        np.array([apply_to_direction(phi, d) for d in Direction]),
     )
 
 

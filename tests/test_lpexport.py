@@ -1,15 +1,27 @@
+import hashlib
 import io
 
-from toruslb.evaluate import _k_matching_sparse, pair_weights_on_edge, worst_case_load
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toruslb.evaluate import (
+    SpecMismatch,
+    _k_matching_sparse,
+    pair_weights_on_edge,
+    worst_case_load,
+)
 from toruslb.lpexport import (
+    _g_name,
+    _OrbitIndex,
     check_oblivious_feasibility,
     export_opt_lp,
     export_reduced_oblivious_lp,
     load_edge_classes,
     parse_lp,
 )
-from toruslb.schemes import build_llb
-from toruslb.torus import TorusSpec
+from toruslb.schemes import build_ecmp, build_llb
+from toruslb.torus import Node, TorusSpec, apply_automorphism, apply_to_edge, point_group
 from toruslb.traffic import gen_split_diamond
 
 
@@ -143,3 +155,63 @@ def test_opt_lp_accepts_real_routing():
     assert check_opt_feasibility(spec, demand, model, flows, theta) == []
     # an understated bound must violate some load constraint
     assert check_opt_feasibility(spec, demand, model, flows, theta / 2)
+
+
+# sha256 of export_reduced_oblivious_lp text, recorded before variable names
+# came from the orbit key table; any change to a name or row order shows here.
+LP_DIGESTS = [
+    ((4, 4), 1, True, "18771aad0febecfdedcce5b684f6daa2c94c7a02453d4ad48a63f0c96cbe2e5f"),
+    ((6, 6), 2, True, "a54a030b2a9b5cde2f06c37590d0cfad651f5a62a6a8663aa5c98854388a628c"),
+    ((8, 8), 18, True, "31ea096b9b67b4173dbdc228b27fed559ce279a7f3b2637a3b1a471ee32be683"),
+    ((4, 6), 2, True, "fb361ec57dffaaa275807d7c41b80c429212dca79ca4619a733beb14d01a5d76"),
+    ((5, 9), 13, True, "9cc5774b5c35a2e97874091dff4ef2a18a46d9e9fbe2f517cf85a2e8c11b3f63"),
+    ((6, 8), 8, True, "cf375fe668c27c4c538f497da6139ae5ef5df2642d789bf3edb11817e44db1d3"),
+    # square, but unequal capacities leave only {I, R0}
+    ((6, 6, 2.0), 2, True, "ebb9a08df42e7438dd2237976d458f282696d6b707787b07a6a953e1eb3289b1"),
+    ((4, 6), 2, False, "933d18e5ecda157221cb5526f2f8d18d7ae906f6d1f3e07a14b0ac83195a8f44"),
+]
+
+
+@pytest.mark.parametrize("dims,k,dedup,digest", LP_DIGESTS)
+def test_reduced_lp_bytes_pinned(dims, k, dedup, digest):
+    text, _ = export_text(TorusSpec(*dims), k, dedup=dedup)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def orbit_head_name(spec, t, edge):
+    """Reference: the name of the smallest point-group image of (t, edge),
+    found by applying every automorphism."""
+    orbit = [
+        (apply_automorphism(spec, phi, t), apply_to_edge(spec, phi, edge))
+        for phi in point_group(spec)
+    ]
+    return _g_name(*min(orbit))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 7), st.integers(3, 7), st.sampled_from([1.0, 2.0]))
+def test_orbit_names_match_automorphism_orbits(rows, cols, cap_vertical):
+    spec = TorusSpec(rows, cols, cap_vertical=cap_vertical)
+    index = _OrbitIndex(spec)
+    heads = set()
+    for t in spec.nodes():
+        for edge in spec.edges():
+            expected = orbit_head_name(spec, t, edge)
+            at = (t.y * cols + t.x, edge.dir, edge.tail.y * cols + edge.tail.x)
+            assert index.name(int(index.rep[at])) == expected
+            assert index.name(int(index.key[at])) == _g_name(t, edge)
+            if t != Node(0, 0):
+                heads.add(expected)
+    text, _ = export_text(spec, 2)
+    names = {v for v in parse_lp(text).variables() if v.startswith("g_")}
+    assert names == heads
+
+
+def test_feasibility_rejects_mismatched_spec():
+    for model_dims, policy_dims in [((6, 6), (8, 8)), ((6, 8), (8, 6))]:
+        spec = TorusSpec(*model_dims)
+        text, _ = export_text(spec, 2)
+        model = parse_lp(text)
+        policy = build_ecmp(TorusSpec(*policy_dims))
+        with pytest.raises(SpecMismatch):
+            check_oblivious_feasibility(spec, 2, model, policy, 1.0, {})
