@@ -8,6 +8,11 @@ crossing with two paths per stem node on each side, and ``max_flow`` the
 min cuts that decide whether it exists.  Both run one integer max-flow
 routine, ``_augment`` (shortest augmenting paths), on edge ids
 ``node_index * 4 + dir`` in ``TorusSpec.edges()`` order.
+
+``route_disjoint_quanta`` takes its per-edge capacities as one integer
+``[dir, y, x]`` array, laid out like a policy slab, where 0 forbids an edge:
+the stem schemes pass their leftover leg budgets and a pool width there, and
+``find_disjoint_stem_paths`` its forbidden stem edges.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec
 
@@ -87,28 +94,6 @@ def stem(spec: TorusSpec, center: Node, r1: int, r2: int) -> Stem:
                 seen.add(node)
                 members.append(node)
     return Stem(center=center, members=tuple(members), r1=r1, r2=r2)
-
-
-def stem_slot_edges(spec: TorusSpec, center: Node, r1: int, r2: int, outward: bool) -> set[DirectedEdge]:
-    """Directed leg edges of the stem at ``center``: pointing away from the
-    center when ``outward`` (distribution edges), toward it otherwise
-    (aggregation edges)."""
-    edges: set[DirectedEdge] = set()
-    for direction, radius in (
-        (Direction.POS_VERT, r1),
-        (Direction.NEG_VERT, r1),
-        (Direction.POS_HOR, r2),
-        (Direction.NEG_HOR, r2),
-    ):
-        node = center
-        for _ in range(radius):
-            nxt = spec.step(node, direction)
-            if outward:
-                edges.add(DirectedEdge(node, direction))
-            else:
-                edges.add(DirectedEdge(nxt, direction.opposite))
-            node = nxt
-    return edges
 
 
 def _edge_heads(spec: TorusSpec) -> list[int]:
@@ -237,13 +222,12 @@ def route_disjoint_quanta(
     spec: TorusSpec,
     suppliers: list[tuple[Node, int]],
     demanders: list[tuple[Node, int]],
-    forbidden: set[DirectedEdge],
-    capacities: dict[DirectedEdge, int] | None = None,
-    default_capacity: int = 1,
+    capacity: np.ndarray,
 ) -> list[EdgePath]:
     """Paths carrying one quantum each from suppliers to demanders, with the
-    given per-node path counts and per-edge quantum capacities (default 1,
-    i.e. pairwise edge-disjoint paths; ``forbidden`` edges carry nothing).
+    given per-node path counts.  ``capacity[dir, y, x]`` is the number of
+    quanta the edge leaving (x, y) in direction ``dir`` may carry; 0 forbids
+    the edge, and all ones asks for pairwise edge-disjoint paths.
 
     The quanta are routed by ``_augment``'s shortest augmenting paths,
     seeded with the suppliers in the given order, so a later path may undo
@@ -251,6 +235,8 @@ def route_disjoint_quanta(
     split into loop-free paths.  The result is deterministic, and
     ``CutTooSmall`` is raised exactly when no routing of all quanta exists.
     """
+    if capacity.shape != (4, spec.rows, spec.cols):
+        raise ValueError(f"capacity has shape {capacity.shape}, expected (4, rows, cols)")
     nodes = list(spec.nodes())
     index = {node: i for i, node in enumerate(nodes)}
     supply: dict[int, int] = {}
@@ -261,11 +247,7 @@ def route_disjoint_quanta(
         demand[index[node]] = demand.get(index[node], 0) + quota
     if supply.keys() & demand.keys():
         raise PathError("suppliers and demanders must be disjoint")
-    cap = [default_capacity] * (4 * len(index))
-    for edge, c in (capacities or {}).items():
-        cap[4 * index[edge.tail] + edge.dir] = c
-    for edge in forbidden:
-        cap[4 * index[edge.tail] + edge.dir] = 0
+    cap = capacity.transpose(1, 2, 0).ravel().tolist()
 
     wanted = dict(demand)
     total = sum(supply.values())
@@ -354,18 +336,18 @@ def find_disjoint_stem_paths(
     t_stem = stem(spec, dst, r1, r2)
     if stems_overlap(s_stem, t_stem):
         raise StemsOverlap(f"stems of {src} and {dst} intersect")
-    forbidden = stem_slot_edges(spec, src, r1, r2, outward=True) | stem_slot_edges(
-        spec, dst, r1, r2, outward=False
-    )
     # The cut around either stem-plus-center has only 4 spare edges beyond the
-    # 8r path endpoints, so no valid solution transits a stem: forbid re-entry
-    # on the source side and exit on the destination side up front, which also
-    # forces each path to leave perpendicular to its leg.
-    src_plus = s_stem.nodes
-    dst_plus = t_stem.nodes
-    for edge in spec.edges():
-        if spec.edge_head(edge) in src_plus or edge.tail in dst_plus:
-            forbidden.add(edge)
+    # 8r path endpoints, so no valid solution transits a stem: forbid entering
+    # the source stem and leaving the destination stem, which also keeps the
+    # paths off the stems' own leg edges and forces each path to leave
+    # perpendicular to its leg.
+    capacity = np.ones((4, spec.rows, spec.cols), dtype=int)
+    for v in s_stem.nodes:
+        for d in Direction:
+            tail = spec.step(v, d.opposite)
+            capacity[d, tail.y, tail.x] = 0
+    for u in t_stem.nodes:
+        capacity[:, u.y, u.x] = 0
     suppliers = [(node, 2) for node in s_stem.members]
     demanders = [(node, 2) for node in t_stem.members]
-    return route_disjoint_quanta(spec, suppliers, demanders, forbidden)
+    return route_disjoint_quanta(spec, suppliers, demanders, capacity)

@@ -16,9 +16,11 @@ value).
 A zero slab means the policy routes nothing for that destination or pair;
 validation and CSV output skip it.  Translations are rolls and the point
 group acts by index permutations and direction swaps, so symmetrization and
-the reflection check are whole-array operations.  The per-destination
+the reflection check are whole-array operations.  The scheme constructors
+write their routes straight into these arrays.  The per-destination
 ``{DirectedEdge: fraction}`` dict form survives only as an input adapter,
-:meth:`OriginPolicy.from_flows`, which the CSV reader and tests use.
+:meth:`OriginPolicy.from_flows`, which serves :func:`origin_policy_from_csv`
+and the tests.
 """
 
 from __future__ import annotations

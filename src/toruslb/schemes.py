@@ -1,17 +1,27 @@
 """Constructors for the routing schemes under study.
 
-* ECMP: equal split over all shortest paths.
+Each constructor writes its routes straight into the dense origin-policy
+array ``G[t, dir, y, x]`` (see :mod:`toruslb.policy`).
+
+* ECMP: equal split over all shortest paths.  ``C[u] = binom(|ux| + |uy|,
+  |ux|)`` over u's axis distances, doubled for each axis where u is
+  antipodal, counts the shortest paths from the origin to u; edge (u, d)
+  carries ``C[u] * C[t - u - delta_d] / C[t]`` of t's route when it lies on
+  one of them.
 * VLB: two-phase routing through a uniformly random intermediate node.
 * LLB(r): spread over the source stem, cross on edge-disjoint paths, and
   aggregate at the destination stem; near destinations cancel the shared stem
-  work instead of crossing.
+  work instead of crossing.  Each route is a slab of integer quanta.
 * GLLB(r1, r2): the N x M generalization with per-axis radii; when the cut
   between stems is bisection-limited it falls back to ring load balancing.
 * Ring load balancing: spread around the short-dimension ring, cross on both
-  arcs of the long dimension, aggregate.
+  arcs of the long dimension, aggregate.  Only vertical rings are built;
+  horizontal rings are vertical rings of the transposed torus, mapped back by
+  swapping the node axes and the vertical and horizontal directions.
 
-Every constructor returns an origin policy averaged over the spec's point
-group, so translation and reflection invariance hold by construction.
+Every constructor returns an origin policy that is translation and
+reflection invariant by construction: ECMP and VLB as built, the stem and
+ring schemes by averaging over the spec's point group.
 """
 
 from __future__ import annotations
@@ -31,16 +41,8 @@ from toruslb.paths import (
     stem,
     stems_overlap,
 )
-from toruslb.policy import EdgeFlows, OriginPolicy, symmetrize_origin, translate
-from toruslb.torus import (
-    DirectedEdge,
-    Direction,
-    Node,
-    TorusSpec,
-    hop_distance,
-    node_neg,
-    node_sub,
-)
+from toruslb.policy import OriginPolicy, symmetrize_origin, translate
+from toruslb.torus import Direction, Node, TorusSpec, node_neg, node_sub
 
 
 class GllbCase(Enum):
@@ -66,73 +68,44 @@ class GllbCaseInfo:
     cap_h: float
 
 
-def _add_flow(flows: EdgeFlows, edge: DirectedEdge, value: float) -> None:
-    if value == 0.0:
-        return
-    flows[edge] = flows.get(edge, 0.0) + value
-
-
 # ---------------------------------------------------------------------------
 # ECMP
 
 
-def _ecmp_flows(spec: TorusSpec, t: Node) -> EdgeFlows:
-    """Equal split over all shortest origin-to-t paths via path counting on
-    the shortest-path DAG (antipodal offsets admit both directions)."""
-    origin = Node(0, 0)
-    total_dist = hop_distance(spec, origin, t)
-    dist0 = {u: hop_distance(spec, origin, u) for u in spec.nodes()}
-    dist_t = {u: hop_distance(spec, u, t) for u in spec.nodes()}
-    on_dag = [u for u in spec.nodes() if dist0[u] + dist_t[u] == total_dist]
-    by_level: dict[int, list[Node]] = {}
-    for u in on_dag:
-        by_level.setdefault(dist0[u], []).append(u)
-
-    paths_from_origin = {origin: 1}
-    for level in range(total_dist):
-        for u in by_level.get(level, []):
-            cnt = paths_from_origin.get(u)
-            if not cnt:
-                continue
-            for d in Direction:
-                v = spec.step(u, d)
-                if dist0.get(v) == level + 1 and dist0[v] + dist_t[v] == total_dist:
-                    paths_from_origin[v] = paths_from_origin.get(v, 0) + cnt
-    paths_to_t = {t: 1}
-    for level in range(total_dist, 0, -1):
-        for u in by_level.get(level, []):
-            cnt = paths_to_t.get(u)
-            if not cnt:
-                continue
-            for d in Direction:
-                v = spec.step(u, d)
-                if dist0.get(v) == level - 1 and dist0[v] + dist_t[v] == total_dist:
-                    paths_to_t[v] = paths_to_t.get(v, 0) + cnt
-
-    total_paths = paths_from_origin[t]
-    flows: EdgeFlows = {}
-    for u in on_dag:
-        if u not in paths_from_origin:
-            continue
-        for d in Direction:
-            v = spec.step(u, d)
-            if (
-                dist0.get(v) == dist0[u] + 1
-                and dist0[v] + dist_t[v] == total_dist
-                and v in paths_to_t
-            ):
-                frac = paths_from_origin[u] * paths_to_t[v] / total_paths
-                _add_flow(flows, DirectedEdge(u, d), frac)
-    return flows
-
-
 def build_ecmp(spec: TorusSpec) -> OriginPolicy:
     """Equal-cost multipath: per destination, split evenly over all shortest
-    paths."""
-    flows = {
-        t: _ecmp_flows(spec, t) for t in spec.nodes() if t != Node(0, 0)
-    }
-    return OriginPolicy.from_flows(spec, flows)
+    paths.
+
+    ``C[u]``, the number of shortest paths from the origin to u, is the
+    binomial of u's two axis distances, doubled on each axis where u is
+    antipodal.  Edge (u, d) lies on a shortest path to t exactly when
+    ``dist(u) + 1 + dist(w) == dist(t)`` with ``w = t - u - delta_d``, and then
+    carries ``C[u] * C[w] / C[t]`` of the route.  The counts are Python ints,
+    exact on every torus, and each share is one correctly rounded division.
+    """
+    rows, cols = spec.rows, spec.cols
+    ay = [min(y, rows - y) for y in range(rows)]
+    ax = [min(x, cols - x) for x in range(cols)]
+    dist = np.add.outer(ay, ax)
+    count = np.array(
+        [
+            [math.comb(a + b, b) * (1 + (2 * a == rows)) * (1 + (2 * b == cols)) for b in ax]
+            for a in ay
+        ],
+        dtype=object,
+    )
+    ty, tx = np.divmod(np.arange(spec.num_nodes), cols)
+    ys, xs = np.arange(rows)[:, None], np.arange(cols)
+    flows = np.zeros((spec.num_nodes, 4, rows, cols))
+    for d in Direction:
+        dx, dy = d.delta
+        wy = (ty[:, None, None] - ys - dy) % rows
+        wx = (tx[:, None, None] - xs - dx) % cols
+        t, y, x = np.nonzero(dist + 1 + dist[wy, wx] == dist[ty, tx][:, None, None])
+        flows[t, d, y, x] = (
+            count[y, x] * count[wy[t, y, 0], wx[t, 0, x]] / count[ty[t], tx[t]]
+        )
+    return OriginPolicy(spec=spec, flows=flows)
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +138,6 @@ def build_vlb(spec: TorusSpec) -> OriginPolicy:
 # Stem-based routing (LLB and the high-cut GLLB cases)
 
 
-_LEGS = (
-    (Direction.POS_VERT, "r1"),
-    (Direction.NEG_VERT, "r1"),
-    (Direction.POS_HOR, "r2"),
-    (Direction.NEG_HOR, "r2"),
-)
-
-
-def _leg_radius(r1: int, r2: int, which: str) -> int:
-    return r1 if which == "r1" else r2
-
-
 def _axis_distance_along(spec: TorusSpec, t: Node, direction: Direction) -> int | None:
     """Hops from the origin to t walking only in ``direction``, or None when
     t is not on that axis line."""
@@ -192,8 +153,9 @@ def _axis_distance_along(spec: TorusSpec, t: Node, direction: Direction) -> int 
     return coord % extent if step > 0 else (-coord) % extent
 
 
-def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> EdgeFlows:
-    """Three-phase stem routing for one destination.
+def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> np.ndarray:
+    """Three-phase stem routing for one destination, as a ``[dir, y, x]``
+    slab.
 
     Legs pointing along the axis through the destination are trimmed at the
     midline: the trimmed tip absorbs the leg's remaining share and hands the
@@ -212,37 +174,32 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> EdgeFlows:
         raise RadiusTooLarge(
             f"need 2*r1 < rows and 2*r2 < cols, got r1={r1}, r2={r2}"
         )
+    legs = (
+        (Direction.POS_VERT, r1),
+        (Direction.NEG_VERT, r1),
+        (Direction.POS_HOR, r2),
+        (Direction.NEG_HOR, r2),
+    )
     unit = 1.0 / (4 * (r1 + r2))
-    qflows: dict[DirectedEdge, int] = {}
-
-    def add_q(edge: DirectedEdge, quanta: int) -> None:
-        if quanta:
-            qflows[edge] = qflows.get(edge, 0) + quanta
+    shape = (4, spec.rows, spec.cols)
+    q = np.zeros(shape, dtype=int)
 
     # Per-pair slot capacities in quanta: distribution edges of the source
     # stem and aggregation edges of the destination stem.  An edge serving
     # both roles for this pair may carry their sum minus one quantum: using
     # two slots with one demand frees a pool seat elsewhere, and the forfeited
     # quantum is what keeps the stacked worst case unchanged.
-    cap_src: dict[DirectedEdge, int] = {}
-    cap_dst: dict[DirectedEdge, int] = {}
-    for direction, which in _LEGS:
-        radius = _leg_radius(r1, r2, which)
-        node = origin
+    cap_src = np.zeros(shape, dtype=int)
+    cap_dst = np.zeros(shape, dtype=int)
+    for direction, radius in legs:
+        node, tip = origin, t
         for h in range(radius):
-            edge = DirectedEdge(node, direction)
-            cap_src[edge] = max(cap_src.get(edge, 0), 2 * (radius - h))
-            node = spec.step(node, direction)
-        node = t
-        for h in range(radius):
-            nxt = spec.step(node, direction)
-            edge = DirectedEdge(nxt, direction.opposite)
-            cap_dst[edge] = max(cap_dst.get(edge, 0), 2 * (radius - h))
-            node = nxt
-    slot_cap: dict[DirectedEdge, int] = {}
-    for edge in set(cap_src) | set(cap_dst):
-        a, b = cap_src.get(edge, 0), cap_dst.get(edge, 0)
-        slot_cap[edge] = a + b - 1 if (a and b) else max(a, b)
+            cap_src[direction, node.y, node.x] = 2 * (radius - h)
+            node, tip = spec.step(node, direction), spec.step(tip, direction)
+            cap_dst[direction.opposite, tip.y, tip.x] = 2 * (radius - h)
+    slot_cap = np.where(
+        (cap_src > 0) & (cap_dst > 0), cap_src + cap_dst - 1, np.maximum(cap_src, cap_dst)
+    )
 
     keep0: dict[Node, int] = {}
     keep_t: dict[Node, int] = {}
@@ -253,23 +210,21 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> EdgeFlows:
         return radius
 
     # phase 1 and the midline handoffs
-    for direction, which in _LEGS:
-        radius = _leg_radius(r1, r2, which)
+    for direction, radius in legs:
         d_seg = _axis_distance_along(spec, t, direction)
         length = trimmed_length(d_seg, radius)
         node = origin
         for h in range(length):
             tail_hold = 2 if h < length - 1 else 2 * (radius - length + 1)
             carried = 2 * (length - 1 - h) + 2 * (radius - length + 1)
-            add_q(DirectedEdge(node, direction), carried)
+            q[direction, node.y, node.x] += carried
             node = spec.step(node, direction)
             keep0[node] = tail_hold
         if d_seg is not None and length < radius and (d_seg % 2 == 1 or length == 0):
-            add_q(DirectedEdge(node, direction), 2 * (radius - length))
+            q[direction, node.y, node.x] += 2 * (radius - length)
 
     # phase 3: mirror trims, aggregation walks tip-to-center
-    for direction, which in _LEGS:
-        radius = _leg_radius(r1, r2, which)
+    for direction, radius in legs:
         d_seg = _axis_distance_along(spec, node_sub(spec, origin, t), direction)
         length = trimmed_length(d_seg, radius)
         node = t
@@ -282,7 +237,7 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> EdgeFlows:
             hold = 2 if i < length - 1 else 2 * (radius - length + 1)
             keep_t[chain[i]] = hold
             carried += hold
-            add_q(DirectedEdge(chain[i], direction.opposite), carried)
+            q[direction.opposite, chain[i].y, chain[i].x] += carried
 
     shared = set(keep0) & set(keep_t)
     for u in shared:
@@ -298,20 +253,15 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> EdgeFlows:
             f"destination {t}: {len(suppliers)} suppliers for {len(demanders)} demanders"
         )
     if suppliers:
-        budgets = {e: c - qflows.get(e, 0) for e, c in slot_cap.items()}
-        forbidden = {e for e, b in budgets.items() if b <= 0}
-        capacities = {e: b for e, b in budgets.items() if b > 0}
         # Tight geometries (legs spanning nearly the whole extent) can leave
         # the crossing corridors short of one-quantum capacity; widening the
         # non-leg quantum keeps conservation and stays within the generalized
         # bound's additive slack.  The square acceptance grids never relax.
         paths = None
         for pool in (1, 2, 3, 4):
+            capacity = np.where(slot_cap > 0, np.maximum(slot_cap - q, 0), pool)
             try:
-                paths = route_disjoint_quanta(
-                    spec, suppliers, demanders, forbidden, capacities,
-                    default_capacity=pool,
-                )
+                paths = route_disjoint_quanta(spec, suppliers, demanders, capacity)
                 break
             except PathError:
                 continue
@@ -319,8 +269,17 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> EdgeFlows:
             raise PathError(f"stem crossing infeasible for destination {t}")
         for path in paths:
             for edge in path:
-                add_q(edge, 1)
-    return {e: q * unit for e, q in qflows.items()}
+                q[edge.dir, edge.tail.y, edge.tail.x] += 1
+    return q * unit
+
+
+def _stem_policy(spec: TorusSpec, r1: int, r2: int) -> OriginPolicy:
+    """Stem routing to every destination, averaged over the point group."""
+    flows = np.zeros((spec.num_nodes, 4, spec.rows, spec.cols))
+    for i, t in enumerate(spec.nodes()):
+        if i:
+            flows[i] = _stem_route(spec, t, r1, r2)
+    return symmetrize_origin(OriginPolicy(spec=spec, flows=flows))
 
 
 def build_llb(spec: TorusSpec, r: int) -> OriginPolicy:
@@ -329,106 +288,59 @@ def build_llb(spec: TorusSpec, r: int) -> OriginPolicy:
         raise ValueError("LLB is defined on square symmetric tori; use build_gllb")
     if r < 1 or 2 * r >= spec.rows:
         raise RadiusTooLarge(f"need 1 <= r < rows/2, got r={r}")
-    flows = {
-        t: _stem_route(spec, t, r, r) for t in spec.nodes() if t != Node(0, 0)
-    }
-    return symmetrize_origin(OriginPolicy.from_flows(spec, flows))
+    return _stem_policy(spec, r, r)
 
 
 # ---------------------------------------------------------------------------
 # Ring load balancing
 
 
-def _ring_spread(extent: int, reverse: bool) -> dict[tuple[int, bool], float]:
-    """Edge flows for distributing 1/extent to every node of a ring from
-    position 0, shortest-way with antipodal split.  Keys are (position,
-    plus_direction); ``reverse`` flips into an aggregation pattern."""
-    flows: dict[tuple[int, bool], float] = {}
-    for d in range(1, extent):
-        fwd, bwd = d, extent - d
-        if fwd < bwd:
-            routes = [(True, fwd, 1.0)]
-        elif bwd < fwd:
-            routes = [(False, bwd, 1.0)]
-        else:
-            routes = [(True, fwd, 0.5), (False, bwd, 0.5)]
-        for plus, hops, frac in routes:
-            for step_i in range(hops):
-                pos = step_i if plus else (-step_i) % extent
-                key = (pos, plus)
-                flows[key] = flows.get(key, 0.0) + frac / extent
-    if reverse:
-        # aggregation toward 0 is the edge-reversed mirror of distribution
-        flows = {
-            ((pos + 1) % extent if plus else (pos - 1) % extent, not plus): v
-            for (pos, plus), v in flows.items()
-        }
-    return flows
-
-
-def _ring_route(spec: TorusSpec, t: Node, vertical_rings: bool) -> EdgeFlows:
-    """Spread 1/ring over the source's ring, cross to the destination's ring
-    on both arcs equally, aggregate."""
-    flows: EdgeFlows = {}
-    if vertical_rings:
-        ring, plus_dir = spec.rows, Direction.POS_VERT
-        cross, cross_plus = spec.cols, Direction.POS_HOR
-        t_ring, t_cross = t.y, t.x
-
-        def ring_edge(ring_pos: int, cross_pos: int, plus: bool) -> DirectedEdge:
-            return DirectedEdge(
-                Node(cross_pos, ring_pos), plus_dir if plus else plus_dir.opposite
-            )
-
-        def cross_edge(cross_pos: int, ring_pos: int, plus: bool) -> DirectedEdge:
-            return DirectedEdge(
-                Node(cross_pos, ring_pos), cross_plus if plus else cross_plus.opposite
-            )
-
-    else:
-        ring, plus_dir = spec.cols, Direction.POS_HOR
-        cross, cross_plus = spec.rows, Direction.POS_VERT
-        t_ring, t_cross = t.x, t.y
-
-        def ring_edge(ring_pos: int, cross_pos: int, plus: bool) -> DirectedEdge:
-            return DirectedEdge(
-                Node(ring_pos, cross_pos), plus_dir if plus else plus_dir.opposite
-            )
-
-        def cross_edge(cross_pos: int, ring_pos: int, plus: bool) -> DirectedEdge:
-            return DirectedEdge(
-                Node(ring_pos, cross_pos), cross_plus if plus else cross_plus.opposite
-            )
-
-    for (pos, plus), v in _ring_spread(ring, reverse=False).items():
-        _add_flow(flows, ring_edge(pos, 0, plus), v)
-    if t_cross != 0:
-        for y in range(ring):
-            for arc_plus in (True, False):
-                pos = 0
-                hops = t_cross if arc_plus else cross - t_cross
-                for _ in range(hops):
-                    _add_flow(flows, cross_edge(pos, y, arc_plus), 0.5 / ring)
-                    pos = (pos + 1) % cross if arc_plus else (pos - 1) % cross
-    for (pos, plus), v in _ring_spread(ring, reverse=True).items():
-        _add_flow(
-            flows,
-            ring_edge((pos + t_ring) % ring, t_cross, plus),
-            v,
-        )
+def _vertical_ring_flows(rows: int, cols: int) -> np.ndarray:
+    """``G[t, dir, y, x]`` of ring load balancing over the vertical rings of
+    a rows x cols torus: spread 1/rows to every node of column 0 the short
+    way round the ring (antipodes split both ways), cross to column t.x on
+    both arcs with 0.5/rows per ring position, and aggregate down column t.x
+    into t, the spread's edge-reversed mirror."""
+    up, down = np.zeros(rows), np.zeros(rows)  # spread flows on +v and -v edges
+    for d in range(1, rows):
+        share = (0.5 if 2 * d == rows else 1.0) / rows
+        if 2 * d <= rows:
+            up[:d] += share
+        if 2 * d >= rows:
+            down[-np.arange(rows - d)] += share
+    n = rows * cols
+    ty, tx = np.divmod(np.arange(n), cols)
+    ys, xs = np.arange(rows), np.arange(cols)
+    flows = np.zeros((n, 4, rows, cols))  # the origin's slab G[0] stays zero
+    flows[1:, Direction.POS_VERT, :, 0] = up
+    flows[1:, Direction.NEG_VERT, :, 0] = down
+    # crossing arcs: +h over columns [0, t.x), -h over column 0 and (t.x, cols)
+    forward = xs < tx[:, None]
+    backward = ((xs == 0) | (xs > tx[:, None])) & (tx[:, None] > 0)
+    flows[:, Direction.POS_HOR] = (0.5 / rows * forward)[:, None, :]
+    flows[:, Direction.NEG_HOR] = (0.5 / rows * backward)[:, None, :]
+    t = np.arange(1, n)[:, None]
+    flows[t, Direction.NEG_VERT, ys, tx[t]] += up[(ys - ty[t] - 1) % rows]
+    flows[t, Direction.POS_VERT, ys, tx[t]] += down[(ys - ty[t] + 1) % rows]
     return flows
 
 
 def build_ring_lb(spec: TorusSpec) -> OriginPolicy:
     """Ring load balancing along the dimension with the smaller crossing
-    bisection (ties go to vertical rings)."""
-    vertical_rings = spec.rows * spec.cap_horizontal <= spec.cols * spec.cap_vertical
-    flows = {
-        t: _ring_route(spec, t, vertical_rings)
-        for t in spec.nodes()
-        if t != Node(0, 0)
-    }
-    return symmetrize_origin(OriginPolicy.from_flows(spec, flows))
+    bisection (ties go to vertical rings).  Horizontal rings are vertical
+    rings of the transposed torus, mapped back by swapping the node axes and
+    the vertical and horizontal directions."""
+    rows, cols = spec.rows, spec.cols
+    if rows * spec.cap_horizontal <= cols * spec.cap_vertical:
+        flows = _vertical_ring_flows(rows, cols)
+    else:
+        flows = (
+            _vertical_ring_flows(cols, rows)
+            .reshape(cols, rows, 4, cols, rows)
+            .transpose(1, 0, 2, 4, 3)[:, :, [2, 3, 0, 1]]
+            .reshape(spec.num_nodes, 4, rows, cols)
+        )
+    return symmetrize_origin(OriginPolicy(spec=spec, flows=flows))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +417,4 @@ def build_gllb(spec: TorusSpec, r1: int, r2: int) -> OriginPolicy:
         raise RadiusTooLarge("need 1 <= r1 <= rows/2 and 1 <= r2 <= cols/2")
     if not _probe_high_cut(spec, r1, r2):
         return build_ring_lb(spec)
-    flows = {
-        t: _stem_route(spec, t, r1, r2) for t in spec.nodes() if t != Node(0, 0)
-    }
-    return symmetrize_origin(OriginPolicy.from_flows(spec, flows))
+    return _stem_policy(spec, r1, r2)

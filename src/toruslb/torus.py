@@ -174,9 +174,6 @@ class Automorphism:
     reflect_origin: bool = False
 
 
-IDENTITY = Automorphism()
-
-
 def _check_valid(spec: TorusSpec, phi: Automorphism) -> None:
     if phi.reflect_xy and not spec.is_square_symmetric():
         raise InvalidAutomorphism(

@@ -60,12 +60,6 @@ class TrafficMatrix:
     def sinks(self) -> set[Node]:
         return {t for _, t in self.entries}
 
-    def source_rate(self, s: Node) -> float:
-        return sum(d for (a, _), d in self.entries.items() if a == s)
-
-    def sink_rate(self, t: Node) -> float:
-        return sum(d for (_, b), d in self.entries.items() if b == t)
-
 
 @dataclass
 class TrafficClassReport:

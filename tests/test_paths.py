@@ -1,6 +1,7 @@
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from toruslb.paths import (
     stem,
 )
 from toruslb.policy import policy_to_csv
-from toruslb.schemes import build_gllb, build_llb
+from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
 from toruslb.torus import Node, TorusSpec
 
 
@@ -216,7 +217,10 @@ def test_route_disjoint_quanta_against_brute_force_cut(network, data):
         lambda side: sum(q for u, q in supply.items() if u not in side)
         + sum(q for v, q in demand.items() if v in side),
     )
-    args = (spec, list(supply.items()), list(demand.items()), forbidden, overrides, default)
+    capacity = np.zeros((4, spec.rows, spec.cols), dtype=int)
+    for e, c in effective.items():
+        capacity[e.dir, e.tail.y, e.tail.x] = c
+    args = (spec, list(supply.items()), list(demand.items()), capacity)
     if cut < total:
         with pytest.raises(CutTooSmall):
             route_disjoint_quanta(*args)
@@ -235,19 +239,38 @@ def test_route_disjoint_quanta_against_brute_force_cut(network, data):
     assert all(use[e] <= effective[e] for e in use)
 
 
-# sha256 of policy_to_csv for stem-routed builds, recorded before the path
-# search moved to integer edge ids; any change to the search order shows here.
+# sha256 of policy_to_csv per scheme build.  The stem-routed digests were
+# recorded before the path search moved to integer edge ids, and the ECMP, VLB
+# and ring digests before those schemes wrote their routes as arrays; any
+# change to a search order or a summation order shows here.
 POLICY_DIGESTS = [
     ("llb", (6, 6), (2,), "4312a43806019b60bc2e07a5e3fe8df8ab510ac1401deff37730a79058a88848"),
     ("llb", (10, 10), (3,), "1736673ddcaa620f660753a1062dd45079aa74ecb48637b33bbe40abaf3627c9"),
     ("gllb", (6, 8), (2, 2), "ca7433586195183360f02378e0907aa8dab5c09f6d419e67ed5cf59e04055f7c"),
     ("gllb", (8, 10), (3, 3), "5903954ca03ce7fcd119cede764519002faa5e671e3d35d848b75f6a7be06f6e"),
     ("gllb", (5, 9), (2, 3), "0acf654e2aad780305b3bcdccd7f1f94e1f06f76bacc017614fc12e6baeddb25"),
+    ("ecmp", (4, 6), (), "fd205cde5fa8a56d2145fb4784d8a80273a1870e6277b9d9f598774a108804e8"),
+    ("ecmp", (5, 5), (), "2d440871bce1158c25c231365b75e4fec892d6e8c717af676199d12cea616f2c"),
+    ("ecmp", (10, 10), (), "d4e885894bae3df70aa364dacd6c60a68a40c70ad97597db839e07a151b7acff"),
+    ("vlb", (6, 8), (), "1a6cc1281d6e7c96bb73140a59ae70cceedd2e7611f24091ee659d6a04d54561"),
+    ("ring", (4, 10), (), "ab3ed06b301c2b6589b39066c68aa01de7445abf654dc65810d89b6e7b29adcb"),
+    ("ring", (10, 4), (), "3687f5525e9b32e0f2628a5d69ecd6d42fdbd774672c71e97ee77786e184b72d"),
+    ("ring", (5, 9), (), "63bd0e4a87d6d0a2dd9aa64521906bfa8ba38ca30e22bce1414e5bfd94428faf"),
+    ("ring", (9, 5), (), "888c7d1fd73cef542bcde01ecacbda80b2b218746e16687d3f840977f26a157f"),
+    ("ring", (6, 6, 2.0, 1.0), (), "7f54c69a852d75ea52674704306e6cae00c27c23a608887c8c5881a7b6435acc"),
+    ("ring", (6, 6, 1.0, 2.0), (), "81045abc83b65b037eb8e7e151c3f510edda10735838db643dc85b7b3860103b"),
 ]
+
+BUILDERS = {
+    "ecmp": build_ecmp,
+    "vlb": build_vlb,
+    "ring": build_ring_lb,
+    "llb": build_llb,
+    "gllb": build_gllb,
+}
 
 
 @pytest.mark.parametrize("scheme,shape,radii,digest", POLICY_DIGESTS)
 def test_stem_policy_bytes_pinned(scheme, shape, radii, digest):
-    build = build_llb if scheme == "llb" else build_gllb
-    text = policy_to_csv(build(TorusSpec(*shape), *radii))
+    text = policy_to_csv(BUILDERS[scheme](TorusSpec(*shape), *radii))
     assert hashlib.sha256(text.encode()).hexdigest() == digest

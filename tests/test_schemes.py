@@ -59,20 +59,27 @@ def test_ecmp_one_hop_and_diagonal():
 
 
 def test_ecmp_against_path_enumeration():
+    # four offsets on 10x10, and every destination of the small tori, where
+    # antipodal offsets have shortest paths both ways round an axis
+    cases = [(TorusSpec(10, 10), [Node(1, 2), Node(2, 1), Node(3, 2), Node(2, 0)])]
+    for dims in ((4, 4), (4, 6), (5, 6)):
+        spec = TorusSpec(*dims)
+        cases.append((spec, [t for t in spec.nodes() if t != Node(0, 0)]))
+    for spec, dests in cases:
+        g = build_ecmp(spec)
+        for t in dests:
+            paths = brute_force_shortest_paths(spec, t)
+            per_edge = {}
+            for p in paths:
+                for e in p:
+                    per_edge[e] = per_edge.get(e, 0) + 1
+            expected = {e: count / len(paths) for e, count in per_edge.items()}
+            assert route(g, t) == pytest.approx(expected, rel=1e-12), (spec, t)
+    # the (1,2) offset on 10x10 has 3 shortest paths, first hop split 2/3
+    # toward the longer axis and 1/3 toward the shorter one
     spec = TorusSpec(10, 10)
-    g = build_ecmp(spec)
-    for t in (Node(1, 2), Node(2, 1), Node(3, 2), Node(2, 0)):
-        paths = brute_force_shortest_paths(spec, t)
-        per_edge = {}
-        for p in paths:
-            for e in p:
-                per_edge[e] = per_edge.get(e, 0) + 1
-        for e, count in per_edge.items():
-            assert route(g, t)[e] == pytest.approx(count / len(paths))
-    # the (1,2) offset has 3 shortest paths, first hop split 2/3 toward
-    # the longer axis and 1/3 toward the shorter one
     assert len(brute_force_shortest_paths(spec, Node(1, 2))) == 3
-    flows = route(g, Node(1, 2))
+    flows = route(build_ecmp(spec), Node(1, 2))
     assert flows[DirectedEdge(Node(0, 0), Direction.POS_VERT)] == pytest.approx(2 / 3)
     assert flows[DirectedEdge(Node(0, 0), Direction.POS_HOR)] == pytest.approx(1 / 3)
 
@@ -206,14 +213,24 @@ def test_gllb_low_cut_is_ring():
 
 
 def test_ring_per_pair_caps():
-    # vertical rings on 4x10: horizontal per-pair flow at most 1/(2N),
-    # vertical at most the two-way ring spread peak
-    spec = TorusSpec(4, 10)
-    ring = build_ring_lb(spec)
-    for t in spec.nodes():
-        for e, v in route(ring, t).items():
-            if not e.dir.is_vertical:
-                assert v <= 1 / (2 * spec.rows) + 1e-12
+    # every crossing-direction edge carries at most 1/(2 * ring length) of a
+    # pair: vertical rings of 4 on 4x10 cross horizontally; horizontal rings
+    # of 4 on 10x4, and of 6 on 6x6 with doubled horizontal capacity, cross
+    # vertically
+    for spec, crossing_vertical, ring_length in (
+        (TorusSpec(4, 10), False, 4),
+        (TorusSpec(10, 4), True, 4),
+        (TorusSpec(6, 6, 1.0, 2.0), True, 6),
+    ):
+        ring = build_ring_lb(spec)
+        cap = 1 / (2 * ring_length)
+        peak = 0.0
+        for t in spec.nodes():
+            for e, v in route(ring, t).items():
+                if e.dir.is_vertical == crossing_vertical:
+                    assert v <= cap + 1e-12, (spec, t, e, v)
+                    peak = max(peak, v)
+        assert peak == pytest.approx(cap), spec
 
 
 def test_ring_worst_case_value():
