@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from toruslb.paths import max_flow
-from toruslb.torus import Node, TorusSpec
+from toruslb.torus import TorusSpec
 
 
 class OutOfRegime(ValueError):
@@ -55,17 +54,6 @@ def oblivious_lower_bound(k: int) -> float:
     return (m + alpha) / 2
 
 
-def oblivious_lower_bound_floor(k: int) -> float:
-    """The plain floor sqrt(2k')/4 with k' the largest integer <= k for which
-    2k' is a perfect square."""
-    if k < 1:
-        raise OutOfRegime("k must be positive")
-    m = math.isqrt(k // 2)
-    while 2 * (m + 1) * (m + 1) <= k:
-        m += 1
-    return 2 * m / 4
-
-
 def vlb_hotspot_lower_bound(n: int, k: int) -> float:
     """Load Valiant routing must pay on the shared cut edges of two adjacent
     k-node square clusters: (2*sqrt(k)/4)*(1 - k/N^2)."""
@@ -87,33 +75,12 @@ def best_llb_radius(k: int, max_r: int | None = None) -> int:
     return min(candidates, key=lambda r: (llb_load_upper(r, k), r))
 
 
-def vlb_dense_optimum(n: int) -> float:
-    """Valiant routing's load for dense traffic (k >= N^2/2): N/4."""
-    if n % 2 != 0:
-        raise OutOfRegime("defined for even N")
-    return n / 4
-
-
 def bisection_bandwidth(spec: TorusSpec) -> float:
-    """Minimum capacity of a directed cut splitting the torus into halves,
-    computed by explicit max flow between two opposite quarter bands."""
-    best = math.inf
-    # candidate halves: split along rows or along columns
-    rows, cols = spec.rows, spec.cols
-    half_rows = {Node(x, y) for x in range(cols) for y in range(rows // 2)}
-    half_cols = {Node(x, y) for x in range(cols // 2) for y in range(rows)}
-    for half in (half_rows, half_cols):
-        rest = set(spec.nodes()) - half
-        value, _ = max_flow(spec, set(), half, rest)
-        best = min(best, value)
-    return best
-
-
-def bisection_bandwidth_formula(spec: TorusSpec) -> float:
-    """Closed-form min(2*c1*N, 2*c2*M); disagrees with the explicit min cut
-    whenever the capacities differ, because a cut between row halves severs
-    vertical links in every column (2*M of them) and vice versa."""
-    return min(2 * spec.cap_vertical * spec.rows, 2 * spec.cap_horizontal * spec.cols)
+    """Minimum capacity of the directed cut from one half of the torus to the
+    other: a cut between row halves severs two vertical links in every column
+    (2*M*c1), a cut between column halves two horizontal links in every row
+    (2*N*c2)."""
+    return min(2 * spec.cols * spec.cap_vertical, 2 * spec.rows * spec.cap_horizontal)
 
 
 def normalized_size(spec: TorusSpec) -> float:
@@ -125,17 +92,10 @@ def normalized_size(spec: TorusSpec) -> float:
 
 @dataclass
 class BoundSet:
-    cut_lb: float
-    oblivious_lb: float
-    vlb_hotspot_lb: float
-    llb_ub: float
-    vlb_dense: float
     general_lb: float
     general_ub: float
     regime: Regime
     slack: float
-    bisection_bw: float
-    bisection_formula_agrees: bool
 
 
 def general_torus_bounds(spec: TorusSpec, k: int) -> BoundSet:
@@ -164,18 +124,4 @@ def general_torus_bounds(spec: TorusSpec, k: int) -> BoundSet:
         regime = Regime.DENSE
         general_lb = n * m / (4 * big_l * gm)
         general_ub = general_lb
-    explicit = bisection_bandwidth(spec)
-    agrees = abs(explicit - bisection_bandwidth_formula(spec)) < 1e-9
-    return BoundSet(
-        cut_lb=math.sqrt(k) / 4,
-        oblivious_lb=oblivious_lower_bound(k),
-        vlb_hotspot_lb=vlb_hotspot_lower_bound(n, k) if k <= n * n else 0.0,
-        llb_ub=llb_load_upper(best_llb_radius(k, max_r=max(1, min(n, m) // 2)), k),
-        vlb_dense=n / 4,
-        general_lb=general_lb,
-        general_ub=general_ub,
-        regime=regime,
-        slack=slack,
-        bisection_bw=explicit,
-        bisection_formula_agrees=agrees,
-    )
+    return BoundSet(general_lb=general_lb, general_ub=general_ub, regime=regime, slack=slack)

@@ -11,7 +11,6 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, TextIO
 
@@ -33,65 +32,52 @@ from toruslb.traffic import (
 DEFAULT_SEED = 20240917
 
 
-@dataclass
-class RunConfig:
-    rows: int = 10
-    cols: int = 10
-    cap_vertical: float = 1.0
-    cap_horizontal: float = 1.0
-    k: int = 18
-    r: int | None = None
-    scheme: str = "llb"
-    traffic: str = "split-diamond"
-    trials: int = 1000
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-
-    def spec(self) -> TorusSpec:
-        return TorusSpec(self.rows, self.cols, self.cap_vertical, self.cap_horizontal)
-
-    def radius(self) -> int:
-        if self.r is not None:
-            return self.r
-        return bounds_mod.best_llb_radius(self.k, max_r=max(1, self.rows // 2 - 1))
+def _spec(args: argparse.Namespace) -> TorusSpec:
+    return TorusSpec(args.n, args.m if args.m is not None else args.n, args.c1, args.c2)
 
 
-def _build_scheme(name: str, config: RunConfig) -> OriginPolicy:
-    spec = config.spec()
+def _radius(args: argparse.Namespace) -> int:
+    if args.r is not None:
+        return args.r
+    return bounds_mod.best_llb_radius(args.k, max_r=max(1, args.n // 2 - 1))
+
+
+def _build_scheme(name: str, args: argparse.Namespace) -> OriginPolicy:
+    spec = _spec(args)
     if name == "ecmp":
         return build_ecmp(spec)
     if name == "vlb":
         return build_vlb(spec)
     if name == "llb":
-        return build_llb(spec, config.radius())
+        return build_llb(spec, _radius(args))
     if name == "gllb":
-        r1, r2 = gllb_radii(spec, config.k)
+        r1, r2 = gllb_radii(spec, args.k)
         return build_gllb(spec, min(r1, spec.rows // 2), min(r2, spec.cols // 2))
     if name == "ring":
         return build_ring_lb(spec)
     raise ValueError(f"unknown scheme {name!r}")
 
 
-def _build_traffic(name: str, config: RunConfig, seed: int | None = None) -> TrafficMatrix:
-    spec = config.spec()
+def _build_traffic(name: str, args: argparse.Namespace) -> TrafficMatrix:
+    spec = _spec(args)
     if name == "split-diamond":
-        return gen_split_diamond(spec, config.radius())
+        return gen_split_diamond(spec, _radius(args))
     if name == "hotspot":
-        return gen_hotspot(spec, config.k)
+        return gen_hotspot(spec, args.k)
     if name == "random":
-        return gen_random_sparse(spec, config.k, config.seed if seed is None else seed)
+        return gen_random_sparse(spec, args.k, args.seed)
     raise ValueError(f"unknown traffic {name!r}")
 
 
 @contextmanager
-def _output(config: RunConfig) -> Iterator[TextIO]:
+def _output(out: str | None) -> Iterator[TextIO]:
     """Standard output, or ``--out`` written through a temporary file in the
     same directory that replaces the target only once the command succeeds,
     so a failed run leaves no partial file behind."""
-    if not config.out or config.out == "-":
+    if not out or out == "-":
         yield sys.stdout
         return
-    target = os.path.abspath(config.out)
+    target = os.path.abspath(out)
     tmp = os.path.join(
         os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp"
     )
@@ -105,32 +91,32 @@ def _output(config: RunConfig) -> Iterator[TextIO]:
         raise
 
 
-def _footer(sink: TextIO, config: RunConfig) -> None:
-    sink.write(f"# seed={config.seed},version={VERSION}\n")
+def _footer(sink: TextIO, args: argparse.Namespace) -> None:
+    sink.write(f"# seed={args.seed},version={VERSION}\n")
 
 
-def _table_rows(config: RunConfig, metric: Callable[[OriginPolicy, TrafficMatrix], float]):
-    schemes = [(name, _build_scheme(name, config)) for name in ("ecmp", "vlb", "llb")]
+def _table_rows(args: argparse.Namespace, metric: Callable[[OriginPolicy, TrafficMatrix], float]):
+    schemes = [(name, _build_scheme(name, args)) for name in ("ecmp", "vlb", "llb")]
     rows = []
     for traffic_name in ("split-diamond", "hotspot"):
-        d = _build_traffic(traffic_name, config)
+        d = _build_traffic(traffic_name, args)
         rows.append((traffic_name, [metric(p, d) for _, p in schemes]))
-    spec = config.spec()
+    spec = _spec(args)
     means = []
     for _, p in schemes:
         summary = run_trials(
             p,
-            partial(gen_random_sparse, spec, config.k),
-            trials=config.trials,
-            base_seed=config.seed,
+            partial(gen_random_sparse, spec, args.k),
+            trials=args.trials,
+            base_seed=args.seed,
         )
         means.append(summary)
     return rows, means
 
 
-def cmd_table1(config: RunConfig) -> int:
-    rows, means = _table_rows(config, lambda p, d: edge_loads(p, d).max_load)
-    with _output(config) as sink:
+def cmd_table1(args: argparse.Namespace) -> int:
+    rows, means = _table_rows(args, lambda p, d: edge_loads(p, d).max_load)
+    with _output(args.out) as sink:
         sink.write("traffic,ecmp,vlb,llb,o_opt,opt\n")
         for name, vals in rows:
             sink.write(
@@ -143,29 +129,29 @@ def cmd_table1(config: RunConfig) -> int:
         )
         sink.write("# o_opt/opt columns require an external LP solve;"
                    " see export-lp and export-opt\n")
-        _footer(sink, config)
+        _footer(sink, args)
     return 0
 
 
-def cmd_table2(config: RunConfig) -> int:
-    rows, means = _table_rows(config, lambda p, d: edge_loads(p, d).avg_hops)
-    with _output(config) as sink:
+def cmd_table2(args: argparse.Namespace) -> int:
+    rows, means = _table_rows(args, lambda p, d: edge_loads(p, d).avg_hops)
+    with _output(args.out) as sink:
         sink.write("traffic,ecmp,vlb,llb\n")
         for name, vals in rows:
             sink.write(f"{name},{vals[0]!r},{vals[1]!r},{vals[2]!r}\n")
         sink.write("random," + ",".join(repr(s.avg_hops_mean) for s in means) + "\n")
-        _footer(sink, config)
+        _footer(sink, args)
     return 0
 
 
-def cmd_bounds(config: RunConfig) -> int:
-    spec = config.spec()
-    if config.k > spec.rows * spec.cols // 2:
+def cmd_bounds(args: argparse.Namespace) -> int:
+    spec = _spec(args)
+    if args.k > spec.rows * spec.cols // 2:
         raise ValueError("k range must stay within N^2/2")
-    with _output(config) as sink:
+    with _output(args.out) as sink:
         sink.write("k,cut_lb,oblivious_lb,measured_llb,llb_ub\n")
         policies: dict[int, OriginPolicy] = {}
-        for k in range(2, config.k + 1):
+        for k in range(2, args.k + 1):
             r = bounds_mod.best_llb_radius(k, max_r=max(1, spec.rows // 2 - 1))
             if r not in policies:
                 policies[r] = build_llb(spec, r)
@@ -175,40 +161,40 @@ def cmd_bounds(config: RunConfig) -> int:
                 f"{bounds_mod.oblivious_lower_bound(k)!r},{measured!r},"
                 f"{bounds_mod.llb_load_upper(r, k)!r}\n"
             )
-        _footer(sink, config)
+        _footer(sink, args)
     return 0
 
 
-def cmd_worst_case(config: RunConfig) -> int:
-    policy = _build_scheme(config.scheme, config)
-    result = worst_case_load(policy, config.k)
+def cmd_worst_case(args: argparse.Namespace) -> int:
+    policy = _build_scheme(args.scheme, args)
+    result = worst_case_load(policy, args.k)
     e = result.edge
-    with _output(config) as sink:
+    with _output(args.out) as sink:
         sink.write("scheme,k,value,edge_tail_x,edge_tail_y,dir\n")
         sink.write(
-            f"{config.scheme},{config.k},{result.value!r},{e.tail.x},{e.tail.y},{e.dir.token}\n"
+            f"{args.scheme},{args.k},{result.value!r},{e.tail.x},{e.tail.y},{e.dir.token}\n"
         )
         sink.write("# witness follows\n")
         sink.write(traffic_to_csv(result.witness))
-        _footer(sink, config)
+        _footer(sink, args)
     return 0
 
 
-def cmd_evaluate(config: RunConfig) -> int:
-    policy = _build_scheme(config.scheme, config)
-    demand = _build_traffic(config.traffic, config)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    policy = _build_scheme(args.scheme, args)
+    demand = _build_traffic(args.traffic, args)
     report = edge_loads(policy, demand)
-    with _output(config) as sink:
-        sink.write(f"# scheme={config.scheme},traffic={config.traffic}\n")
+    with _output(args.out) as sink:
+        sink.write(f"# scheme={args.scheme},traffic={args.traffic}\n")
         sink.write(f"# max_load={report.max_load!r},avg_hops={report.avg_hops!r}\n")
         sink.write(load_report_to_csv(report))
-        _footer(sink, config)
+        _footer(sink, args)
     return 0
 
 
-def cmd_export_lp(config: RunConfig) -> int:
-    with _output(config) as sink:
-        counts = export_reduced_oblivious_lp(config.spec(), config.k, sink)
+def cmd_export_lp(args: argparse.Namespace) -> int:
+    with _output(args.out) as sink:
+        counts = export_reduced_oblivious_lp(_spec(args), args.k, sink)
     print(
         f"variables={counts.variables} constraints={counts.constraints} "
         f"flow_variables={counts.flow_variables}",
@@ -217,15 +203,35 @@ def cmd_export_lp(config: RunConfig) -> int:
     return 0
 
 
-def cmd_export_opt(config: RunConfig) -> int:
-    demand = _build_traffic(config.traffic, config)
-    with _output(config) as sink:
-        counts = export_opt_lp(config.spec(), demand, sink)
+def cmd_export_opt(args: argparse.Namespace) -> int:
+    demand = _build_traffic(args.traffic, args)
+    with _output(args.out) as sink:
+        counts = export_opt_lp(_spec(args), demand, sink)
     print(
         f"variables={counts.variables} constraints={counts.constraints}",
         file=sys.stderr,
     )
     return 0
+
+
+# every command reads --n --m --c1 --c2 --out, plus these
+_FLAGS = {
+    "k": dict(type=int, default=18),
+    "r": dict(type=int, default=None),
+    "scheme": dict(default="llb", choices=["ecmp", "vlb", "llb", "gllb", "ring"]),
+    "traffic": dict(default="split-diamond", choices=["split-diamond", "hotspot", "random"]),
+    "trials": dict(type=int, default=1000),
+    "seed": dict(type=int, default=DEFAULT_SEED),
+}
+_COMMANDS = {
+    "table1": (cmd_table1, ("k", "r", "trials", "seed")),
+    "table2": (cmd_table2, ("k", "r", "trials", "seed")),
+    "bounds": (cmd_bounds, ("k",)),
+    "worst-case": (cmd_worst_case, ("k", "r", "scheme")),
+    "evaluate": (cmd_evaluate, ("k", "r", "scheme", "traffic", "seed")),
+    "export-lp": (cmd_export_lp, ("k",)),
+    "export-opt": (cmd_export_opt, ("k", "r", "traffic", "seed")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,55 +240,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Oblivious routing schemes and worst-case evaluation on 2-D tori",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "table1": cmd_table1,
-        "table2": cmd_table2,
-        "bounds": cmd_bounds,
-        "worst-case": cmd_worst_case,
-        "evaluate": cmd_evaluate,
-        "export-lp": cmd_export_lp,
-        "export-opt": cmd_export_opt,
-    }
-    for name, func in commands.items():
+    for name, (func, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--n", type=int, default=10, help="rows (vertical extent)")
         p.add_argument("--m", type=int, default=None, help="cols (defaults to --n)")
         p.add_argument("--c1", type=float, default=1.0, help="vertical link capacity")
         p.add_argument("--c2", type=float, default=1.0, help="horizontal link capacity")
-        p.add_argument("--k", type=int, default=18)
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--scheme", default="llb",
-                       choices=["ecmp", "vlb", "llb", "gllb", "ring"])
-        p.add_argument("--traffic", default="split-diamond",
-                       choices=["split-diamond", "hotspot", "random"])
-        p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.add_argument("--out", default=None)
-        p.set_defaults(func=func)
+        # footers print the seed also where it cannot be set
+        p.set_defaults(func=func, seed=DEFAULT_SEED)
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        rows=args.n,
-        cols=args.m if args.m is not None else args.n,
-        cap_vertical=args.c1,
-        cap_horizontal=args.c2,
-        k=args.k,
-        r=args.r,
-        scheme=args.scheme,
-        traffic=args.traffic,
-        trials=args.trials,
-        seed=args.seed,
-        out=args.out,
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(config_from_args(args))
+        return args.func(args)
     except Exception as exc:  # runtime failures exit 1, usage errors exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -309,14 +309,3 @@ def load_report_to_csv(report: LoadReport) -> str:
     for edge, load in sorted(report.per_edge.items()):
         lines.append(f"{edge.tail.x},{edge.tail.y},{edge.dir.token},{load!r}")
     return "\n".join(lines) + "\n"
-
-
-def trial_summary_to_csv(summary: TrialSummary) -> str:
-    lines = ["metric,mean,std,min,max,trials,seed"]
-    for metric, prefix in (("max_load", "max_load"), ("avg_hops", "avg_hops")):
-        vals = [getattr(summary, f"{prefix}_{f}") for f in ("mean", "std", "min", "max")]
-        lines.append(
-            f"{metric},{vals[0]!r},{vals[1]!r},{vals[2]!r},{vals[3]!r},"
-            f"{summary.trials},{summary.base_seed}"
-        )
-    return "\n".join(lines) + "\n"

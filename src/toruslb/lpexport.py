@@ -15,9 +15,9 @@ against orbits computed by ``apply_automorphism`` in
 ``test_orbit_names_match_automorphism_orbits``):
 
 * ``g_t{tx}_{ty}_e{ex}_{ey}_{dir}`` - flow toward destination offset (tx, ty)
-  on the edge with tail (ex, ey); dir is pv/nv/ph/nh.  With deduplication the
-  name used is the lexicographically smallest point-group image, which is how
-  the reflection ties are encoded.  Each (destination, edge) pair has an
+  on the edge with tail (ex, ey); dir is pv/nv/ph/nh.  The name used is the
+  lexicographically smallest point-group image, which is how the reflection
+  ties are encoded.  Each (destination, edge) pair has an
   integer orbit key that sorts like the pair; one table per call, built with
   one ``np.minimum`` per point-group element over the index permutations of
   :func:`toruslb.torus.automorphism_index_maps`, holds every pair's smallest
@@ -169,16 +169,14 @@ def _format_terms(terms: list[tuple[float, str]]) -> str:
     return joined[2:] if joined.startswith("+ ") else joined
 
 
-def export_reduced_oblivious_lp(
-    spec: TorusSpec, k: int, sink: IO[str], dedup: bool = True
-) -> LpCounts:
+def export_reduced_oblivious_lp(spec: TorusSpec, k: int, sink: IO[str]) -> LpCounts:
     """Write the dualized reduced oblivious LP: minimize theta subject to
     origin-rooted flow conservation for every destination, reflection ties
-    (as variable dedup, or explicit equalities with ``dedup=False``), box
-    bounds, and one dualized hose constraint block per load-edge class."""
+    (every pair reads its orbit head's variable), box bounds, and one
+    dualized hose constraint block per load-edge class."""
     origin = Node(0, 0)
     index = _OrbitIndex(spec)
-    var = index.rep if dedup else index.key
+    var = index.rep
     nodes = list(spec.nodes())
     n = len(nodes)
     classes = load_edge_classes(spec)
@@ -212,17 +210,6 @@ def export_reduced_oblivious_lp(
                     "=",
                     rhs,
                 )
-            )
-
-    if not dedup:
-        # explicit reflection ties binding each variable to its orbit head,
-        # in (destination, edge) order
-        me = index.key[1:].transpose(0, 2, 1).ravel()
-        head = index.rep[1:].transpose(0, 2, 1).ravel()
-        tied = me != head
-        for number, (a, b) in enumerate(zip(me[tied].tolist(), head[tied].tolist()), 1):
-            constraints.append(
-                (f"tie_{number}", [(1.0, index.name(a)), (-1.0, index.name(b))], "=", 0.0)
             )
 
     # the hose row of pair (s, tau) names the variable carrying that pair's
@@ -463,7 +450,11 @@ def check_oblivious_feasibility(
     tol: float = 1e-7,
 ) -> list[str]:
     """Substitute a policy's flows (with hose duals and its worst-case theta)
-    into a parsed model and report every violated constraint."""
+    into a parsed model and report every violated constraint.
+
+    ``k`` is unused: the model already carries it as the coefficient of
+    ``gam`` in each load row.  It stays because the acceptance gate and the
+    benchmark pass the arguments positionally."""
     if policy.spec != spec:
         raise SpecMismatch("policy and model use different torus specs")
     index = _OrbitIndex(spec)

@@ -51,8 +51,6 @@ EdgePath = list[DirectedEdge]
 class Stem:
     center: Node
     members: tuple[Node, ...]
-    r1: int
-    r2: int
 
     def __len__(self) -> int:
         return len(self.members)
@@ -93,7 +91,7 @@ def stem(spec: TorusSpec, center: Node, r1: int, r2: int) -> Stem:
             if node not in seen:
                 seen.add(node)
                 members.append(node)
-    return Stem(center=center, members=tuple(members), r1=r1, r2=r2)
+    return Stem(center=center, members=tuple(members))
 
 
 def _edge_heads(spec: TorusSpec) -> list[int]:

@@ -27,9 +27,6 @@ ring schemes by averaging over the spec's point group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -43,29 +40,6 @@ from toruslb.paths import (
 )
 from toruslb.policy import OriginPolicy, symmetrize_origin, translate
 from toruslb.torus import Direction, Node, TorusSpec, node_neg, node_sub
-
-
-class GllbCase(Enum):
-    DISJOINT_HIGH_CUT = "disjoint-high-cut"
-    DISJOINT_LOW_CUT = "disjoint-low-cut"
-    OVERLAP_HIGH_CUT = "overlap-high-cut"
-    OVERLAP_LOW_CUT = "overlap-low-cut"
-
-
-@dataclass(frozen=True)
-class GllbCaseInfo:
-    """Case label plus the per-pair link-share parameters where defined.
-
-    ``lambda_v``/``lambda_h`` cap the traffic fraction on vertical/horizontal
-    links outside the stems and exist only for the bisection-limited cases;
-    ``cap_v``/``cap_h`` are the stem-node share coefficients valid in every
-    case."""
-
-    case: GllbCase
-    lambda_v: float | None
-    lambda_h: float | None
-    cap_v: float
-    cap_h: float
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +329,6 @@ def gllb_radii(spec: TorusSpec, k: int) -> tuple[int, int]:
     return r1, r2
 
 
-@lru_cache(maxsize=None)
 def _probe_high_cut(spec: TorusSpec, r1: int, r2: int) -> bool:
     """True when the unit-capacity cut between distant stems supports two
     paths per stem node; bisection-limited geometries fail this and use the
@@ -374,35 +347,6 @@ def _probe_high_cut(spec: TorusSpec, r1: int, r2: int) -> bool:
         capacities={e: 1.0 for e in spec.edges()},
     )
     return value >= 4 * (r1 + r2)
-
-
-def classify_gllb_case(spec: TorusSpec, r1: int, r2: int, t: Node) -> GllbCase:
-    overlap = stems_overlap(stem(spec, Node(0, 0), r1, r2), stem(spec, t, r1, r2))
-    high = _probe_high_cut(spec, r1, r2)
-    if overlap:
-        return GllbCase.OVERLAP_HIGH_CUT if high else GllbCase.OVERLAP_LOW_CUT
-    if high:
-        return GllbCase.DISJOINT_HIGH_CUT
-    return GllbCase.DISJOINT_LOW_CUT
-
-
-def gllb_case_info(spec: TorusSpec, r1: int, r2: int, t: Node) -> GllbCaseInfo:
-    """Case dispatch for one destination together with the share parameters:
-    in the bisection-limited cases the non-stem link shares are
-    lambda_h = 1/(2N) and lambda_v = 1/(2 r2) - r1/(r2 N)."""
-    case = classify_gllb_case(spec, r1, r2, t)
-    base = 1.0 / (4 * (r1 + r2))
-    low = case in (GllbCase.DISJOINT_LOW_CUT, GllbCase.OVERLAP_LOW_CUT)
-    n = spec.rows
-    lam_h = 1.0 / (2 * n) if low else None
-    lam_v = (1.0 / (2 * r2) - r1 / (r2 * n)) if low else None
-    return GllbCaseInfo(
-        case=case,
-        lambda_v=lam_v,
-        lambda_h=lam_h,
-        cap_v=max(base, lam_v) if low else base,
-        cap_h=max(base, lam_h) if low else base,
-    )
 
 
 def build_gllb(spec: TorusSpec, r1: int, r2: int) -> OriginPolicy:

@@ -7,16 +7,14 @@ from toruslb.bounds import (
     Regime,
     best_llb_radius,
     bisection_bandwidth,
-    bisection_bandwidth_formula,
     cut_lower_bound,
     general_torus_bounds,
     llb_load_upper,
     normalized_size,
     oblivious_lower_bound,
-    oblivious_lower_bound_floor,
-    vlb_dense_optimum,
     vlb_hotspot_lower_bound,
 )
+from toruslb import paths
 from toruslb.evaluate import worst_case_load
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb, gllb_radii
 from toruslb.torus import TorusSpec
@@ -35,9 +33,10 @@ def test_oblivious_lower_bound_values():
     assert oblivious_lower_bound(18) == 1.5
     assert oblivious_lower_bound(8) == 1.0
     assert oblivious_lower_bound(10) == pytest.approx(1.1)
-    assert oblivious_lower_bound_floor(10) == 1.0
     for k in range(2, 60):
-        assert oblivious_lower_bound(k) >= oblivious_lower_bound_floor(k) - 1e-12
+        # the plain floor sqrt(2k')/4 = 2m/4 at the largest diamond 2m^2 <= k
+        m = max(m for m in range(k) if 2 * m * m <= k)
+        assert oblivious_lower_bound(k) >= 2 * m / 4 - 1e-12
         assert cut_lower_bound(k) <= oblivious_lower_bound(k)
 
 
@@ -59,11 +58,12 @@ def test_llb_upper():
     assert min(llb_load_upper(r, 18) for r in range(1, 10)) == 1.5
 
 
-def test_vlb_dense_optimum():
-    assert vlb_dense_optimum(8) == 2.0
-    assert vlb_dense_optimum(10) == 2.5
-    with pytest.raises(OutOfRegime):
-        vlb_dense_optimum(7)
+def test_general_bounds_dense_regime_is_quarter_n():
+    # dense traffic on an N x N torus costs N/4
+    for n, k in ((8, 40), (10, 60)):
+        bs = general_torus_bounds(TorusSpec(n, n), k)
+        assert bs.regime == Regime.DENSE
+        assert bs.general_lb == bs.general_ub == n / 4
 
 
 def test_general_bounds_square_reduction():
@@ -72,7 +72,6 @@ def test_general_bounds_square_reduction():
     assert normalized_size(spec) == 10
     assert bs.general_lb == pytest.approx(math.sqrt(36) / 4)
     assert bs.regime == Regime.SPARSE
-    assert bs.bisection_formula_agrees
 
 
 def test_general_bounds_4x10():
@@ -87,13 +86,39 @@ def test_general_bounds_4x10():
     assert beyond.regime == Regime.DENSE
 
 
-def test_bisection_flags_formula_disagreement():
-    symmetric = TorusSpec(4, 10)
-    assert bisection_bandwidth(symmetric) == bisection_bandwidth_formula(symmetric) == 8
-    skewed = TorusSpec(4, 10, cap_vertical=2.0, cap_horizontal=1.0)
-    assert bisection_bandwidth(skewed) == 8.0  # cutting horizontal links
-    assert bisection_bandwidth_formula(skewed) == 16.0
-    assert not general_torus_bounds(skewed, 4).bisection_formula_agrees
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TorusSpec(4, 10),
+        TorusSpec(5, 5),
+        TorusSpec(3, 8),
+        TorusSpec(7, 4),
+        TorusSpec(4, 10, cap_vertical=2.0, cap_horizontal=1.0),
+        TorusSpec(5, 7, cap_vertical=0.5, cap_horizontal=1.5),
+    ],
+    ids=lambda s: f"{s.rows}x{s.cols}-c{s.cap_vertical:g}-{s.cap_horizontal:g}",
+)
+def test_bisection_bandwidth_matches_max_flow(spec):
+    # every node is a terminal, so the max flow is the cut between the halves
+    nodes = set(spec.nodes())
+    flows = []
+    for half in (
+        {u for u in nodes if u.y < spec.rows // 2},
+        {u for u in nodes if u.x < spec.cols // 2},
+    ):
+        value, _ = paths.max_flow(spec, set(), half, nodes - half)
+        flows.append(value)
+    assert bisection_bandwidth(spec) == pytest.approx(min(flows), abs=1e-12)
+
+
+def test_general_bounds_run_no_max_flow(monkeypatch):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("general_torus_bounds ran a max flow")
+
+    # the engine behind paths.max_flow, however it is imported
+    monkeypatch.setattr(paths, "_augment", no_flow)
+    for spec in (TorusSpec(8, 8), TorusSpec(10, 14), TorusSpec(4, 10, 2.0, 1.0)):
+        general_torus_bounds(spec, 8)
 
 
 def test_sandwich_on_8x8():

@@ -87,6 +87,11 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+    # each command accepts only the flags it reads
+    for argv in (["export-lp", "--trials", "3"], ["bounds", "--r", "2"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
 
 
 def test_runtime_error_exit_code(tmp_path):

@@ -25,9 +25,9 @@ from toruslb.torus import Node, TorusSpec, apply_automorphism, apply_to_edge, po
 from toruslb.traffic import gen_split_diamond
 
 
-def export_text(spec, k, dedup=True):
+def export_text(spec, k):
     buf = io.StringIO()
-    counts = export_reduced_oblivious_lp(spec, k, buf, dedup=dedup)
+    counts = export_reduced_oblivious_lp(spec, k, buf)
     return buf.getvalue(), counts
 
 
@@ -64,14 +64,6 @@ def test_asymmetric_spec_emits_two_classes():
     assert "gam_v" in names and "gam_h" in names
     load_names = {c.name for c in model.constraints if c.name.startswith("load_")}
     assert load_names == {"load_v", "load_h"}
-
-
-def test_dedup_shrinks_variables():
-    spec = TorusSpec(4, 4)
-    _, deduped = export_text(spec, 1, dedup=True)
-    _, full = export_text(spec, 1, dedup=False)
-    assert deduped.flow_variables < full.flow_variables
-    assert full.flow_variables == 4 * 16 * 15
 
 
 def test_reduced_lp_coefficients_survive_roundtrip():
@@ -160,21 +152,26 @@ def test_opt_lp_accepts_real_routing():
 # sha256 of export_reduced_oblivious_lp text, recorded before variable names
 # came from the orbit key table; any change to a name or row order shows here.
 LP_DIGESTS = [
-    ((4, 4), 1, True, "18771aad0febecfdedcce5b684f6daa2c94c7a02453d4ad48a63f0c96cbe2e5f"),
-    ((6, 6), 2, True, "a54a030b2a9b5cde2f06c37590d0cfad651f5a62a6a8663aa5c98854388a628c"),
-    ((8, 8), 18, True, "31ea096b9b67b4173dbdc228b27fed559ce279a7f3b2637a3b1a471ee32be683"),
-    ((4, 6), 2, True, "fb361ec57dffaaa275807d7c41b80c429212dca79ca4619a733beb14d01a5d76"),
-    ((5, 9), 13, True, "9cc5774b5c35a2e97874091dff4ef2a18a46d9e9fbe2f517cf85a2e8c11b3f63"),
-    ((6, 8), 8, True, "cf375fe668c27c4c538f497da6139ae5ef5df2642d789bf3edb11817e44db1d3"),
+    ((4, 4), 1, "18771aad0febecfdedcce5b684f6daa2c94c7a02453d4ad48a63f0c96cbe2e5f"),
+    ((6, 6), 2, "a54a030b2a9b5cde2f06c37590d0cfad651f5a62a6a8663aa5c98854388a628c"),
+    ((8, 8), 18, "31ea096b9b67b4173dbdc228b27fed559ce279a7f3b2637a3b1a471ee32be683"),
+    ((4, 6), 2, "fb361ec57dffaaa275807d7c41b80c429212dca79ca4619a733beb14d01a5d76"),
+    ((5, 9), 13, "9cc5774b5c35a2e97874091dff4ef2a18a46d9e9fbe2f517cf85a2e8c11b3f63"),
+    ((6, 8), 8, "cf375fe668c27c4c538f497da6139ae5ef5df2642d789bf3edb11817e44db1d3"),
     # square, but unequal capacities leave only {I, R0}
-    ((6, 6, 2.0), 2, True, "ebb9a08df42e7438dd2237976d458f282696d6b707787b07a6a953e1eb3289b1"),
-    ((4, 6), 2, False, "933d18e5ecda157221cb5526f2f8d18d7ae906f6d1f3e07a14b0ac83195a8f44"),
+    ((6, 6, 2.0), 2, "ebb9a08df42e7438dd2237976d458f282696d6b707787b07a6a953e1eb3289b1"),
 ]
 
 
-@pytest.mark.parametrize("dims,k,dedup,digest", LP_DIGESTS)
-def test_reduced_lp_bytes_pinned(dims, k, dedup, digest):
-    text, _ = export_text(TorusSpec(*dims), k, dedup=dedup)
+# the ids keep the names these cases had while the table also pinned an
+# export without orbit-tied variables (the True marked the tied ones)
+@pytest.mark.parametrize(
+    "dims,k,digest",
+    LP_DIGESTS,
+    ids=[f"dims{i}-{k}-True-{digest}" for i, (_, k, digest) in enumerate(LP_DIGESTS)],
+)
+def test_reduced_lp_bytes_pinned(dims, k, digest):
+    text, _ = export_text(TorusSpec(*dims), k)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -5,14 +5,12 @@ from toruslb.evaluate import edge_loads, worst_case_load
 from toruslb.paths import RadiusTooLarge
 from toruslb.policy import check_reflection_invariance, edge_entries, expand, validate_policy
 from toruslb.schemes import (
-    GllbCase,
     build_ecmp,
     build_gllb,
     build_llb,
     build_ring_lb,
     build_vlb,
     _stem_route,
-    classify_gllb_case,
     gllb_radii,
 )
 from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, hop_distance
@@ -181,30 +179,13 @@ def test_gllb_radii_formula():
 
 
 def test_gllb_matches_llb_on_square():
-    spec = TorusSpec(8, 8)
-    g = build_gllb(spec, 2, 2)
-    l = build_llb(spec, 2)
-    assert np.array_equal(g.flows, l.flows)
-    assert abs(worst_case_load(g, 8).value - worst_case_load(l, 8).value) < 1e-9
-
-
-def test_gllb_case_dispatch():
-    assert (
-        classify_gllb_case(TorusSpec(10, 10), 3, 3, Node(5, 5))
-        == GllbCase.DISJOINT_HIGH_CUT
-    )
-    assert (
-        classify_gllb_case(TorusSpec(10, 10), 3, 3, Node(2, 1))
-        == GllbCase.OVERLAP_HIGH_CUT
-    )
-    assert (
-        classify_gllb_case(TorusSpec(4, 10), 2, 2, Node(5, 2))
-        == GllbCase.DISJOINT_LOW_CUT
-    )
-    assert (
-        classify_gllb_case(TorusSpec(4, 10), 2, 2, Node(1, 1))
-        == GllbCase.OVERLAP_LOW_CUT
-    )
+    # both geometries have a high stem-to-stem cut, so GLLB stem-routes
+    for n, r, k in ((8, 2, 8), (10, 3, 18)):
+        spec = TorusSpec(n, n)
+        g = build_gllb(spec, r, r)
+        l = build_llb(spec, r)
+        assert np.array_equal(g.flows, l.flows)
+        assert abs(worst_case_load(g, k).value - worst_case_load(l, k).value) < 1e-9
 
 
 def test_gllb_low_cut_is_ring():
@@ -250,18 +231,3 @@ def test_worst_case_representative_edge_consistency():
         g, 4, edges=[DirectedEdge(Node(0, 0), d) for d in Direction]
     ).value
     assert fast == pytest.approx(full, abs=1e-12)
-
-
-def test_gllb_case_info_low_cut_parameters():
-    from toruslb.schemes import gllb_case_info
-
-    spec = TorusSpec(4, 10)
-    info = gllb_case_info(spec, 2, 2, Node(5, 2))
-    assert info.case == GllbCase.DISJOINT_LOW_CUT
-    assert info.lambda_h == pytest.approx(1 / (2 * 4))
-    assert info.lambda_v == pytest.approx(1 / (2 * 2) - 2 / (2 * 4))
-    assert info.cap_h == pytest.approx(max(1 / 16, 1 / 8))
-    high = gllb_case_info(TorusSpec(10, 10), 3, 3, Node(5, 5))
-    assert high.case == GllbCase.DISJOINT_HIGH_CUT
-    assert high.lambda_v is None and high.lambda_h is None
-    assert high.cap_v == pytest.approx(1 / 24)
