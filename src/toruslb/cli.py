@@ -214,8 +214,12 @@ def cmd_export_opt(args: argparse.Namespace) -> int:
     return 0
 
 
-# every command reads --n --m --c1 --c2 --out, plus these
+# every command reads --n and --out, plus these; table1, table2 and bounds
+# take --n only, as LLB needs a square torus and their columns unit capacity
 _FLAGS = {
+    "m": dict(type=int, default=None, help="cols (defaults to --n)"),
+    "c1": dict(type=float, default=1.0, help="vertical link capacity"),
+    "c2": dict(type=float, default=1.0, help="horizontal link capacity"),
     "k": dict(type=int, default=18),
     "r": dict(type=int, default=None),
     "scheme": dict(default="llb", choices=["ecmp", "vlb", "llb", "gllb", "ring"]),
@@ -227,10 +231,10 @@ _COMMANDS = {
     "table1": (cmd_table1, ("k", "r", "trials", "seed")),
     "table2": (cmd_table2, ("k", "r", "trials", "seed")),
     "bounds": (cmd_bounds, ("k",)),
-    "worst-case": (cmd_worst_case, ("k", "r", "scheme")),
-    "evaluate": (cmd_evaluate, ("k", "r", "scheme", "traffic", "seed")),
-    "export-lp": (cmd_export_lp, ("k",)),
-    "export-opt": (cmd_export_opt, ("k", "r", "traffic", "seed")),
+    "worst-case": (cmd_worst_case, ("m", "c1", "c2", "k", "r", "scheme")),
+    "evaluate": (cmd_evaluate, ("m", "c1", "c2", "k", "r", "scheme", "traffic", "seed")),
+    "export-lp": (cmd_export_lp, ("m", "c1", "c2", "k")),
+    "export-opt": (cmd_export_opt, ("m", "c1", "c2", "k", "r", "traffic", "seed")),
 }
 
 
@@ -243,14 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--n", type=int, default=10, help="rows (vertical extent)")
-        p.add_argument("--m", type=int, default=None, help="cols (defaults to --n)")
-        p.add_argument("--c1", type=float, default=1.0, help="vertical link capacity")
-        p.add_argument("--c2", type=float, default=1.0, help="horizontal link capacity")
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.add_argument("--out", default=None)
-        # footers print the seed also where it cannot be set
-        p.set_defaults(func=func, seed=DEFAULT_SEED)
+        # footers print the seed also where it cannot be set, and commands
+        # without --m --c1 --c2 run on the square unit-capacity torus
+        p.set_defaults(func=func, seed=DEFAULT_SEED, m=None, c1=1.0, c2=1.0)
     return parser
 
 

@@ -32,7 +32,6 @@ class SpecMismatch(ValueError):
 class LoadReport:
     load: np.ndarray  # capacity-normalized load per edge, [dir, y, x]
     max_load: float
-    argmax_edge: DirectedEdge | None
     avg_hops: float
 
     @property
@@ -62,14 +61,9 @@ def edge_loads(p: Policy, d: TrafficMatrix) -> LoadReport:
         load += amount * flows / caps
         hops += amount * float(flows.sum())
     total = d.total()
-    by_edge = load.transpose(2, 1, 0)  # sorted edge order: tail x, tail y, dir
-    x, y, direction = np.unravel_index(np.argmax(by_edge), by_edge.shape)
-    max_load = float(by_edge[x, y, direction])
-    argmax_edge = DirectedEdge(Node(int(x), int(y)), Direction(int(direction)))
     return LoadReport(
         load=load,
-        max_load=max_load,
-        argmax_edge=argmax_edge if max_load > 0 else None,
+        max_load=float(load.max()),
         avg_hops=hops / total if total > 0 else 0.0,
     )
 
@@ -267,13 +261,9 @@ class TrialSummary:
     trials: int
     base_seed: int
     max_load_mean: float
-    max_load_std: float
     max_load_min: float
     max_load_max: float
     avg_hops_mean: float
-    avg_hops_std: float
-    avg_hops_min: float
-    avg_hops_max: float
 
 
 def run_trials(
@@ -294,13 +284,9 @@ def run_trials(
         trials=trials,
         base_seed=base_seed,
         max_load_mean=float(loads.mean()),
-        max_load_std=float(loads.std()),
         max_load_min=float(loads.min()),
         max_load_max=float(loads.max()),
         avg_hops_mean=float(hops.mean()),
-        avg_hops_std=float(hops.std()),
-        avg_hops_min=float(hops.min()),
-        avg_hops_max=float(hops.max()),
     )
 
 

@@ -6,8 +6,10 @@ reflection-tied flow variables.  Its inner maximization over k-limited
 demands is replaced by hose-model duals: per load-edge class, multipliers
 a_s, b_t >= 0 and gam >= 0 must cover every pair's flow coefficient on that
 edge, and their total (with gam weighted by k) is charged against the edge
-capacity times theta.  No solver is embedded; a round-trip parser is
-included so tests can verify the emitted files coefficient by coefficient.
+capacity times theta.  Both programs number edges by slab index, ``dir *
+num_nodes + y * cols + x``, and read heads from ``torus.edge_heads``.  No
+solver is embedded; a round-trip parser lets tests check the emitted files
+coefficient by coefficient.
 
 Variable naming (bit-exact; ``tests/test_lpexport.py`` pins the emitted
 text by sha256 in ``test_reduced_lp_bytes_pinned`` and checks every name
@@ -27,7 +29,7 @@ against orbits computed by ``apply_automorphism`` in
   per-sink, and total-demand hose multipliers for load-edge class ``cls``
   (``v`` always, plus ``h`` on specs without the x=y symmetry).
 * ``f_p{i}_e{ex}_{ey}_{dir}`` - per-pair flows in the fixed-demand program,
-  with pairs indexed in sorted order.
+  with pairs indexed in sorted order, from one table by edge id.
 """
 
 from __future__ import annotations
@@ -39,13 +41,14 @@ from typing import IO, Iterable
 import numpy as np
 
 from toruslb.evaluate import SpecMismatch
-from toruslb.policy import OriginPolicy, translate
+from toruslb.policy import OriginPolicy
 from toruslb.torus import (
     DirectedEdge,
     Direction,
     Node,
     TorusSpec,
     automorphism_index_maps,
+    edge_heads,
     point_group,
 )
 from toruslb.traffic import TrafficMatrix
@@ -57,6 +60,7 @@ _DIR_NAME = {
     Direction.NEG_HOR: "nh",
 }
 MAX_LINE = 255
+Row = tuple[str, list[tuple[float, str]], str, float]  # name, terms, sense, rhs
 
 
 @dataclass
@@ -169,54 +173,73 @@ def _format_terms(terms: list[tuple[float, str]]) -> str:
     return joined[2:] if joined.startswith("+ ") else joined
 
 
+def _conservation_rows(
+    spec: TorusSpec, heads: list[int], tag: str, names: list[str], source: int, sink: int
+) -> list[Row]:
+    """One ``cons_{tag}_n{x}_{y}`` row per node, in node order, over the
+    variables ``names[e]`` of the edge ids: +1 on every edge leaving the node
+    and -1 on every edge entering it, merged by name with zeros dropped;
+    right-hand side 1 at ``source``, -1 at ``sink``, 0 elsewhere."""
+    n = spec.num_nodes
+    terms: list[dict[str, float]] = [{} for _ in range(n)]
+    for e, (name, head) in enumerate(zip(names, heads)):
+        for u, coef in ((e % n, 1.0), (head, -1.0)):
+            terms[u][name] = terms[u].get(name, 0.0) + coef
+    return [
+        (
+            f"cons_{tag}_n{u.x}_{u.y}",
+            sorted(((c, v) for v, c in row.items() if c != 0.0), key=lambda x: x[1]),
+            "=",
+            1.0 if i == source else (-1.0 if i == sink else 0.0),
+        )
+        for i, (u, row) in enumerate(zip(spec.nodes(), terms))
+    ]
+
+
+def _write_lp(
+    sink: IO[str], title: str, rows: list[Row], boxed: Iterable[str], nonnegative: list[str]
+) -> None:
+    """Write ``minimize th`` subject to ``rows``, with ``boxed`` variables in
+    [0, 1] (sorted) and ``nonnegative`` ones at least 0 (in the given order)."""
+    lines = [f"\\ {title}", "Minimize", " obj: th", "Subject To"]
+    for name, terms, sense, rhs in rows:
+        lines.append(f" {name}: {_format_terms(terms)} {sense} {rhs:.17g}")
+    lines.append("Bounds")
+    lines += [f" 0 <= {name} <= 1" for name in sorted(boxed)]
+    lines += [f" 0 <= {name}" for name in nonnegative]
+    lines.append("End")
+    _emit(sink, lines)
+
+
 def export_reduced_oblivious_lp(spec: TorusSpec, k: int, sink: IO[str]) -> LpCounts:
     """Write the dualized reduced oblivious LP: minimize theta subject to
     origin-rooted flow conservation for every destination, reflection ties
     (every pair reads its orbit head's variable), box bounds, and one
     dualized hose constraint block per load-edge class."""
-    origin = Node(0, 0)
     index = _OrbitIndex(spec)
     var = index.rep
     nodes = list(spec.nodes())
     n = len(nodes)
-    classes = load_edge_classes(spec)
-
-    # back[d][u]: flat index of the tail of the edge entering node u along d
-    grid = np.arange(n).reshape(spec.rows, spec.cols)
-    back = [translate(grid, Node(*d.delta)).ravel().tolist() for d in Direction]
+    heads = edge_heads(spec).ravel().tolist()
     gvars = {index.name(key) for key in set(var[1:].ravel().tolist())}
-
-    constraints: list[tuple[str, list[tuple[float, str]], str, float]] = []
 
     # flow conservation per (destination, node), on canonical variables; a key
     # divided by 4n is its destination's rank x*rows + y, so a destination's
     # smallest image is read off any of its keys
+    constraints: list[Row] = []
     for rank in dict.fromkeys((var[1:, 0, 0] // (4 * n)).tolist()):
         rep_t = Node(*divmod(rank, spec.rows))
-        row = var[rep_t.y * spec.cols + rep_t.x].tolist()
-        tag = f"t{rep_t.x}_{rep_t.y}"
-        for u, i in enumerate(nodes):
-            terms: dict[str, float] = {}
-            for d in Direction:
-                out_name = index.name(row[d][u])
-                terms[out_name] = terms.get(out_name, 0.0) + 1.0
-                in_name = index.name(row[d][back[d][u]])
-                terms[in_name] = terms.get(in_name, 0.0) - 1.0
-            rhs = 1.0 if i == origin else (-1.0 if i == rep_t else 0.0)
-            constraints.append(
-                (
-                    f"cons_{tag}_n{i.x}_{i.y}",
-                    sorted(((c, v) for v, c in terms.items() if c != 0.0), key=lambda x: x[1]),
-                    "=",
-                    rhs,
-                )
-            )
+        t = rep_t.y * spec.cols + rep_t.x
+        names = [index.name(key) for key in var[t].ravel().tolist()]
+        constraints += _conservation_rows(
+            spec, heads, f"t{rep_t.x}_{rep_t.y}", names, 0, t
+        )
 
     # the hose row of pair (s, tau) names the variable carrying that pair's
     # flow on the class edge: on_edge read over the table of variable keys
     keys_as_policy = OriginPolicy(spec, var.reshape(n, 4, spec.rows, spec.cols))
     dual_vars: set[str] = set()
-    for label, edge, cap in classes:
+    for label, edge, cap in load_edge_classes(spec):
         a_names = {s: f"a_{label}_s{s.x}_{s.y}" for s in nodes}
         b_names = {t: f"b_{label}_t{t.x}_{t.y}" for t in nodes}
         gam = f"gam_{label}"
@@ -242,17 +265,9 @@ def export_reduced_oblivious_lp(spec: TorusSpec, k: int, sink: IO[str]) -> LpCou
                     )
                 )
 
-    lines = ["\\ reduced oblivious routing program", "Minimize", " obj: th", "Subject To"]
-    for name, terms, sense, rhs in constraints:
-        lines.append(f" {name}: {_format_terms(terms)} {sense} {rhs:.17g}")
-    lines.append("Bounds")
-    for name in sorted(gvars):
-        lines.append(f" 0 <= {name} <= 1")
-    for name in sorted(dual_vars):
-        lines.append(f" 0 <= {name}")
-    lines.append(" 0 <= th")
-    lines.append("End")
-    _emit(sink, lines)
+    _write_lp(
+        sink, "reduced oblivious routing program", constraints, gvars, [*sorted(dual_vars), "th"]
+    )
     return LpCounts(
         variables=len(gvars) + len(dual_vars) + 1,
         constraints=len(constraints),
@@ -260,61 +275,44 @@ def export_reduced_oblivious_lp(spec: TorusSpec, k: int, sink: IO[str]) -> LpCou
     )
 
 
+def _f_names(spec: TorusSpec, pairs: int) -> list[list[str]]:
+    """``f_p{i}_e{x}_{y}_{dir}`` of every pair index and edge id."""
+    suffixes = [
+        f"{x}_{y}_{_DIR_NAME[d]}"
+        for d in Direction
+        for y in range(spec.rows)
+        for x in range(spec.cols)
+    ]
+    return [[f"f_p{p}_e{suffix}" for suffix in suffixes] for p in range(pairs)]
+
+
 def export_opt_lp(spec: TorusSpec, d: TrafficMatrix, sink: IO[str]) -> LpCounts:
     """Write the fixed-demand optimal-routing LP: per-pair flow conservation
     and per-edge load at most capacity times theta, minimized over theta."""
     pairs = sorted(d.entries.items())
-    fvars: dict[tuple[int, DirectedEdge], str] = {}
-    for p, _ in enumerate(pairs):
-        for edge in spec.edges():
-            fvars[(p, edge)] = (
-                f"f_p{p}_e{edge.tail.x}_{edge.tail.y}_{_DIR_NAME[edge.dir]}"
-            )
-    constraints: list[tuple[str, list[tuple[float, str]], str, float]] = []
+    fnames = _f_names(spec, len(pairs))
+    heads = edge_heads(spec).ravel().tolist()
+    cols, n = spec.cols, spec.num_nodes
+    constraints: list[Row] = []
     for p, ((s, tau), _) in enumerate(pairs):
-        for i in spec.nodes():
-            terms: dict[str, float] = {}
-            for dd in Direction:
-                terms[fvars[(p, DirectedEdge(i, dd))]] = 1.0
-                tail = spec.wrap(i.x - dd.delta[0], i.y - dd.delta[1])
-                name = fvars[(p, DirectedEdge(tail, dd))]
-                terms[name] = terms.get(name, 0.0) - 1.0
-            rhs = 1.0 if i == s else (-1.0 if i == tau else 0.0)
-            constraints.append(
-                (
-                    f"cons_p{p}_n{i.x}_{i.y}",
-                    sorted(((c, n) for n, c in terms.items() if c != 0.0), key=lambda x: x[1]),
-                    "=",
-                    rhs,
-                )
-            )
-    for edge in spec.edges():
-        terms = [
-            (amount, fvars[(p, edge)]) for p, (_, amount) in enumerate(pairs)
-        ]
-        terms.append((-spec.capacity(edge.dir), "th"))
-        constraints.append(
-            (
-                f"load_e{edge.tail.x}_{edge.tail.y}_{_DIR_NAME[edge.dir]}",
-                terms,
-                "<=",
-                0.0,
-            )
+        constraints += _conservation_rows(
+            spec, heads, f"p{p}", fnames[p], s.y * cols + s.x, tau.y * cols + tau.x
         )
+    # load rows in TorusSpec.edges() order: by tail node, then direction
+    for u in range(n):
+        for dd in Direction:
+            e = dd * n + u
+            terms = [(amount, names[e]) for names, (_, amount) in zip(fnames, pairs)]
+            terms.append((-spec.capacity(dd), "th"))
+            name = f"load_e{u % cols}_{u // cols}_{_DIR_NAME[dd]}"
+            constraints.append((name, terms, "<=", 0.0))
 
-    lines = ["\\ optimal routing for a fixed demand", "Minimize", " obj: th", "Subject To"]
-    for name, terms, sense, rhs in constraints:
-        lines.append(f" {name}: {_format_terms(terms)} {sense} {rhs:.17g}")
-    lines.append("Bounds")
-    for name in sorted(fvars.values()):
-        lines.append(f" 0 <= {name} <= 1")
-    lines.append(" 0 <= th")
-    lines.append("End")
-    _emit(sink, lines)
+    boxed = [name for names in fnames for name in names]
+    _write_lp(sink, "optimal routing for a fixed demand", constraints, boxed, ["th"])
     return LpCounts(
-        variables=len(fvars) + 1,
+        variables=len(boxed) + 1,
         constraints=len(constraints),
-        flow_variables=len(fvars),
+        flow_variables=len(boxed),
     )
 
 
@@ -404,8 +402,8 @@ def parse_lp(text: str) -> LpModel:
 
 
 def _violations(model: LpModel, values: dict[str, float], tol: float) -> list[str]:
-    """Every constraint of ``model`` that ``values`` (missing names read 0)
-    violates by more than ``tol``."""
+    """Every constraint and then every variable bound of ``model`` that
+    ``values`` (missing names read 0) violates by more than ``tol``."""
     failures = []
     for con in model.constraints:
         lhs = sum(coef * values.get(name, 0.0) for name, coef in con.terms.items())
@@ -416,6 +414,12 @@ def _violations(model: LpModel, values: dict[str, float], tol: float) -> list[st
         )
         if not ok:
             failures.append(f"{con.name}: lhs={lhs:.9g} {con.sense} {con.rhs}")
+    for name, (lo, hi) in model.bounds.items():
+        v = values.get(name, 0.0)
+        if lo is not None and v < lo - tol:
+            failures.append(f"bound {name}: {v} < {lo}")
+        if hi is not None and v > hi + tol:
+            failures.append(f"bound {name}: {v} > {hi}")
     return failures
 
 
@@ -431,12 +435,11 @@ def check_opt_feasibility(
     ``Policy.pair_flows`` returns them) and a load bound into a parsed
     fixed-demand model and report every violated constraint."""
     values: dict[str, float] = {"th": theta}
-    for p, (pair, _) in enumerate(sorted(demand.entries.items())):
+    pairs = sorted(demand.entries)
+    for names, pair in zip(_f_names(spec, len(pairs)), pairs):
         flows = pair_flows.get(pair)
-        for edge in spec.edges():
-            name = f"f_p{p}_e{edge.tail.x}_{edge.tail.y}_{_DIR_NAME[edge.dir]}"
-            v = 0.0 if flows is None else flows[edge.dir, edge.tail.y, edge.tail.x]
-            values[name] = float(v)
+        if flows is not None:
+            values.update(zip(names, np.ravel(flows).tolist()))
     return _violations(model, values, tol)
 
 
@@ -471,11 +474,4 @@ def check_oblivious_feasibility(
     for key, v in zip(index.rep[first].tolist(), flows[first].tolist()):
         values.setdefault(index.name(key), v)
 
-    failures = _violations(model, values, tol)
-    for name, (lo, hi) in model.bounds.items():
-        v = values.get(name, 0.0)
-        if lo is not None and v < lo - tol:
-            failures.append(f"bound {name}: {v} < {lo}")
-        if hi is not None and v > hi + tol:
-            failures.append(f"bound {name}: {v} > {hi}")
-    return failures
+    return _violations(model, values, tol)

@@ -6,13 +6,13 @@ source stem, cross between stems on pairwise edge-disjoint paths, and
 aggregate at the destination stem; ``route_disjoint_quanta`` provides that
 crossing with two paths per stem node on each side, and ``max_flow`` the
 min cuts that decide whether it exists.  Both run one integer max-flow
-routine, ``_augment`` (shortest augmenting paths), on edge ids
-``node_index * 4 + dir`` in ``TorusSpec.edges()`` order.
-
-``route_disjoint_quanta`` takes its per-edge capacities as one integer
-``[dir, y, x]`` array, laid out like a policy slab, where 0 forbids an edge:
-the stem schemes pass their leftover leg budgets and a pool width there, and
-``find_disjoint_stem_paths`` its forbidden stem edges.
+routine, ``_augment`` (shortest augmenting paths), on edge ids that are slab
+indices: the edge leaving (x, y) in direction ``dir`` is ``dir * num_nodes +
+y * cols + x``, its place in a flattened ``[dir, y, x]`` policy slab, and its
+head is read from :func:`toruslb.torus.edge_heads`.  Both take per-edge
+capacities as one such slab, where 0 removes an edge; only
+``find_disjoint_stem_paths`` and ``max_flow``'s cut turn ids into
+``DirectedEdge``s.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import lcm
 
 import numpy as np
 
-from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec
+from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, edge_heads
 
 
 class PathError(ValueError):
@@ -61,11 +61,6 @@ class Stem:
         return frozenset(self.members) | {self.center}
 
 
-def stems_overlap(a: Stem, b: Stem) -> bool:
-    """True when two stems, centers included, share a node."""
-    return not a.nodes.isdisjoint(b.nodes)
-
-
 def stem(spec: TorusSpec, center: Node, r1: int, r2: int) -> Stem:
     """Nodes differing from ``center`` in exactly one coordinate, within r1
     hops vertically or r2 hops horizontally.  Leg order: +v, -v, +h, -h, each
@@ -94,26 +89,23 @@ def stem(spec: TorusSpec, center: Node, r1: int, r2: int) -> Stem:
     return Stem(center=center, members=tuple(members))
 
 
-def _edge_heads(spec: TorusSpec) -> list[int]:
-    """Head node index of every edge id ``node_index * 4 + dir``, where
-    ``node_index = y * cols + x`` follows ``spec.nodes()``; edge ids follow
-    ``spec.edges()``."""
-    rows, cols = spec.rows, spec.cols
-    deltas = [d.delta for d in Direction]
-    return [
-        (y + dy) % rows * cols + (x + dx) % cols
-        for y in range(rows)
-        for x in range(cols)
-        for dx, dy in deltas
-    ]
+def _disjoint_stems(
+    spec: TorusSpec, src: Node, dst: Node, r1: int, r2: int
+) -> tuple[Stem, Stem]:
+    """The stems of ``src`` and ``dst``, which may not share a node, centers
+    included."""
+    s_stem, t_stem = stem(spec, src, r1, r2), stem(spec, dst, r1, r2)
+    if not s_stem.nodes.isdisjoint(t_stem.nodes):
+        raise StemsOverlap(f"stems of {src} and {dst} intersect")
+    return s_stem, t_stem
 
 
 def _augment(
     heads: list[int], cap: list[int], supply: dict[int, int], demand: dict[int, int]
 ) -> tuple[list[int], list[int]]:
     """Integer max flow from supplier quotas to demander quotas by shortest
-    augmenting paths (Edmonds and Karp); ``supply`` and ``demand`` are drawn
-    down in place.
+    augmenting paths (Edmonds and Karp) over slab-index edge ids; ``supply``
+    and ``demand`` are drawn down in place.
 
     Each search is a breadth-first search seeded with every supplier that
     has quota left, in ``supply`` order, that visits a node's edges in
@@ -125,11 +117,12 @@ def _augment(
     once no path is left, the reached nodes are the source side of a min
     cut.
     """
+    n = len(heads) // 4
     # the reverse of an edge leaves its head; opposite directions are dir ^ 1
-    back = [4 * v + ((e & 3) ^ 1) for e, v in enumerate(heads)]
+    back = [((e // n) ^ 1) * n + v for e, v in enumerate(heads)]
     flow = [0] * len(cap)
     while True:
-        parent = [-2] * (len(heads) // 4)
+        parent = [-2] * n
         queue: deque[int] = deque()
         for u, quota in supply.items():
             if quota > 0:
@@ -139,7 +132,7 @@ def _augment(
             u = queue.popleft()
             if demand.get(u, 0) > 0:
                 break
-            for e in range(4 * u, 4 * u + 4):
+            for e in range(u, 4 * n, n):
                 v = heads[e]
                 if parent[v] == -2 and (flow[e] < cap[e] or flow[back[e]] > 0):
                     parent[v] = e
@@ -150,7 +143,7 @@ def _augment(
         path = []
         while parent[u] >= 0:
             path.append(parent[u])
-            u = parent[u] >> 2
+            u = parent[u] % n
         amount = min(
             supply[u], demand[end], *(cap[e] - flow[e] + flow[back[e]] for e in path)
         )
@@ -164,43 +157,46 @@ def _augment(
 
 def max_flow(
     spec: TorusSpec,
-    removed: set[DirectedEdge],
     sources: set[Node],
     sinks: set[Node],
-    capacities: dict[DirectedEdge, float] | None = None,
+    capacity: np.ndarray | None = None,
 ) -> tuple[float, set[DirectedEdge]]:
     """Exact max flow from a node set to a node set over the torus edges,
     returning the value and a witnessing min cut.
 
-    Capacities default to the spec's per-direction values; rational values
-    are scaled to integers so the value and cut agree exactly.  The cut is
-    the one around the nodes reachable from the sources in the residual
-    graph, the same for every maximum flow.
+    ``capacity[dir, y, x]`` is the capacity of the edge leaving (x, y) in
+    direction ``dir``, 0 removing it; it defaults to the spec's link
+    capacities.  Rational values are scaled to integers so the value and cut
+    agree exactly.  The cut is the one around the nodes reachable from the
+    sources in the residual graph, the same for every maximum flow.
     """
     if sources & sinks:
         raise PathError("sources and sinks must be disjoint")
-    edges = list(spec.edges())
-    fracs: dict[int, Fraction] = {}
-    for e, edge in enumerate(edges):
-        if edge not in removed:
-            c = (capacities or {}).get(edge, spec.capacity(edge.dir))
-            fracs[e] = Fraction(c).limit_denominator(10**6)
-    scale = lcm(*(f.denominator for f in fracs.values()))
-    cap = [0] * len(edges)
-    for e, frac in fracs.items():
-        cap[e] = int(frac * scale)
+    shape = (4, spec.rows, spec.cols)
+    if capacity is None:
+        per_dir = np.array([spec.capacity(d) for d in Direction])
+        capacity = np.broadcast_to(per_dir[:, None, None], shape)
+    if capacity.shape != shape:
+        raise ValueError(f"capacity has shape {capacity.shape}, expected (4, rows, cols)")
+    values, inverse = np.unique(capacity.ravel(), return_inverse=True)
+    fracs = [Fraction(c).limit_denominator(10**6) for c in values.tolist()]
+    scale = lcm(*(f.denominator for f in fracs))
+    cap = np.array([int(f * scale) for f in fracs])[inverse].tolist()
 
-    index = {node: i for i, node in enumerate(spec.nodes())}
     big = sum(cap) + 1
-    supply = {index[node]: big for node in sources}
-    demand = {index[node]: big for node in sinks}
-    heads = _edge_heads(spec)
+    supply = {u.y * spec.cols + u.x: big for u in sources}
+    demand = {u.y * spec.cols + u.x: big for u in sinks}
+    heads = edge_heads(spec).ravel().tolist()
     _, parent = _augment(heads, cap, supply, demand)
     value = big * len(supply) - sum(supply.values())
-    cut_ids = [e for e in fracs if parent[e >> 2] != -2 and parent[heads[e]] == -2]
+    n = spec.num_nodes
+    cut_ids = [
+        e for e, c in enumerate(cap) if c and parent[e % n] != -2 and parent[heads[e]] == -2
+    ]
     if sum(cap[e] for e in cut_ids) != value:
         raise PathError("max-flow/min-cut duality violated")
-    return value / scale, {edges[e] for e in cut_ids}
+    nodes = list(spec.nodes())
+    return value / scale, {DirectedEdge(nodes[e % n], Direction(e // n)) for e in cut_ids}
 
 
 def min_cut_between_stems(
@@ -208,11 +204,8 @@ def min_cut_between_stems(
 ) -> float:
     """Capacity-weighted min cut separating the two stems, by max flow from
     the source stem to the destination stem."""
-    s_stem = stem(spec, src, r1, r2)
-    t_stem = stem(spec, dst, r1, r2)
-    if stems_overlap(s_stem, t_stem):
-        raise StemsOverlap(f"stems of {src} and {dst} intersect")
-    value, _ = max_flow(spec, set(), set(s_stem.members), set(t_stem.members))
+    s_stem, t_stem = _disjoint_stems(spec, src, dst, r1, r2)
+    value, _ = max_flow(spec, set(s_stem.members), set(t_stem.members))
     return value
 
 
@@ -221,11 +214,12 @@ def route_disjoint_quanta(
     suppliers: list[tuple[Node, int]],
     demanders: list[tuple[Node, int]],
     capacity: np.ndarray,
-) -> list[EdgePath]:
-    """Paths carrying one quantum each from suppliers to demanders, with the
-    given per-node path counts.  ``capacity[dir, y, x]`` is the number of
-    quanta the edge leaving (x, y) in direction ``dir`` may carry; 0 forbids
-    the edge, and all ones asks for pairwise edge-disjoint paths.
+) -> list[list[int]]:
+    """Paths of edge ids carrying one quantum each from suppliers to
+    demanders, with the given per-node path counts.  ``capacity[dir, y, x]``
+    is the number of quanta the edge leaving (x, y) in direction ``dir`` may
+    carry; 0 forbids the edge, and all ones asks for pairwise edge-disjoint
+    paths.
 
     The quanta are routed by ``_augment``'s shortest augmenting paths,
     seeded with the suppliers in the given order, so a later path may undo
@@ -235,32 +229,25 @@ def route_disjoint_quanta(
     """
     if capacity.shape != (4, spec.rows, spec.cols):
         raise ValueError(f"capacity has shape {capacity.shape}, expected (4, rows, cols)")
-    nodes = list(spec.nodes())
-    index = {node: i for i, node in enumerate(nodes)}
+    sources = [(u.y * spec.cols + u.x, quota) for u, quota in suppliers]
+    sinks = [(v.y * spec.cols + v.x, quota) for v, quota in demanders]
     supply: dict[int, int] = {}
-    for node, quota in suppliers:
-        supply[index[node]] = supply.get(index[node], 0) + quota
     demand: dict[int, int] = {}
-    for node, quota in demanders:
-        demand[index[node]] = demand.get(index[node], 0) + quota
+    for quotas, terminals in ((supply, sources), (demand, sinks)):
+        for u, quota in terminals:
+            quotas[u] = quotas.get(u, 0) + quota
     if supply.keys() & demand.keys():
         raise PathError("suppliers and demanders must be disjoint")
-    cap = capacity.transpose(1, 2, 0).ravel().tolist()
 
     wanted = dict(demand)
     total = sum(supply.values())
-    heads = _edge_heads(spec)
-    flow, _ = _augment(heads, cap, supply, demand)
+    heads = edge_heads(spec).ravel().tolist()
+    flow, _ = _augment(heads, capacity.ravel().tolist(), supply, demand)
     unrouted = sum(supply.values())
     if unrouted:
         raise CutTooSmall(f"cut admits {total - unrouted} of {total} quanta")
     consumed = {u: wanted[u] - demand[u] for u in wanted}
-    return [
-        [DirectedEdge(nodes[e >> 2], Direction(e & 3)) for e in path]
-        for path in _decompose_flow(
-            heads, [(index[node], quota) for node, quota in suppliers], consumed, flow
-        )
-    ]
+    return _decompose_flow(heads, sources, consumed, flow)
 
 
 def _decompose_flow(
@@ -271,10 +258,11 @@ def _decompose_flow(
 ) -> list[list[int]]:
     """Split an integer edge flow into one loop-free path of edge ids per
     supplied quantum."""
+    n = len(heads) // 4
     flow_out: dict[int, list[int]] = {}
     for e, units in enumerate(flow):
         if units:
-            flow_out.setdefault(e >> 2, []).extend([e] * units)
+            flow_out.setdefault(e % n, []).extend([e] * units)
     terminal = dict(consumed)
     paths: list[list[int]] = []
     limit = sum(flow) + 1
@@ -291,17 +279,17 @@ def _decompose_flow(
                 u = heads[e]
             else:
                 raise PathError("flow decomposition failed to terminate")
-            paths.append(_trim_cycles(heads, path))
+            paths.append(_trim_cycles(heads, node, path))
     if any(terminal.values()):
         raise PathError("terminals left unserved")
     return paths
 
 
-def _trim_cycles(heads: list[int], path: list[int]) -> list[int]:
-    """Loop-erase a nonempty walk of edge ids so the result visits each node
-    at most once."""
-    nodes = [path[0] >> 2]
-    index = {nodes[0]: 0}
+def _trim_cycles(heads: list[int], start: int, path: list[int]) -> list[int]:
+    """Loop-erase a walk of edge ids from node ``start`` so the result visits
+    each node at most once."""
+    nodes = [start]
+    index = {start: 0}
     out: list[int] = []
     for e in path:
         head = heads[e]
@@ -330,22 +318,17 @@ def find_disjoint_stem_paths(
     so the paths compose with the local load-balancing phases without
     overloading leg edges.
     """
-    s_stem = stem(spec, src, r1, r2)
-    t_stem = stem(spec, dst, r1, r2)
-    if stems_overlap(s_stem, t_stem):
-        raise StemsOverlap(f"stems of {src} and {dst} intersect")
+    s_stem, t_stem = _disjoint_stems(spec, src, dst, r1, r2)
     # The cut around either stem-plus-center has only 4 spare edges beyond the
     # 8r path endpoints, so no valid solution transits a stem: forbid entering
     # the source stem and leaving the destination stem, which also keeps the
     # paths off the stems' own leg edges and forces each path to leave
     # perpendicular to its leg.
-    capacity = np.ones((4, spec.rows, spec.cols), dtype=int)
-    for v in s_stem.nodes:
-        for d in Direction:
-            tail = spec.step(v, d.opposite)
-            capacity[d, tail.y, tail.x] = 0
-    for u in t_stem.nodes:
-        capacity[:, u.y, u.x] = 0
+    s_nodes, t_nodes = ([u.y * spec.cols + u.x for u in st.nodes] for st in (s_stem, t_stem))
+    tails = np.arange(spec.num_nodes).reshape(spec.rows, spec.cols)
+    capacity = np.where(np.isin(edge_heads(spec), s_nodes) | np.isin(tails, t_nodes), 0, 1)
     suppliers = [(node, 2) for node in s_stem.members]
     demanders = [(node, 2) for node in t_stem.members]
-    return route_disjoint_quanta(spec, suppliers, demanders, capacity)
+    paths = route_disjoint_quanta(spec, suppliers, demanders, capacity)
+    nodes, n = list(spec.nodes()), spec.num_nodes
+    return [[DirectedEdge(nodes[e % n], Direction(e // n)) for e in path] for path in paths]

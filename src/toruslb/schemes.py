@@ -33,10 +33,9 @@ import numpy as np
 from toruslb.paths import (
     PathError,
     RadiusTooLarge,
-    max_flow,
+    StemsOverlap,
+    min_cut_between_stems,
     route_disjoint_quanta,
-    stem,
-    stems_overlap,
 )
 from toruslb.policy import OriginPolicy, symmetrize_origin, translate
 from toruslb.torus import Direction, Node, TorusSpec, node_neg, node_sub
@@ -241,9 +240,7 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> np.ndarray:
                 continue
         if paths is None:
             raise PathError(f"stem crossing infeasible for destination {t}")
-        for path in paths:
-            for edge in path:
-                q[edge.dir, edge.tail.y, edge.tail.x] += 1
+        q += np.bincount([e for path in paths for e in path], minlength=q.size).reshape(shape)
     return q * unit
 
 
@@ -335,18 +332,12 @@ def _probe_high_cut(spec: TorusSpec, r1: int, r2: int) -> bool:
     ring scheme instead."""
     if 2 * r1 >= spec.rows or 2 * r2 >= spec.cols:
         return False
-    s_stem = stem(spec, Node(0, 0), r1, r2)
-    t_stem = stem(spec, Node(spec.cols // 2, spec.rows // 2), r1, r2)
-    if stems_overlap(s_stem, t_stem):
+    unit = TorusSpec(spec.rows, spec.cols)
+    far = Node(spec.cols // 2, spec.rows // 2)
+    try:
+        return min_cut_between_stems(unit, Node(0, 0), far, r1, r2) >= 4 * (r1 + r2)
+    except StemsOverlap:
         return False
-    value, _ = max_flow(
-        spec,
-        set(),
-        set(s_stem.members),
-        set(t_stem.members),
-        capacities={e: 1.0 for e in spec.edges()},
-    )
-    return value >= 4 * (r1 + r2)
 
 
 def build_gllb(spec: TorusSpec, r1: int, r2: int) -> OriginPolicy:

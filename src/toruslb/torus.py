@@ -130,6 +130,15 @@ class TorusSpec:
         return self.wrap(u.x + dx, u.y + dy)
 
 
+def edge_heads(spec: TorusSpec) -> np.ndarray:
+    """Head node index (``y * cols + x``) of every edge, laid out ``[dir, y,
+    x]`` like a policy slab; its flat index ``dir * num_nodes + y * cols + x``
+    is the edge's id below the public API."""
+    grid = np.arange(spec.num_nodes).reshape(spec.rows, spec.cols)
+    shifts = [(-d.delta[1], -d.delta[0]) for d in Direction]
+    return np.stack([np.roll(grid, shift, axis=(0, 1)) for shift in shifts])
+
+
 def node_add(spec: TorusSpec, u: Node, v: Node) -> Node:
     return spec.wrap(u.x + v.x, u.y + v.y)
 

@@ -67,8 +67,6 @@ class TrafficClassReport:
     is_k_limited: bool
     is_k_sparse: bool
     total: float
-    num_sources: int
-    num_sinks: int
     violations: list[str] = field(default_factory=list)
 
 
@@ -115,8 +113,6 @@ def classify(d: TrafficMatrix, k: int) -> TrafficClassReport:
         is_k_limited=is_k_limited,
         is_k_sparse=is_k_sparse,
         total=total,
-        num_sources=num_sources,
-        num_sinks=num_sinks,
         violations=violations,
     )
 

@@ -106,7 +106,7 @@ def test_bisection_bandwidth_matches_max_flow(spec):
         {u for u in nodes if u.y < spec.rows // 2},
         {u for u in nodes if u.x < spec.cols // 2},
     ):
-        value, _ = paths.max_flow(spec, set(), half, nodes - half)
+        value, _ = paths.max_flow(spec, half, nodes - half)
         flows.append(value)
     assert bisection_bandwidth(spec) == pytest.approx(min(flows), abs=1e-12)
 

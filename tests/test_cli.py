@@ -88,7 +88,14 @@ def test_usage_error_exit_code():
         main([])
     assert err.value.code == 2
     # each command accepts only the flags it reads
-    for argv in (["export-lp", "--trials", "3"], ["bounds", "--r", "2"]):
+    for argv in (
+        ["export-lp", "--trials", "3"],
+        ["bounds", "--r", "2"],
+        # table1, table2 and bounds build LLB, which needs a square torus, and
+        # their columns assume unit capacity, so they take no --m, --c1, --c2
+        ["bounds", "--n", "6", "--c1", "2", "--c2", "2"],
+        ["table2", "--m", "8"],
+    ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv

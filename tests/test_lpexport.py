@@ -21,7 +21,14 @@ from toruslb.lpexport import (
     parse_lp,
 )
 from toruslb.schemes import build_ecmp, build_llb
-from toruslb.torus import Node, TorusSpec, apply_automorphism, apply_to_edge, point_group
+from toruslb.torus import (
+    Direction,
+    Node,
+    TorusSpec,
+    apply_automorphism,
+    apply_to_edge,
+    point_group,
+)
 from toruslb.traffic import gen_split_diamond
 
 
@@ -147,6 +154,34 @@ def test_opt_lp_accepts_real_routing():
     assert check_opt_feasibility(spec, demand, model, flows, theta) == []
     # an understated bound must violate some load constraint
     assert check_opt_feasibility(spec, demand, model, flows, theta / 2)
+
+
+def test_opt_feasibility_reports_bound_violations():
+    from toruslb.evaluate import edge_loads
+    from toruslb.lpexport import check_opt_feasibility
+    from toruslb.traffic import gen_hotspot
+
+    spec = TorusSpec(6, 6)
+    demand = gen_hotspot(spec, 4)
+    buf = io.StringIO()
+    export_opt_lp(spec, demand, buf)
+    model = parse_lp(buf.getvalue())
+    policy = build_ecmp(spec)
+    flows = {pair: policy.pair_flows(*pair).copy() for pair in demand.entries}
+    theta = edge_loads(policy, demand).max_load
+    # a -0.5 circulation around the unit square with corner (3, 3), off the
+    # first pair's route: conservation still holds and no load rises, so only
+    # the flows' lower bounds catch it
+    first = flows[min(demand.entries)]
+    for d, x, y in ((Direction.POS_HOR, 3, 3), (Direction.POS_VERT, 4, 3),
+                    (Direction.NEG_HOR, 4, 4), (Direction.NEG_VERT, 3, 4)):
+        first[d, y, x] -= 0.5
+    assert check_opt_feasibility(spec, demand, model, flows, theta) == [
+        "bound f_p0_e3_3_ph: -0.5 < 0.0",
+        "bound f_p0_e3_4_nv: -0.5 < 0.0",
+        "bound f_p0_e4_3_pv: -0.5 < 0.0",
+        "bound f_p0_e4_4_nh: -0.5 < 0.0",
+    ]
 
 
 # sha256 of export_reduced_oblivious_lp text, recorded before variable names

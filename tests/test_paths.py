@@ -18,7 +18,7 @@ from toruslb.paths import (
 )
 from toruslb.policy import policy_to_csv
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
-from toruslb.torus import Node, TorusSpec
+from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec
 
 
 def test_stem_sizes():
@@ -110,20 +110,18 @@ def test_disjoint_paths_cut_too_small():
 
 def test_max_flow_basics():
     spec = TorusSpec(5, 5)
-    value, cut = max_flow(spec, set(), {Node(0, 0)}, {Node(1, 0)})
+    value, cut = max_flow(spec, {Node(0, 0)}, {Node(1, 0)})
     assert value >= 1
-    everything = set(spec.edges())
-    value0, _ = max_flow(spec, everything, {Node(0, 0)}, {Node(1, 0)})
+    value0, _ = max_flow(spec, {Node(0, 0)}, {Node(1, 0)}, np.zeros((4, 5, 5)))
     assert value0 == 0
     with pytest.raises(Exception):
-        max_flow(spec, set(), {Node(0, 0)}, {Node(0, 0)})
+        max_flow(spec, {Node(0, 0)}, {Node(0, 0)})
 
 
 def test_max_flow_matches_stem_cut():
     spec = TorusSpec(8, 8)
     direct, cut = max_flow(
         spec,
-        set(),
         set(stem(spec, Node(0, 0), 2, 2).members),
         set(stem(spec, Node(4, 4), 2, 2).members),
     )
@@ -133,7 +131,7 @@ def test_max_flow_matches_stem_cut():
 
 def test_max_flow_respects_capacities():
     spec = TorusSpec(4, 4, cap_vertical=2.0, cap_horizontal=0.5)
-    value, cut = max_flow(spec, set(), {Node(0, 0)}, {Node(2, 2)})
+    value, cut = max_flow(spec, {Node(0, 0)}, {Node(2, 2)})
     assert value == sum(spec.capacity(e.dir) for e in cut)
     # out-degree of a single source: two vertical and two horizontal links
     assert value <= 2 * 2.0 + 2 * 0.5
@@ -174,9 +172,10 @@ def tiny_networks(draw):
 @given(tiny_networks())
 def test_max_flow_equals_brute_force_min_cut(network):
     spec, cap, sources, sinks = network
-    value, cut = max_flow(
-        spec, set(), set(sources), set(sinks), capacities={e: float(c) for e, c in cap.items()}
-    )
+    capacity = np.zeros((4, spec.rows, spec.cols))
+    for e, c in cap.items():
+        capacity[e.dir, e.tail.y, e.tail.x] = c
+    value, cut = max_flow(spec, set(sources), set(sinks), capacity)
     expected = brute_force_cut(
         spec,
         cap,
@@ -184,6 +183,7 @@ def test_max_flow_equals_brute_force_min_cut(network):
     )
     assert value == expected
     assert sum(cap[e] for e in cut) == value
+    assert all(cap[e] > 0 for e in cut)
     # the cut separates: without its edges no positive edge joins sources to sinks
     reach = set(sources)
     frontier = list(sources)
@@ -225,7 +225,11 @@ def test_route_disjoint_quanta_against_brute_force_cut(network, data):
         with pytest.raises(CutTooSmall):
             route_disjoint_quanta(*args)
         return
-    paths = route_disjoint_quanta(*args)
+    n = spec.num_nodes
+    paths = [
+        [DirectedEdge(Node(e % n % spec.cols, e % n // spec.cols), Direction(e // n)) for e in ids]
+        for ids in route_disjoint_quanta(*args)
+    ]
     assert len(paths) == total
     for path in paths:
         assert path

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from toruslb.schemes import (
     build_llb,
     build_ring_lb,
     build_vlb,
+    _probe_high_cut,
     _stem_route,
     gllb_radii,
 )
@@ -191,6 +194,25 @@ def test_gllb_matches_llb_on_square():
 def test_gllb_low_cut_is_ring():
     spec = TorusSpec(4, 10)
     assert np.array_equal(build_gllb(spec, 2, 2).flows, build_ring_lb(spec).flows)
+
+
+def test_probe_high_cut_choices_pinned():
+    # sha256 of every case's high-cut verdict, recorded while the probe still
+    # rebuilt both stems and ran its own unit-capacity max flow; the probe is
+    # capacity-blind, so (2, 1) must repeat the (1, 1) verdicts
+    verdicts = [
+        _probe_high_cut(TorusSpec(rows, cols, *caps), r1, r2)
+        for rows in range(3, 13)
+        for cols in range(3, 13)
+        for r1 in range(1, rows // 2 + 1)
+        for r2 in range(1, cols // 2 + 1)
+        for caps in ((1.0, 1.0), (2.0, 1.0))
+    ]
+    assert (len(verdicts), sum(verdicts)) == (2450, 1246)
+    assert (
+        hashlib.sha256(bytes(verdicts)).hexdigest()
+        == "a1f26cd8aa42ca0b71df671a67cdf821806f523fd7ead6945d3d234059e96a92"
+    )
 
 
 def test_ring_per_pair_caps():
