@@ -259,6 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # LLB and split-diamond are defined on square tori with equal capacities
+    if args.m not in (None, args.n) or args.c1 != args.c2:
+        for flag, value in (("scheme", "llb"), ("traffic", "split-diamond")):
+            if getattr(args, flag, None) == value:
+                parser.error(f"--{flag} {value} needs --m equal to --n and --c1 equal to --c2")
     try:
         return args.func(args)
     except Exception as exc:  # runtime failures exit 1, usage errors exit 2

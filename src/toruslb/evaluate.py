@@ -18,7 +18,7 @@ from typing import Callable, Hashable, Sequence
 import numpy as np
 
 from toruslb.policy import FullPolicy, Policy, check_reflection_invariance, edge_entries
-from toruslb.torus import DirectedEdge, Direction, Node
+from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec
 from toruslb.traffic import TrafficMatrix
 
 VALUE_TOL = 1e-9
@@ -210,24 +210,29 @@ def pair_weights_on_edge(p: Policy, edge: DirectedEdge) -> dict[tuple[Node, Node
     }
 
 
+def load_edge_classes(spec: TorusSpec) -> list[tuple[str, DirectedEdge, float]]:
+    """Representative load edges of a reflection-invariant origin policy,
+    labelled and with their capacities: the origin's ``POS_VERT`` edge, plus
+    its ``POS_HOR`` edge unless the x=y reflection identifies the two axes."""
+    origin = Node(0, 0)
+    classes = [("v", DirectedEdge(origin, Direction.POS_VERT), spec.cap_vertical)]
+    if not spec.is_square_symmetric():
+        classes.append(("h", DirectedEdge(origin, Direction.POS_HOR), spec.cap_horizontal))
+    return classes
+
+
 def candidate_edges(p: Policy) -> list[DirectedEdge]:
     """Edges whose k-limited maxima determine the worst case.
 
     Origin policies are translation invariant, so only the four origin edges
-    can differ; reflection invariance further collapses opposite directions,
-    and the x=y reflection identifies the two axes on square symmetric specs.
+    can differ; reflection invariance further collapses opposite directions
+    to :func:`load_edge_classes`.
     """
-    origin = Node(0, 0)
     if isinstance(p, FullPolicy):
         return sorted(p.spec.edges())
     if check_reflection_invariance(p):
-        if p.spec.is_square_symmetric():
-            return [DirectedEdge(origin, Direction.POS_VERT)]
-        return [
-            DirectedEdge(origin, Direction.POS_VERT),
-            DirectedEdge(origin, Direction.POS_HOR),
-        ]
-    return [DirectedEdge(origin, d) for d in Direction]
+        return [edge for _, edge, _ in load_edge_classes(p.spec)]
+    return [DirectedEdge(Node(0, 0), d) for d in Direction]
 
 
 def worst_case_load(

@@ -40,7 +40,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from toruslb.evaluate import SpecMismatch
+from toruslb.evaluate import SpecMismatch, load_edge_classes
 from toruslb.policy import OriginPolicy
 from toruslb.torus import (
     DirectedEdge,
@@ -97,18 +97,6 @@ def _g_name(t: Node, edge: DirectedEdge) -> str:
     return (
         f"g_t{t.x}_{t.y}_e{edge.tail.x}_{edge.tail.y}_{_DIR_NAME[edge.dir]}"
     )
-
-
-def load_edge_classes(spec: TorusSpec) -> list[tuple[str, DirectedEdge, float]]:
-    """Representative load edges: one per direction class surviving the
-    spec's reflections."""
-    origin = Node(0, 0)
-    classes = [("v", DirectedEdge(origin, Direction.POS_VERT), spec.cap_vertical)]
-    if not spec.is_square_symmetric():
-        classes.append(
-            ("h", DirectedEdge(origin, Direction.POS_HOR), spec.cap_horizontal)
-        )
-    return classes
 
 
 class _OrbitIndex:

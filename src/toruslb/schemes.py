@@ -10,8 +10,10 @@ array ``G[t, dir, y, x]`` (see :mod:`toruslb.policy`).
   one of them.
 * VLB: two-phase routing through a uniformly random intermediate node.
 * LLB(r): spread over the source stem, cross on edge-disjoint paths, and
-  aggregate at the destination stem; near destinations cancel the shared stem
-  work instead of crossing.  Each route is a slab of integer quanta.
+  aggregate at the destination stem, which is the source stem reflected
+  through t/2 (u -> t - u, edges reversed); near destinations cancel the
+  shared stem work instead of crossing.  Each route is a slab of integer
+  quanta.
 * GLLB(r1, r2): the N x M generalization with per-axis radii; when the cut
   between stems is bisection-limited it falls back to ring load balancing.
 * Ring load balancing: spread around the short-dimension ring, cross on both
@@ -111,21 +113,6 @@ def build_vlb(spec: TorusSpec) -> OriginPolicy:
 # Stem-based routing (LLB and the high-cut GLLB cases)
 
 
-def _axis_distance_along(spec: TorusSpec, t: Node, direction: Direction) -> int | None:
-    """Hops from the origin to t walking only in ``direction``, or None when
-    t is not on that axis line."""
-    dx, dy = direction.delta
-    if dx == 0:
-        if t.x != 0:
-            return None
-        extent, coord, step = spec.rows, t.y, dy
-    else:
-        if t.y != 0:
-            return None
-        extent, coord, step = spec.cols, t.x, dx
-    return coord % extent if step > 0 else (-coord) % extent
-
-
 def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> np.ndarray:
     """Three-phase stem routing for one destination, as a ``[dir, y, x]``
     slab.
@@ -138,93 +125,72 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> np.ndarray:
     other stem node ships its share on two crossing paths, and the crossing
     quanta may ride whatever leg-edge budget the trimming left unused.
 
+    Only the source stem is walked.  The destination stem, its aggregation
+    and its holds are the source stem reflected through t/2: node u maps to
+    t - u with every edge reversed, so edge (d, u) reads edge
+    (d, t - u - delta_d).
+
     All accounting is in integer quanta of 1/(4*(r1+r2)), so the edge flows
     never exceed the leg profile on axis edges or one quantum elsewhere; that
     per-pair cap is what pins the scheme's exact worst-case load.
     """
-    origin = Node(0, 0)
     if 2 * r1 >= spec.rows or 2 * r2 >= spec.cols:
         raise RadiusTooLarge(
             f"need 2*r1 < rows and 2*r2 < cols, got r1={r1}, r2={r2}"
         )
-    legs = (
-        (Direction.POS_VERT, r1),
-        (Direction.NEG_VERT, r1),
-        (Direction.POS_HOR, r2),
-        (Direction.NEG_HOR, r2),
-    )
+    rows, cols = spec.rows, spec.cols
     unit = 1.0 / (4 * (r1 + r2))
-    shape = (4, spec.rows, spec.cols)
+    shape = (4, rows, cols)
+    # cap: leg profile 2*(radius - h) on the h-th edge of each leg; spread:
+    # that profile cut at the trimmed length; q starts with the midline
+    # handoffs, which are not mirrored
+    cap = np.zeros(shape, dtype=int)
+    spread = np.zeros(shape, dtype=int)
     q = np.zeros(shape, dtype=int)
+    keep0: dict[Node, int] = {}
+    for direction, radius, along, across, extent in (
+        (Direction.POS_VERT, r1, t.y, t.x, rows),
+        (Direction.NEG_VERT, r1, -t.y, t.x, rows),
+        (Direction.POS_HOR, r2, t.x, t.y, cols),
+        (Direction.NEG_HOR, r2, -t.x, t.y, cols),
+    ):
+        # hops to t along the leg; a leg off t's axis line is never trimmed
+        d_seg = along % extent if across == 0 else 2 * radius
+        length = min(radius, d_seg // 2)
+        node = Node(0, 0)
+        for h in range(radius):
+            profile = 2 * (radius - h)
+            cap[direction, node.y, node.x] = profile
+            if h < length:
+                spread[direction, node.y, node.x] = profile
+            elif h == length and d_seg % 2:
+                q[direction, node.y, node.x] = profile
+            node = spec.step(node, direction)
+            if h < length:
+                keep0[node] = 2 if h < length - 1 else profile
 
+    # the destination stem: edge (d, u) reads edge (d, t - u - delta_d)
+    dx, dy = np.array([d.delta for d in Direction]).T
+    ys = (t.y - dy[:, None] - np.arange(rows))[:, :, None] % rows
+    xs = (t.x - dx[:, None] - np.arange(cols))[:, None, :] % cols
+    cap_dst, aggregation = np.stack([cap, spread])[:, np.arange(4)[:, None, None], ys, xs]
+    q += spread + aggregation
     # Per-pair slot capacities in quanta: distribution edges of the source
     # stem and aggregation edges of the destination stem.  An edge serving
     # both roles for this pair may carry their sum minus one quantum: using
     # two slots with one demand frees a pool seat elsewhere, and the forfeited
     # quantum is what keeps the stacked worst case unchanged.
-    cap_src = np.zeros(shape, dtype=int)
-    cap_dst = np.zeros(shape, dtype=int)
-    for direction, radius in legs:
-        node, tip = origin, t
-        for h in range(radius):
-            cap_src[direction, node.y, node.x] = 2 * (radius - h)
-            node, tip = spec.step(node, direction), spec.step(tip, direction)
-            cap_dst[direction.opposite, tip.y, tip.x] = 2 * (radius - h)
-    slot_cap = np.where(
-        (cap_src > 0) & (cap_dst > 0), cap_src + cap_dst - 1, np.maximum(cap_src, cap_dst)
-    )
+    slot_cap = np.where((cap > 0) & (cap_dst > 0), cap + cap_dst - 1, np.maximum(cap, cap_dst))
 
-    keep0: dict[Node, int] = {}
-    keep_t: dict[Node, int] = {}
-
-    def trimmed_length(d_seg: int | None, radius: int) -> int:
-        if d_seg is not None and d_seg // 2 < radius:
-            return d_seg // 2
-        return radius
-
-    # phase 1 and the midline handoffs
-    for direction, radius in legs:
-        d_seg = _axis_distance_along(spec, t, direction)
-        length = trimmed_length(d_seg, radius)
-        node = origin
-        for h in range(length):
-            tail_hold = 2 if h < length - 1 else 2 * (radius - length + 1)
-            carried = 2 * (length - 1 - h) + 2 * (radius - length + 1)
-            q[direction, node.y, node.x] += carried
-            node = spec.step(node, direction)
-            keep0[node] = tail_hold
-        if d_seg is not None and length < radius and (d_seg % 2 == 1 or length == 0):
-            q[direction, node.y, node.x] += 2 * (radius - length)
-
-    # phase 3: mirror trims, aggregation walks tip-to-center
-    for direction, radius in legs:
-        d_seg = _axis_distance_along(spec, node_sub(spec, origin, t), direction)
-        length = trimmed_length(d_seg, radius)
-        node = t
-        chain: list[Node] = []
-        for _ in range(length):
-            node = spec.step(node, direction)
-            chain.append(node)
-        carried = 0
-        for i in range(length - 1, -1, -1):
-            hold = 2 if i < length - 1 else 2 * (radius - length + 1)
-            keep_t[chain[i]] = hold
-            carried += hold
-            q[direction.opposite, chain[i].y, chain[i].x] += carried
-
-    shared = set(keep0) & set(keep_t)
+    keep_t = {node_sub(spec, t, u): hold for u, hold in keep0.items()}
+    shared = keep0.keys() & keep_t.keys()
     for u in shared:
         if keep0[u] != keep_t[u]:
             raise PathError(
                 f"destination {t}: stems hold {keep0[u]} and {keep_t[u]} quanta at {u}"
             )
-
-    suppliers = [(u, 2) for u in keep0 if u not in shared and u != t]
-    demanders = [(v, 2) for v in keep_t if v not in shared and v != origin]
-    if len(suppliers) != len(demanders):
-        raise PathError(
-            f"destination {t}: {len(suppliers)} suppliers for {len(demanders)} demanders"
-        )
+    suppliers = [(u, 2) for u in keep0 if u not in shared]
+    demanders = [(v, 2) for v in keep_t if v not in shared]
     if suppliers:
         # Tight geometries (legs spanning nearly the whole extent) can leave
         # the crossing corridors short of one-quantum capacity; widening the

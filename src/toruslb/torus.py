@@ -232,37 +232,6 @@ def automorphism_index_maps(
     )
 
 
-def invert_automorphism(spec: TorusSpec, phi: Automorphism) -> Automorphism:
-    # phi(u) = R(u) + v with R the composed reflection, hence
-    # phi^{-1}(u) = R^{-1}(u - v) = R(u) - R(v)  (both reflections are involutions).
-    _check_valid(spec, phi)
-    rx, ry = phi.translation.x, phi.translation.y
-    if phi.reflect_xy:
-        rx, ry = ry, rx
-    if phi.reflect_origin:
-        rx, ry = -rx, -ry
-    return Automorphism(
-        translation=spec.wrap(-rx, -ry),
-        reflect_xy=phi.reflect_xy,
-        reflect_origin=phi.reflect_origin,
-    )
-
-
-def compose_automorphisms(
-    spec: TorusSpec, outer: Automorphism, inner: Automorphism
-) -> Automorphism:
-    """Normal form of ``outer after inner`` (apply ``inner`` first)."""
-    _check_valid(spec, outer)
-    _check_valid(spec, inner)
-    # Compose linear parts; reflections commute up to sign so the normal form
-    # keeps (reflect_xy, reflect_origin) as independent booleans.
-    reflect_xy = outer.reflect_xy != inner.reflect_xy
-    reflect_origin = outer.reflect_origin != inner.reflect_origin
-    # Translation: outer(inner(0)).
-    t = apply_automorphism(spec, outer, apply_automorphism(spec, inner, Node(0, 0)))
-    return Automorphism(translation=t, reflect_xy=reflect_xy, reflect_origin=reflect_origin)
-
-
 def point_group(spec: TorusSpec) -> list[Automorphism]:
     """Translation-free symmetries: {I, R0} always, plus the x=y reflections
     on square symmetric specs."""

@@ -10,15 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from toruslb.torus import (
-    Automorphism,
-    Node,
-    TorusSpec,
-    apply_automorphism,
-    invert_automorphism,
-    node_add,
-    weighted_distance,
-)
+from toruslb.torus import Node, TorusSpec, node_add, weighted_distance
 
 
 class TrafficError(ValueError):
@@ -120,7 +112,8 @@ def classify(d: TrafficMatrix, k: int) -> TrafficClassReport:
 def gen_split_diamond(spec: TorusSpec, r: int) -> TrafficMatrix:
     """Two diamond-shaped source clusters, one hugging the origin and one
     hugging the antipode, every source sending one unit to the node half the
-    torus away in both axes.  Total demand is exactly 2*r**2."""
+    torus away in both axes.  Total demand is exactly 2*r**2.  It is the
+    first matrix of the unit-weight :func:`gen_generalized_split`."""
     if not spec.is_square_symmetric():
         raise NotSquare("split-diamond requires a square symmetric torus")
     n = spec.rows
@@ -128,22 +121,7 @@ def gen_split_diamond(spec: TorusSpec, r: int) -> TrafficMatrix:
         raise OddSizeUnsupported("split-diamond requires an even torus extent")
     if r < 1 or 2 * r * r > n * n // 2:
         raise TrafficError(f"need 1 <= 2*r^2 <= N^2/2, got r={r}")
-    t_star = Node(n // 2, n // 2)
-    origin = Node(0, 0)
-    half = n // 2 - 1
-
-    def hop(u: Node, v: Node) -> int:
-        from toruslb.torus import hop_distance
-
-        return hop_distance(spec, u, v)
-
-    sources = [
-        j
-        for j in spec.nodes()
-        if j.y <= half and (hop(j, origin) < r or hop(j, t_star) <= r)
-    ]
-    entries = {(s, node_add(spec, s, t_star)): 1.0 for s in sources}
-    return TrafficMatrix(spec=spec, entries=entries)
+    return gen_generalized_split(spec, 1.0, 1.0, r)[0]
 
 
 def gen_hotspot(spec: TorusSpec, k: int, origin: Node = Node(0, 0)) -> TrafficMatrix:
@@ -220,17 +198,6 @@ def gen_generalized_split(
     d1 = build(lambda j: j.y <= spec.rows // 2 - 1)
     d2 = build(lambda j: j.x <= spec.cols // 2 - 1)
     return d1, d2
-
-
-def transform_traffic(d: TrafficMatrix, phi: Automorphism) -> TrafficMatrix:
-    """Pull the demand map back through an automorphism:
-    d'_{s,t} = d_{phi(s), phi(t)}."""
-    inv = invert_automorphism(d.spec, phi)
-    entries = {
-        (apply_automorphism(d.spec, inv, s), apply_automorphism(d.spec, inv, t)): v
-        for (s, t), v in d.entries.items()
-    }
-    return TrafficMatrix(spec=d.spec, entries=entries)
 
 
 CSV_HEADER = ["src_x", "src_y", "dst_x", "dst_y", "demand"]

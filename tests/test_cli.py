@@ -80,7 +80,7 @@ def test_export_lp_roundtrips(tmp_path):
     assert parse_lp(text).sense == "min"
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["table1", "--bogus"])
     assert err.value.code == 2
@@ -95,14 +95,28 @@ def test_usage_error_exit_code():
         # their columns assume unit capacity, so they take no --m, --c1, --c2
         ["bounds", "--n", "6", "--c1", "2", "--c2", "2"],
         ["table2", "--m", "8"],
+        # LLB (the default scheme) and split-diamond (the default traffic)
+        # never run on a torus that is not square with equal capacities
+        ["worst-case", "--n", "10", "--m", "12"],
+        ["evaluate", "--n", "10", "--m", "12", "--scheme", "ecmp"],
+        ["export-opt", "--n", "10", "--m", "12"],
+        ["evaluate", "--n", "10", "--c1", "2", "--scheme", "ecmp"],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2, argv
+    for argv in (
+        ["evaluate", "--n", "10", "--m", "12", "--scheme", "ecmp", "--traffic", "hotspot"],
+        ["export-opt", "--n", "10", "--m", "12", "--traffic", "random"],
+    ):
+        assert run_cli(argv, tmp_path, "ok.txt")[0] == 0, argv
 
 
 def test_runtime_error_exit_code(tmp_path):
     rc = main(["bounds", "--n", "6", "--k", "30", "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    # split-diamond on an odd square torus fails when the demand is built
+    rc = main(["evaluate", "--n", "9", "--scheme", "ecmp", "--out", str(tmp_path / "y.csv")])
     assert rc == 1
 
 

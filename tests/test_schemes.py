@@ -253,3 +253,24 @@ def test_worst_case_representative_edge_consistency():
         g, 4, edges=[DirectedEdge(Node(0, 0), d) for d in Direction]
     ).value
     assert fast == pytest.approx(full, abs=1e-12)
+
+
+def test_stem_route_slabs_pinned():
+    # one sha256 over every stem slab of rows, cols 3..8 and every radius
+    # pair, recorded while the destination stem was still walked on its own;
+    # the tight geometries here widen the crossing pool
+    digest = hashlib.sha256()
+    slabs = 0
+    for rows in range(3, 9):
+        for cols in range(3, 9):
+            spec = TorusSpec(rows, cols)
+            for r1 in range(1, (rows - 1) // 2 + 1):
+                for r2 in range(1, (cols - 1) // 2 + 1):
+                    for t in list(spec.nodes())[1:]:
+                        digest.update(_stem_route(spec, t, r1, r2).tobytes())
+                        slabs += 1
+    assert slabs == 5332
+    assert (
+        digest.hexdigest()
+        == "3d9bfb64c23b5b436b1886d8c727a08c7c62ff140891e886aba88810588e654e"
+    )

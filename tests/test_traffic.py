@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toruslb.torus import Automorphism, Node, TorusSpec, automorphism_group, hop_distance, node_sub
+from toruslb.torus import Node, TorusSpec, hop_distance, node_sub
 from toruslb.traffic import (
     DoesNotFit,
     NotSquare,
@@ -15,7 +15,6 @@ from toruslb.traffic import (
     gen_split_diamond,
     traffic_from_csv,
     traffic_to_csv,
-    transform_traffic,
 )
 
 
@@ -135,20 +134,6 @@ def test_generalized_split_square_reduction():
     spec = TorusSpec(8, 8)
     d1, _ = gen_generalized_split(spec, 1.0, 1.0, 3.0)
     assert d1.sources() == gen_split_diamond(spec, 3).sources()
-
-
-def test_transform_traffic_closure():
-    spec = TorusSpec(8, 8)
-    d = gen_split_diamond(spec, 2)
-    ident = transform_traffic(d, Automorphism())
-    assert ident.entries == d.entries
-    for phi in automorphism_group(spec)[:20]:
-        moved = transform_traffic(d, phi)
-        assert moved.total() == d.total()
-        assert len(moved.sources()) == len(d.sources())
-        assert len(moved.sinks()) == len(d.sinks())
-        rep = classify(moved, 8)
-        assert rep.is_k_sparse and rep.is_k_limited
 
 
 def test_traffic_csv_roundtrip():
