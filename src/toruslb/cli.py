@@ -32,6 +32,17 @@ from toruslb.traffic import (
 DEFAULT_SEED = 20240917
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for --k and --trials: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _spec(args: argparse.Namespace) -> TorusSpec:
     return TorusSpec(args.n, args.m if args.m is not None else args.n, args.c1, args.c2)
 
@@ -220,11 +231,11 @@ _FLAGS = {
     "m": dict(type=int, default=None, help="cols (defaults to --n)"),
     "c1": dict(type=float, default=1.0, help="vertical link capacity"),
     "c2": dict(type=float, default=1.0, help="horizontal link capacity"),
-    "k": dict(type=int, default=18),
+    "k": dict(type=_positive_int, default=18),
     "r": dict(type=int, default=None),
     "scheme": dict(default="llb", choices=["ecmp", "vlb", "llb", "gllb", "ring"]),
     "traffic": dict(default="split-diamond", choices=["split-diamond", "hotspot", "random"]),
-    "trials": dict(type=int, default=1000),
+    "trials": dict(type=_positive_int, default=1000),
     "seed": dict(type=int, default=DEFAULT_SEED),
 }
 _COMMANDS = {

@@ -4,14 +4,18 @@ The worst case over the k-limited polytope is computed combinatorially: for a
 fixed edge the load is linear in the demand, the polytope's vertices are 0/1
 matrices with per-source and per-sink multiplicity one and at most k entries,
 so maximizing load on that edge is a maximum-weight bipartite matching with a
-cardinality cap.  That matching is solved exactly by successive shortest
-paths, which also yields the hose-model dual multipliers used by the LP
-export's feasibility checks.
+cardinality cap (Towles & Dally 2002).  :func:`worst_case_load` solves it on
+the dense ``W[s, t]`` of :meth:`on_edge` with :func:`k_matching_max`, a numpy
+shortest-augmenting-path solver.  :func:`_k_matching_sparse`, a separate
+successive-shortest-path solver over a pair-keyed weight dict, yields the
+hose-model dual multipliers that the LP export's feasibility checks read, and
+serves as the dense solver's independent oracle.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
@@ -82,7 +86,12 @@ def _k_matching_sparse(
 ) -> MatchingResult:
     """Maximum-weight bipartite matching with at most k edges, by successive
     shortest paths on the min-cost-flow formulation (costs are negated
-    weights; augmentation stops when the marginal path is unprofitable)."""
+    weights; augmentation stops when the marginal path is unprofitable).
+
+    A heap Dijkstra over an adjacency list built from the positive entries of
+    ``weights``; it shares no code with :func:`k_matching_max`.  Its final
+    potentials give the hose-model row, column and cardinality duals.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     rows = sorted({r for r, _ in weights})
@@ -185,18 +194,77 @@ def _k_matching_sparse(
 
 
 def k_matching_max(
-    weights: Sequence[Sequence[float]], k: int
+    weights: Sequence[Sequence[float]] | np.ndarray, k: int
 ) -> tuple[float, list[tuple[int, int]]]:
     """Maximum total weight of a matching using at most k entries of a dense
-    matrix, with row/column multiplicity at most one."""
-    sparse = {
-        (i, j): float(w)
-        for i, row in enumerate(weights)
-        for j, w in enumerate(row)
-        if w > 0
-    }
-    result = _k_matching_sparse(sparse, k)
-    return result.value, result.assignment
+    matrix, with row/column multiplicity at most one.
+
+    Weights are clipped at 0 and only rows and columns with a positive entry
+    are kept.  Successive shortest augmenting paths then run on the costs
+    ``C = -W`` with row, column and sink potentials that keep every reduced
+    cost nonnegative.  Each augmentation is one Dijkstra: every free row
+    relaxes all columns in one array operation, then matched columns are
+    scanned in label order (each reaches its row through the tight matched
+    edge, and that row relaxes all columns) until the sink's label is final.
+    It stops after ``min(k, rows, cols)`` augmentations or at the first one
+    that gains at most ``VALUE_TOL``.  Returns the value (the ``math.fsum`` of
+    the matched weights) and the sorted matched pairs of positive weight.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    w = np.maximum(np.atleast_2d(np.asarray(weights, dtype=float)), 0.0)
+    rows = np.flatnonzero((w > 0).any(axis=1))
+    cols = np.flatnonzero((w > 0).any(axis=0))
+    if not rows.size:
+        return 0.0, []
+    cost = -w[np.ix_(rows, cols)]
+    nr, nc = cost.shape
+    pr = np.zeros(nr)
+    pc = cost.min(axis=0)
+    pt = pc.min()
+    row_of = np.full(nc, -1)  # matched row of each column, -1 if free
+    col_of = np.full(nr, -1)  # matched column of each row, -1 if free
+    for _ in range(min(k, nr, nc)):
+        # One Dijkstra from every free row at once (their potential is 0).  A
+        # matched column's key is its label and a free column's key is the
+        # sink's label through it; a scanned column's key is inf, and its
+        # base of -inf keeps later rows from relaxing it again.
+        free_rows = np.flatnonzero(col_of < 0)
+        best = cost[free_rows].argmin(axis=0)
+        pred = free_rows[best]
+        gap = np.where(row_of < 0, pc - pt, 0.0)
+        key = cost[pred, np.arange(nc)] - pc + gap
+        base = pc - gap
+        dist_row = np.where(col_of < 0, 0.0, np.inf)
+        dist_col = np.full(nc, np.inf)
+        while True:
+            j = int(key.argmin())
+            i = row_of[j]
+            if i < 0:
+                break
+            d = key[j]
+            dist_row[i] = dist_col[j] = d
+            key[j], base[j] = np.inf, -np.inf
+            cand = cost[i] - base + (d + pr[i])
+            better = cand < key
+            np.copyto(key, cand, where=better)
+            np.copyto(pred, i, where=better)
+        d_sink = key[j]
+        if -(d_sink + pt) <= VALUE_TOL:
+            break
+        pr += np.minimum(dist_row, d_sink)
+        # unscanned columns' labels are key - gap; every label caps at d_sink
+        pc += np.minimum(np.minimum(dist_col, key - gap), d_sink)
+        pt += d_sink
+        while j >= 0:
+            i = pred[j]
+            nxt = col_of[i]
+            row_of[j], col_of[i] = i, j
+            j = nxt
+    pairs = sorted(
+        (int(rows[i]), int(cols[j])) for j, i in enumerate(row_of) if i >= 0 and cost[i, j] < 0
+    )
+    return math.fsum(w[r, c] for r, c in pairs), pairs
 
 
 def pair_weights_on_edge(p: Policy, edge: DirectedEdge) -> dict[tuple[Node, Node], float]:
@@ -239,18 +307,19 @@ def worst_case_load(
     p: Policy, k: int, edges: list[DirectedEdge] | None = None
 ) -> WorstCaseResult:
     """Exact maximum of MaxLoad(p, d) over all k-limited demands, with an
-    integral k-sparse witness."""
+    integral k-sparse witness: one :func:`k_matching_max` per candidate edge.
+    Raises ``ValueError`` for k < 1 on every policy."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     spec = p.spec
+    nodes = list(spec.nodes())
     best: WorstCaseResult | None = None
     for edge in edges if edges is not None else candidate_edges(p):
-        weights = pair_weights_on_edge(p, edge)
-        if not weights:
-            continue
-        result = _k_matching_sparse(weights, k)
-        load = result.value / spec.capacity(edge.dir)
-        if best is None or load > best.value + VALUE_TOL:
+        value, pairs = k_matching_max(p.on_edge(edge), k)
+        load = value / spec.capacity(edge.dir)
+        if pairs and (best is None or load > best.value + VALUE_TOL):
             witness = TrafficMatrix(
-                spec=spec, entries={pair: 1.0 for pair in result.assignment}
+                spec=spec, entries={(nodes[s], nodes[t]): 1.0 for s, t in pairs}
             )
             best = WorstCaseResult(value=load, witness=witness, edge=edge)
     if best is None:

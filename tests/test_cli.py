@@ -101,10 +101,21 @@ def test_usage_error_exit_code(tmp_path):
         ["evaluate", "--n", "10", "--m", "12", "--scheme", "ecmp"],
         ["export-opt", "--n", "10", "--m", "12"],
         ["evaluate", "--n", "10", "--c1", "2", "--scheme", "ecmp"],
+        # --k and --trials below 1 are usage errors in every command
+        ["worst-case", "--k", "0"],
+        ["table1", "--k", "0"],
+        ["table2", "--k", "-1"],
+        ["bounds", "--k", "0"],
+        ["evaluate", "--k", "0"],
+        ["export-lp", "--k", "0"],
+        ["export-opt", "--k", "0"],
+        ["table1", "--trials", "0"],
+        ["table2", "--trials", "0"],
     ):
         with pytest.raises(SystemExit) as err:
-            main(argv)
+            main(argv + ["--out", str(tmp_path / "never.csv")])
         assert err.value.code == 2, argv
+        assert not (tmp_path / "never.csv").exists(), argv
     for argv in (
         ["evaluate", "--n", "10", "--m", "12", "--scheme", "ecmp", "--traffic", "hotspot"],
         ["export-opt", "--n", "10", "--m", "12", "--traffic", "random"],

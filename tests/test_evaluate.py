@@ -12,12 +12,16 @@ import pytest
 
 from toruslb.evaluate import (
     _k_matching_sparse,
+    candidate_edges,
     edge_loads,
     k_matching_max,
+    pair_weights_on_edge,
     run_trials,
     worst_case_load,
 )
 from toruslb.policy import OriginPolicy, validate_policy
+from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_vlb, gllb_radii
+from toruslb.traffic import classify
 from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, hop_distance
 from toruslb.traffic import TrafficMatrix, gen_random_sparse
 
@@ -58,6 +62,67 @@ def test_k_matching_trivial_cases():
     value, assignment = k_matching_max([[2.0] * 4] * 4, 3)
     assert value == pytest.approx(6.0)
     assert len(assignment) == 3
+
+
+def sparse_k_matching_value(weights: np.ndarray, k: int) -> float:
+    """The successive-shortest-path solver on the positive entries as a dict:
+    an oracle that shares no code with the dense solver."""
+    positive = {(i, j): float(w) for (i, j), w in np.ndenumerate(weights) if w > 0}
+    return _k_matching_sparse(positive, k).value
+
+
+def quarter_ties(shape, seed):
+    rng = np.random.default_rng(seed)
+    return np.round(rng.uniform(0, 2, size=shape) * 4) / 4
+
+
+def with_zero_lines(seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0, 1, size=(5, 4))
+    weights[1] = 0.0
+    weights[:, 2] = 0.0
+    return weights
+
+
+def with_negatives(seed):
+    return np.random.default_rng(seed).uniform(-1, 1, size=(4, 5))
+
+
+MATCHING_CASES = {
+    "wide": lambda seed: np.random.default_rng(seed).uniform(0, 1, size=(2, 6)),
+    "tall": lambda seed: np.random.default_rng(seed).uniform(0, 1, size=(6, 3)),
+    "one-row": lambda seed: np.random.default_rng(seed).uniform(0, 1, size=(1, 5)),
+    "one-col": lambda seed: np.random.default_rng(seed).uniform(0, 1, size=(5, 1)),
+    "quarter-ties": lambda seed: quarter_ties((4, 5), seed),
+    "quarter-ties-square": lambda seed: quarter_ties((4, 4), seed),
+    "zero-lines": with_zero_lines,
+    "negatives": with_negatives,
+    "all-zero": lambda seed: np.zeros((3, 4)),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", sorted(MATCHING_CASES))
+def test_k_matching_agrees_with_sparse_ssp_and_brute_force(case, seed):
+    weights = MATCHING_CASES[case](seed)
+    for k in (1, 2, 3, min(weights.shape), min(weights.shape) + 2, 10):
+        value, assignment = k_matching_max(weights, k)
+        assert value == pytest.approx(sparse_k_matching_value(weights, k), abs=1e-12), k
+        assert value == pytest.approx(brute_force_k_matching(weights, k), abs=1e-12), k
+        # a sorted matching of at most k positive entries that attains the value
+        assert assignment == sorted(assignment)
+        assert len(assignment) <= k
+        assert len({i for i, _ in assignment}) == len(assignment)
+        assert len({j for _, j in assignment}) == len(assignment)
+        assert all(weights[i, j] > 0 for i, j in assignment)
+        assert sum(weights[i, j] for i, j in assignment) == pytest.approx(value, abs=1e-12)
+
+
+def test_k_matching_rejects_k_below_one():
+    for weights in ([[1.0, 2.0]], [[0.0]], []):
+        with pytest.raises(ValueError):
+            k_matching_max(weights, 0)
+    assert k_matching_max([], 3) == (0.0, [])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -231,3 +296,68 @@ def test_representative_edges_on_asymmetric_spec():
         policy, 4, edges=[DirectedEdge(Node(0, 0), d) for d in Direction]
     ).value
     assert fast == pytest.approx(full, abs=1e-12)
+
+
+def test_worst_case_rejects_k_below_one():
+    spec = TorusSpec(4, 4)
+    policy = random_origin_policy(spec, np.random.default_rng(4))
+    empty = OriginPolicy(spec=spec, flows=np.zeros_like(policy.flows))
+    assert worst_case_load(empty, 1).value == 0.0
+    for p in (policy, empty):
+        with pytest.raises(ValueError):
+            worst_case_load(p, 0)
+
+
+def sparse_worst_case(policy, k: int) -> float:
+    """Max over candidate edges of the dict-based SSP value, per capacity."""
+    return max(
+        _k_matching_sparse(pair_weights_on_edge(policy, edge), k).value
+        / policy.spec.capacity(edge.dir)
+        for edge in candidate_edges(policy)
+    )
+
+
+def grid_instances():
+    """The LLB and GLLB policies of tests/test_grid.py (LLB at k = 8 and at
+    k = 2r^2, where its worst case is sqrt(2k)/4), plus ECMP and VLB 8x8."""
+    for n in range(5, 11):
+        for r in range(1, (n - 1) // 2 + 1):
+            yield f"llb{r}-{n}x{n}", lambda n=n, r=r: build_llb(TorusSpec(n, n), r), {8, 2 * r * r}
+    for dims in ((4, 6), (4, 10), (5, 9), (6, 8), (6, 10), (8, 10)):
+        for k in (2, 8):
+
+            def build(dims=dims, k=k):
+                spec = TorusSpec(*dims)
+                r1, r2 = gllb_radii(spec, k)
+                return build_gllb(spec, min(r1, spec.rows // 2), min(r2, spec.cols // 2))
+
+            yield f"gllb-{dims[0]}x{dims[1]}-k{k}", build, {k}
+
+    def build_asymmetric():
+        spec = TorusSpec(6, 6, cap_vertical=2.0, cap_horizontal=1.0)
+        r1, r2 = gllb_radii(spec, 4)
+        return build_gllb(spec, min(r1, 2), max(1, min(r2, 2)))
+
+    yield "gllb-6x6-caps2x1", build_asymmetric, {4}
+    yield "ecmp-8x8", lambda: build_ecmp(TorusSpec(8, 8)), {18}
+    yield "vlb-8x8", lambda: build_vlb(TorusSpec(8, 8)), {18}
+
+
+GRID_INSTANCES = list(grid_instances())
+
+
+@pytest.mark.parametrize(
+    "build,ks", [case[1:] for case in GRID_INSTANCES], ids=[case[0] for case in GRID_INSTANCES]
+)
+def test_worst_case_equals_sparse_ssp_oracle(build, ks):
+    policy = build()
+    for k in sorted(ks):
+        result = worst_case_load(policy, k)
+        assert result.value == pytest.approx(sparse_worst_case(policy, k), abs=1e-12), k
+        # the witness is a 0/1 k-sparse demand that attains the value
+        assert set(result.witness.entries.values()) == {1.0}
+        report = classify(result.witness, k)
+        assert report.is_k_sparse and report.is_k_limited
+        assert edge_loads(policy, result.witness).max_load == pytest.approx(
+            result.value, abs=1e-12
+        )

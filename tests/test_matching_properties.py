@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslb.evaluate import k_matching_max
+from toruslb.evaluate import _k_matching_sparse, k_matching_max
 
 
 @st.composite
@@ -39,3 +39,33 @@ def test_matching_bounded_by_row_maxima(weights, k):
     row_maxes = sorted((row.max() for row in weights), reverse=True)
     assert value <= sum(row_maxes[:k]) + 1e-9
     assert value >= max(weights.max() if k >= 1 else 0.0, 0.0) - 1e-9
+
+
+@st.composite
+def signed_tied_matrices(draw):
+    """Rectangular matrices with negative entries, and with all entries
+    rounded to quarters when ``ties`` is drawn."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    values = draw(
+        st.lists(
+            st.floats(-2, 6, allow_nan=False, width=32),
+            min_size=rows * cols,
+            max_size=rows * cols,
+        )
+    )
+    weights = np.array(values).reshape(rows, cols)
+    if draw(st.booleans()):
+        weights = np.round(weights * 4) / 4
+    return weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_tied_matrices(), st.integers(1, 8))
+def test_dense_solver_agrees_with_sparse_ssp(weights, k):
+    value, assignment = k_matching_max(weights, k)
+    positive = {(i, j): float(w) for (i, j), w in np.ndenumerate(weights) if w > 0}
+    assert abs(value - _k_matching_sparse(positive, k).value) <= 1e-12
+    assert len(assignment) <= k
+    assert len({i for i, _ in assignment}) == len({j for _, j in assignment}) == len(assignment)
+    assert abs(sum(weights[i, j] for i, j in assignment) - value) <= 1e-12
