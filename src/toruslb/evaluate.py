@@ -58,12 +58,19 @@ def edge_loads(p: Policy, d: TrafficMatrix) -> LoadReport:
         raise SpecMismatch("policy and traffic use different torus specs")
     spec = p.spec
     caps = np.array([spec.capacity(direction) for direction in Direction])[:, None, None]
-    load = np.zeros((4, spec.rows, spec.cols))
+    cols = spec.cols
+    src = np.array([s.y * cols + s.x for s, _ in d.entries], dtype=np.intp)
+    dst = np.array([t.y * cols + t.x for _, t in d.entries], dtype=np.intp)
+    amount = np.fromiter(d.entries.values(), dtype=float, count=len(d.entries))
+    flows = p.gather(src, dst)
+    # Bit-identical to evaluating one pair at a time: a reduction over the
+    # leading (pair) axis adds the rows in entry order, and a row sum is the
+    # same pairwise sum that the lone slab's ``.sum()`` gives.
+    load = np.add.reduce(amount[:, None, None, None] * flows / caps, axis=0, initial=0.0)
+    slab_sums = flows.reshape(len(amount), 4 * spec.num_nodes).sum(axis=1)
     hops = 0.0
-    for (s, t), amount in d.entries.items():
-        flows = p.pair_flows(s, t)
-        load += amount * flows / caps
-        hops += amount * float(flows.sum())
+    for h in (amount * slab_sums).tolist():
+        hops += h
     total = d.total()
     return LoadReport(
         load=load,

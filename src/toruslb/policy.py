@@ -8,10 +8,16 @@ value).
 
 * :class:`OriginPolicy` stores ``flows = G[t, dir, y, x]``, the route from
   the origin to destination offset t.  The origin's own slab is all zeros.
-  Translation invariance gives every pair: s -> s+t uses ``G[t]`` rolled by
-  s (:func:`translate`).
+  Translation invariance gives every pair: s -> s+t carries ``G[t]`` moved
+  by s, so the flow on the edge leaving u is ``G[t]`` read at u - s.
 * :class:`FullPolicy` stores ``flows = F[s, t, dir, y, x]`` per pair and is
   used for symmetrization experiments and arbitrary-policy evaluation.
+
+Both classes read the slabs of many pairs at once with one array gather,
+:meth:`~OriginPolicy.gather` (``G[t - s]`` at every cell shifted by its
+source, or ``F[s, t]``); :meth:`~OriginPolicy.pair_flows` is its one-pair
+case, :func:`expand` its all-pairs case, and the load evaluator gathers one
+demand's pairs in one call.
 
 A zero slab means the policy routes nothing for that destination or pair;
 validation and CSV output skip it.  Translations are rolls and the point
@@ -39,7 +45,6 @@ from toruslb.torus import (
     Node,
     TorusSpec,
     automorphism_index_maps,
-    node_sub,
     point_group,
 )
 
@@ -91,10 +96,24 @@ class OriginPolicy:
                 g[_flat(spec, t), e.dir, e.tail.y, e.tail.x] = v
         return cls(spec=spec, flows=g)
 
+    def gather(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Edge flows ``[k, dir, y, x]`` of the k pairs src[i] -> dst[i]
+        (flat node indices): ``G[dst - src]`` read at every cell shifted
+        back by its source, ``((y - s_y) % rows) * cols + (x - s_x) % cols``."""
+        spec = self.spec
+        rows, cols, n = spec.rows, spec.cols, spec.num_nodes
+        sy, sx = np.divmod(src, cols)
+        ty, tx = np.divmod(dst, cols)
+        offset = ((ty - sy) % rows) * cols + (tx - sx) % cols
+        cell_y = (np.arange(rows) - sy[:, None]) % rows * cols
+        cell_x = (np.arange(cols) - sx[:, None]) % cols
+        cell = (offset * (4 * n))[:, None, None] + cell_y[:, :, None] + cell_x[:, None, :]
+        return np.take(self.flows, cell[:, None] + (np.arange(4) * n)[:, None, None])
+
     def pair_flows(self, s: Node, t: Node) -> np.ndarray:
-        """Edge flows ``[dir, y, x]`` for the pair s -> t, obtained by
-        translating the origin-to-offset route."""
-        return translate(self.flows[_flat(self.spec, node_sub(self.spec, t, s))], s)
+        """Edge flows ``[dir, y, x]`` for the pair s -> t."""
+        src, dst = np.array([[_flat(self.spec, s)], [_flat(self.spec, t)]])
+        return self.gather(src, dst)[0]
 
     def on_edge(self, edge: DirectedEdge) -> np.ndarray:
         """``W[s, t]``: the fraction of pair s -> t on ``edge``, which is
@@ -114,6 +133,10 @@ class FullPolicy:
 
     def __post_init__(self) -> None:
         _check_shape(self.spec, self.flows, 2)
+
+    def gather(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Edge flows ``[k, dir, y, x]`` of the k pairs src[i] -> dst[i]."""
+        return self.flows[src, dst]
 
     def pair_flows(self, s: Node, t: Node) -> np.ndarray:
         return self.flows[_flat(self.spec, s), _flat(self.spec, t)]
@@ -161,9 +184,11 @@ def validate_policy(p: Policy) -> list[str]:
 
 def expand(g: OriginPolicy) -> FullPolicy:
     """Materialize the translation-invariant full policy for every pair."""
-    nodes = list(g.spec.nodes())
-    flows = np.stack([np.stack([g.pair_flows(s, t) for t in nodes]) for s in nodes])
-    return FullPolicy(spec=g.spec, flows=flows)
+    spec = g.spec
+    n = spec.num_nodes
+    src, dst = np.divmod(np.arange(n * n), n)
+    flows = g.gather(src, dst).reshape(n, n, 4, spec.rows, spec.cols)
+    return FullPolicy(spec=spec, flows=flows)
 
 
 def _pull_back(spec: TorusSpec, flat: np.ndarray, phi: Automorphism) -> np.ndarray:

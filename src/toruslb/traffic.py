@@ -4,6 +4,7 @@ suite used for worst-case constructions and randomized experiments."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from io import StringIO
 from typing import Callable
@@ -31,17 +32,22 @@ class DoesNotFit(TrafficError):
 
 @dataclass(frozen=True)
 class TrafficMatrix:
-    """Sparse nonnegative demand map (source, dest) -> units."""
+    """Sparse demand map (source, dest) -> units: both nodes on the grid and
+    distinct, every demand positive and finite."""
 
     spec: TorusSpec
     entries: dict[tuple[Node, Node], float]
 
     def __post_init__(self) -> None:
+        cols, rows = self.spec.cols, self.spec.rows
         for (s, t), demand in self.entries.items():
+            for u in (s, t):
+                if not (0 <= u.x < cols and 0 <= u.y < rows):
+                    raise TrafficError(f"node {u} of {s}->{t} is off the {cols}x{rows} grid")
             if s == t:
                 raise TrafficError(f"self-demand at {s}")
-            if demand <= 0:
-                raise TrafficError(f"nonpositive demand {demand} for {s}->{t}")
+            if not 0 < demand < math.inf:
+                raise TrafficError(f"demand {demand} for {s}->{t} is not positive and finite")
 
     def total(self) -> float:
         return sum(self.entries.values())
@@ -146,22 +152,25 @@ def gen_hotspot(spec: TorusSpec, k: int, origin: Node = Node(0, 0)) -> TrafficMa
 def gen_random_sparse(spec: TorusSpec, k: int, seed: int) -> TrafficMatrix:
     """k distinct sources and k distinct sinks drawn uniformly without
     replacement, paired by a uniform random permutation.  A permutation that
-    pairs a node with itself is redrawn, so the result is always a valid
+    pairs a node with itself is redrawn (and for k = 1 a sink equal to the
+    source, which no permutation avoids), so the result is always a valid
     traffic matrix.  Deterministic given the seed."""
     if k < 1 or k > spec.num_nodes:
         raise TrafficError(f"need 1 <= k <= {spec.num_nodes}")
     rng = np.random.default_rng(seed)
-    all_nodes = list(spec.nodes())
-    src_idx = rng.choice(len(all_nodes), size=k, replace=False)
-    dst_idx = rng.choice(len(all_nodes), size=k, replace=False)
-    sources = [all_nodes[i] for i in src_idx]
-    sinks = [all_nodes[i] for i in dst_idx]
+    src_idx = rng.choice(spec.num_nodes, size=k, replace=False)
+    dst_idx = rng.choice(spec.num_nodes, size=k, replace=False)
+    while k == 1 and src_idx[0] == dst_idx[0]:  # no permutation avoids this self-pair
+        dst_idx = rng.choice(spec.num_nodes, size=k, replace=False)
     while True:
         perm = rng.permutation(k)
-        if all(sources[i] != sinks[perm[i]] for i in range(k)):
+        if (src_idx != dst_idx[perm]).all():
             break
-    entries = {(sources[i], sinks[perm[i]]): 1.0 for i in range(k)}
-    return TrafficMatrix(spec=spec, entries=entries)
+    sy, sx = np.divmod(src_idx, spec.cols)
+    ty, tx = np.divmod(dst_idx[perm], spec.cols)
+    sources = map(Node, sx.tolist(), sy.tolist())
+    sinks = map(Node, tx.tolist(), ty.tolist())
+    return TrafficMatrix(spec=spec, entries=dict.fromkeys(zip(sources, sinks), 1.0))
 
 
 def gen_generalized_split(

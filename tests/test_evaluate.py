@@ -19,7 +19,7 @@ from toruslb.evaluate import (
     run_trials,
     worst_case_load,
 )
-from toruslb.policy import OriginPolicy, validate_policy
+from toruslb.policy import OriginPolicy, expand, validate_policy
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_vlb, gllb_radii
 from toruslb.traffic import classify
 from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, hop_distance
@@ -230,6 +230,63 @@ def test_edge_loads_zero_traffic():
     policy = random_origin_policy(spec, np.random.default_rng(0))
     report = edge_loads(policy, TrafficMatrix(spec=spec, entries={}))
     assert report.max_load == 0.0 and report.per_edge == {}
+
+
+def roll_loop_loads(g: OriginPolicy, d: TrafficMatrix) -> tuple[np.ndarray, float, float]:
+    """Oracle for ``edge_loads``: each pair's route is ``G[t - s]`` rolled by
+    s, one ``np.roll`` per entry, accumulated in entry order."""
+    spec = g.spec
+    caps = np.array([spec.cap_vertical] * 2 + [spec.cap_horizontal] * 2)[:, None, None]
+    load = np.zeros((4, spec.rows, spec.cols))
+    hops = 0.0
+    for (s, t), amount in d.entries.items():
+        offset = ((t.y - s.y) % spec.rows) * spec.cols + (t.x - s.x) % spec.cols
+        slab = np.roll(g.flows[offset], (s.y, s.x), axis=(1, 2))
+        load += amount * slab / caps
+        hops += amount * float(slab.sum())
+    total = sum(d.entries.values())
+    return load, float(load.max()), hops / total if total > 0 else 0.0
+
+
+def oracle_demands(spec: TorusSpec, k: int, rng: np.random.Generator) -> list[TrafficMatrix]:
+    """Unit and fractional k-sparse demands, one-entry demands, and the empty
+    demand."""
+    demands = [TrafficMatrix(spec=spec, entries={})]
+    for seed in range(6):
+        d = gen_random_sparse(spec, k, seed)
+        demands.append(d)
+        fractional = {pair: float(rng.uniform(0.01, 2.5)) for pair in d.entries}
+        demands.append(TrafficMatrix(spec=spec, entries=fractional))
+        pair = next(iter(d.entries))
+        demands.append(TrafficMatrix(spec=spec, entries={pair: float(rng.uniform(0.1, 1))}))
+    return demands
+
+
+@pytest.mark.parametrize(
+    "spec,build,k",
+    [
+        (TorusSpec(10, 10), build_ecmp, 18),
+        (TorusSpec(10, 10), build_vlb, 18),
+        (TorusSpec(10, 10), lambda spec: build_llb(spec, 3), 18),
+        (TorusSpec(5, 7, 2.0, 1.0), build_ecmp, 6),
+        (TorusSpec(5, 7, 2.0, 1.0), build_vlb, 6),
+        (TorusSpec(6, 4, 0.7, 3.0), build_vlb, 5),
+    ],
+    ids=[
+        "10x10-ecmp", "10x10-vlb", "10x10-llb3",
+        "5x7-c2-1-ecmp", "5x7-c2-1-vlb", "6x4-c0.7-3-vlb",
+    ],
+)
+def test_edge_loads_matches_roll_loop_bit_for_bit(spec, build, k):
+    g = build(spec)
+    full = expand(g)
+    for d in oracle_demands(spec, k, np.random.default_rng(k)):
+        load, max_load, avg_hops = roll_loop_loads(g, d)
+        for policy in (g, full):
+            report = edge_loads(policy, d)
+            assert np.array_equal(report.load, load)
+            assert report.max_load == max_load
+            assert report.avg_hops == avg_hops
 
 
 def test_avg_hops_lower_bounded_by_distance():

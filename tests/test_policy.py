@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,17 @@ def test_validate_flags_injected_fault():
 
 def test_validate_empty_policy():
     assert validate_policy(OriginPolicy.from_flows(TorusSpec(4, 4), {})) == []
+
+
+def test_expand_bytes_pinned():
+    # sha256 of the expanded LLB(2) 6x6 array, recorded while expand still
+    # stacked one rolled slab per pair.
+    flows = expand(build_llb(TorusSpec(6, 6), 2)).flows
+    assert flows.shape == (36, 36, 4, 6, 6)
+    assert (
+        hashlib.sha256(flows.tobytes()).hexdigest()
+        == "05c98a5ee9704c9eacfce0e7971ddc6a7849c7a93988d269da8800072fb8e938"
+    )
 
 
 def test_expand_translation():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,43 @@ def test_traffic_matrix_validation():
         TrafficMatrix(spec=spec, entries={(Node(0, 0), Node(0, 0)): 1.0})
     with pytest.raises(TrafficError):
         TrafficMatrix(spec=spec, entries={(Node(0, 0), Node(1, 0)): -0.5})
+    for bad in (Node(4, 0), Node(0, 4), Node(-1, 0), Node(0, -1)):
+        with pytest.raises(TrafficError, match="off the 4x4 grid"):
+            TrafficMatrix(spec=spec, entries={(Node(1, 1), bad): 1.0})
+        with pytest.raises(TrafficError, match="off the 4x4 grid"):
+            TrafficMatrix(spec=spec, entries={(bad, Node(1, 1)): 1.0})
+    for demand in (0.0, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(TrafficError):
+            TrafficMatrix(spec=spec, entries={(Node(0, 0), Node(1, 0)): demand})
+    # Read from CSV, off-grid nodes are not wrapped: (6, 0) on 6x6 would be
+    # the self-demand (0, 0) -> (0, 0); and a nan demand would make every
+    # load nan.
+    header = "src_x,src_y,dst_x,dst_y,demand\n"
+    for row in ("7,0,3,3,1.0", "0,0,6,0,1.0", "0,0,3,3,nan", "0,0,3,3,inf"):
+        with pytest.raises(TrafficError):
+            traffic_from_csv(TorusSpec(6, 6), header + row + "\n")
+    assert traffic_from_csv(TorusSpec(6, 6), header + "5,5,3,3,1.0\n").total() == 1.0
+
+
+def test_random_sparse_single_pair_never_self():
+    """With k = 1 no permutation avoids a drawn self-pair, so the sink is
+    redrawn; on 3x3 a ninth of the seeds draw one."""
+    spec = TorusSpec(3, 3)
+    for seed in range(60):
+        ((s, t),) = gen_random_sparse(spec, 1, seed).entries
+        assert s != t
+
+
+# sha256 of the concatenated traffic_to_csv of seeds 0..199, recorded before
+# the generator moved to index arrays; 3x3 with k = 9 redraws often.
+DEMAND_STREAM_DIGESTS = {
+    (10, 18): "fc620b757d8e548d0f7a3f6d16d6f5c5d05b6b5e6a2a50f6cdc81dc813698af7",
+    (3, 9): "615dc91ab1dbd276ac173be9455524184944892f91e98e7804efc40f0cf4aa7c",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(DEMAND_STREAM_DIGESTS))
+def test_random_sparse_stream_pinned(n, k):
+    spec = TorusSpec(n, n)
+    text = "".join(traffic_to_csv(gen_random_sparse(spec, k, seed)) for seed in range(200))
+    assert hashlib.sha256(text.encode()).hexdigest() == DEMAND_STREAM_DIGESTS[(n, k)]
