@@ -13,13 +13,20 @@ head is read from :func:`toruslb.torus.edge_heads`.  Both take per-edge
 capacities as one such slab, where 0 removes an edge; only
 ``find_disjoint_stem_paths`` and ``max_flow``'s cut turn ids into
 ``DirectedEdge``s.
+
+``_augment`` keeps one residual-capacity list and tests an edge as
+``res[e] > 0``; the flow is recovered at the end as ``max(cap - res, 0)``.
+Each breadth-first search stops when it discovers the first node with demand
+left, which is the path a search stopping at that node's dequeue would find.
+The head list, the reverse-edge ids and each node's ``(edge, head)`` pairs
+come from ``_shape_tables``, built once per ``(rows, cols)``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -100,58 +107,80 @@ def _disjoint_stems(
     return s_stem, t_stem
 
 
+@lru_cache(maxsize=16)
+def _shape_tables(
+    rows: int, cols: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """Edge tables of a rows x cols torus, built once per shape: every edge's
+    head, the id of its reverse (which leaves the head in the opposite
+    direction, ``dir ^ 1``), and each node's ``(edge, head)`` pairs in
+    ``Direction`` order."""
+    n = rows * cols
+    heads = tuple(edge_heads(TorusSpec(rows, cols)).ravel().tolist())
+    back = tuple(((e // n) ^ 1) * n + v for e, v in enumerate(heads))
+    adj = tuple(tuple((e, heads[e]) for e in range(u, 4 * n, n)) for u in range(n))
+    return heads, back, adj
+
+
 def _augment(
-    heads: list[int], cap: list[int], supply: dict[int, int], demand: dict[int, int]
-) -> tuple[list[int], list[int]]:
+    rows: int, cols: int, res: list[int], supply: dict[int, int], demand: dict[int, int]
+) -> list[int]:
     """Integer max flow from supplier quotas to demander quotas by shortest
-    augmenting paths (Edmonds and Karp) over slab-index edge ids; ``supply``
-    and ``demand`` are drawn down in place.
+    augmenting paths (Edmonds and Karp) over slab-index edge ids, between
+    disjoint supplier and demander sets.
+
+    ``res`` holds every edge's residual capacity: it starts as the capacity
+    ``cap``, and an edge is usable while ``res[e] > 0``.  Sending an amount
+    along an edge draws its residual down and raises its reverse's, so
+    ``res[e]`` is ``cap[e]`` less the flow on e plus the flow on its reverse.
+    A push cancels reverse flow first, so an edge and its reverse never both
+    carry flow, and the flow on e is ``max(cap[e] - res[e], 0)``.  ``res``,
+    ``supply`` and ``demand`` are drawn down in place.
 
     Each search is a breadth-first search seeded with every supplier that
     has quota left, in ``supply`` order, that visits a node's edges in
-    ``Direction`` order and stops at the first node with demand left.  An
-    edge is usable while its flow is below capacity or while its reverse
-    carries flow; a push cancels reverse flow first and sends the path's
-    bottleneck at once.  Returns the per-edge flow and, from the last
-    search, the edge that reached each node (-1 for seeds, -2 unreached):
-    once no path is left, the reached nodes are the source side of a min
-    cut.
+    ``Direction`` order and stops when it discovers the first node with
+    demand left.  Nodes leave the queue in discovery order, so this is the
+    path a search stopping at the first dequeued demander finds: the least
+    (supplier, then direction sequence) among the shortest residual paths.
+    The path's bottleneck is sent at once.  Returns, from the last search,
+    the edge that reached each node (-1 for seeds, -2 unreached): once no
+    path is left, the reached nodes are the source side of a min cut.
     """
-    n = len(heads) // 4
-    # the reverse of an edge leaves its head; opposite directions are dir ^ 1
-    back = [((e // n) ^ 1) * n + v for e, v in enumerate(heads)]
-    flow = [0] * len(cap)
+    _, back, adj = _shape_tables(rows, cols)
+    n = rows * cols
+    want = [0] * n
+    for v, quota in demand.items():
+        want[v] = quota
     while True:
         parent = [-2] * n
-        queue: deque[int] = deque()
-        for u, quota in supply.items():
-            if quota > 0:
-                parent[u] = -1
-                queue.append(u)
-        while queue:
-            u = queue.popleft()
-            if demand.get(u, 0) > 0:
-                break
-            for e in range(u, 4 * n, n):
-                v = heads[e]
-                if parent[v] == -2 and (flow[e] < cap[e] or flow[back[e]] > 0):
+        queue = [u for u, quota in supply.items() if quota > 0]
+        for u in queue:
+            parent[u] = -1
+        end = -1
+        for u in queue:
+            for e, v in adj[u]:
+                if parent[v] == -2 and res[e] > 0:
                     parent[v] = e
+                    if want[v] > 0:
+                        end = v
+                        break
                     queue.append(v)
+            if end >= 0:
+                break
         else:
-            return flow, parent
-        end = u
+            return parent
+        u = end
         path = []
         while parent[u] >= 0:
             path.append(parent[u])
             u = parent[u] % n
-        amount = min(
-            supply[u], demand[end], *(cap[e] - flow[e] + flow[back[e]] for e in path)
-        )
+        amount = min(supply[u], want[end], *(res[e] for e in path))
         for e in path:
-            cancel = min(amount, flow[back[e]])
-            flow[back[e]] -= cancel
-            flow[e] += amount - cancel
+            res[e] -= amount
+            res[back[e]] += amount
         supply[u] -= amount
+        want[end] -= amount
         demand[end] -= amount
 
 
@@ -167,8 +196,10 @@ def max_flow(
     ``capacity[dir, y, x]`` is the capacity of the edge leaving (x, y) in
     direction ``dir``, 0 removing it; it defaults to the spec's link
     capacities.  Rational values are scaled to integers so the value and cut
-    agree exactly.  The cut is the one around the nodes reachable from the
-    sources in the residual graph, the same for every maximum flow.
+    agree exactly; a capacity that is not a fraction with denominator at
+    most 10**6 raises ``ValueError`` instead of being rounded.  The cut is
+    the one around the nodes reachable from the sources in the residual
+    graph, the same for every maximum flow.
     """
     if sources & sinks:
         raise PathError("sources and sinks must be disjoint")
@@ -180,15 +211,18 @@ def max_flow(
         raise ValueError(f"capacity has shape {capacity.shape}, expected (4, rows, cols)")
     values, inverse = np.unique(capacity.ravel(), return_inverse=True)
     fracs = [Fraction(c).limit_denominator(10**6) for c in values.tolist()]
+    for c, frac in zip(values.tolist(), fracs):
+        if float(frac) != c:
+            raise ValueError(f"capacity {c!r} is not a fraction with denominator <= 10**6")
     scale = lcm(*(f.denominator for f in fracs))
     cap = np.array([int(f * scale) for f in fracs])[inverse].tolist()
 
     big = sum(cap) + 1
     supply = {u.y * spec.cols + u.x: big for u in sources}
     demand = {u.y * spec.cols + u.x: big for u in sinks}
-    heads = edge_heads(spec).ravel().tolist()
-    _, parent = _augment(heads, cap, supply, demand)
+    parent = _augment(spec.rows, spec.cols, list(cap), supply, demand)
     value = big * len(supply) - sum(supply.values())
+    heads = _shape_tables(spec.rows, spec.cols)[0]
     n = spec.num_nodes
     cut_ids = [
         e for e, c in enumerate(cap) if c and parent[e % n] != -2 and parent[heads[e]] == -2
@@ -241,17 +275,19 @@ def route_disjoint_quanta(
 
     wanted = dict(demand)
     total = sum(supply.values())
-    heads = edge_heads(spec).ravel().tolist()
-    flow, _ = _augment(heads, capacity.ravel().tolist(), supply, demand)
+    cap = capacity.ravel().tolist()
+    res = list(cap)
+    _augment(spec.rows, spec.cols, res, supply, demand)
     unrouted = sum(supply.values())
     if unrouted:
         raise CutTooSmall(f"cut admits {total - unrouted} of {total} quanta")
     consumed = {u: wanted[u] - demand[u] for u in wanted}
-    return _decompose_flow(heads, sources, consumed, flow)
+    flow = [c - r if c > r else 0 for c, r in zip(cap, res)]
+    return _decompose_flow(_shape_tables(spec.rows, spec.cols)[0], sources, consumed, flow)
 
 
 def _decompose_flow(
-    heads: list[int],
+    heads: tuple[int, ...],
     suppliers: list[tuple[int, int]],
     consumed: dict[int, int],
     flow: list[int],
@@ -259,10 +295,11 @@ def _decompose_flow(
     """Split an integer edge flow into one loop-free path of edge ids per
     supplied quantum."""
     n = len(heads) // 4
-    flow_out: dict[int, list[int]] = {}
+    flow_out: list[list[int]] = [[] for _ in range(n)]
     for e, units in enumerate(flow):
         if units:
-            flow_out.setdefault(e % n, []).extend([e] * units)
+            flow_out[e % n].extend([e] * units)
+    taken = [0] * n  # flow_out[u][:taken[u]] are used up
     terminal = dict(consumed)
     paths: list[list[int]] = []
     limit = sum(flow) + 1
@@ -274,7 +311,8 @@ def _decompose_flow(
                 if path and terminal.get(u, 0) > 0:
                     terminal[u] -= 1
                     break
-                e = flow_out[u].pop(0)
+                e = flow_out[u][taken[u]]
+                taken[u] += 1
                 path.append(e)
                 u = heads[e]
             else:
@@ -285,7 +323,7 @@ def _decompose_flow(
     return paths
 
 
-def _trim_cycles(heads: list[int], start: int, path: list[int]) -> list[int]:
+def _trim_cycles(heads: tuple[int, ...], start: int, path: list[int]) -> list[int]:
     """Loop-erase a walk of edge ids from node ``start`` so the result visits
     each node at most once."""
     nodes = [start]

@@ -235,6 +235,19 @@ def check_reflection_invariance(g: OriginPolicy, tol: float = CONSERVATION_TOL) 
     )
 
 
+def reflection_invariant(g: OriginPolicy) -> bool:
+    """:func:`check_reflection_invariance` at its default tolerance, run once
+    per flows content: the verdict is kept on ``g`` with a 64-bit hash of
+    ``g.flows``' bytes and reused while the hash matches, so a policy whose
+    flows change afterwards is checked again."""
+    key = hash(g.flows.tobytes())
+    known = g.__dict__.get("_reflection_verdict")
+    if known is None or known[0] != key:
+        known = (key, check_reflection_invariance(g))
+        object.__setattr__(g, "_reflection_verdict", known)  # g is frozen
+    return known[1]
+
+
 ORIGIN_CSV_HEADER = ["dst_x", "dst_y", "tail_x", "tail_y", "dir", "fraction"]
 FULL_CSV_HEADER = ["src_x", "src_y"] + ORIGIN_CSV_HEADER
 

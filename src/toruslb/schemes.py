@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from toruslb.paths import (
+    CutTooSmall,
     PathError,
     RadiusTooLarge,
     StemsOverlap,
@@ -196,13 +197,14 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> np.ndarray:
         # the crossing corridors short of one-quantum capacity; widening the
         # non-leg quantum keeps conservation and stays within the generalized
         # bound's additive slack.  The square acceptance grids never relax.
+        # Only a cut too small widens; any other failure propagates.
         paths = None
         for pool in (1, 2, 3, 4):
             capacity = np.where(slot_cap > 0, np.maximum(slot_cap - q, 0), pool)
             try:
                 paths = route_disjoint_quanta(spec, suppliers, demanders, capacity)
                 break
-            except PathError:
+            except CutTooSmall:
                 continue
         if paths is None:
             raise PathError(f"stem crossing infeasible for destination {t}")

@@ -1,5 +1,6 @@
 import hashlib
-from collections import Counter
+import math
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from toruslb.paths import (
     CutTooSmall,
+    _augment,
+    _trim_cycles,
     RadiusTooLarge,
     StemsOverlap,
     find_disjoint_stem_paths,
@@ -18,7 +21,7 @@ from toruslb.paths import (
 )
 from toruslb.policy import policy_to_csv
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
-from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec
+from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, edge_heads
 
 
 def test_stem_sizes():
@@ -135,6 +138,20 @@ def test_max_flow_respects_capacities():
     assert value == sum(spec.capacity(e.dir) for e in cut)
     # out-degree of a single source: two vertical and two horizontal links
     assert value <= 2 * 2.0 + 2 * 0.5
+
+
+def test_max_flow_rejects_capacities_it_cannot_scale_exactly():
+    spec = TorusSpec(4, 4)
+    with pytest.raises(ValueError, match="not a fraction"):
+        max_flow(spec, {Node(0, 0)}, {Node(2, 2)}, np.full((4, 4, 4), math.sqrt(2)))
+    # fractions with small denominators keep their exact values
+    value, cut = max_flow(spec, {Node(0, 0)}, {Node(2, 2)}, np.full((4, 4, 4), 0.1))
+    assert value == 0.4
+    origin_out = {DirectedEdge(Node(0, 0), d) for d in Direction}
+    assert cut == origin_out
+    value, cut = max_flow(TorusSpec(4, 4, 0.5, 1.5), {Node(0, 0)}, {Node(2, 2)})
+    assert value == 4.0
+    assert cut == origin_out
 
 
 # Oracles below share no code with the max-flow engine: they enumerate every
@@ -278,3 +295,128 @@ BUILDERS = {
 def test_stem_policy_bytes_pinned(scheme, shape, radii, digest):
     text = policy_to_csv(BUILDERS[scheme](TorusSpec(*shape), *radii))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The queue-BFS Edmonds-Karp and flow decomposition that the residual-list
+# search replaced, kept as their oracle: the rewrite must find the very same
+# augmenting paths, so flows, cuts and decomposed paths agree exactly.
+
+
+def queue_bfs_augment(heads, cap, supply, demand):
+    n = len(heads) // 4
+    back = [((e // n) ^ 1) * n + v for e, v in enumerate(heads)]
+    flow = [0] * len(cap)
+    while True:
+        parent = [-2] * n
+        queue = deque()
+        for u, quota in supply.items():
+            if quota > 0:
+                parent[u] = -1
+                queue.append(u)
+        while queue:
+            u = queue.popleft()
+            if demand.get(u, 0) > 0:
+                break
+            for e in range(u, 4 * n, n):
+                v = heads[e]
+                if parent[v] == -2 and (flow[e] < cap[e] or flow[back[e]] > 0):
+                    parent[v] = e
+                    queue.append(v)
+        else:
+            return flow, parent
+        end = u
+        path = []
+        while parent[u] >= 0:
+            path.append(parent[u])
+            u = parent[u] % n
+        amount = min(
+            supply[u], demand[end], *(cap[e] - flow[e] + flow[back[e]] for e in path)
+        )
+        for e in path:
+            cancel = min(amount, flow[back[e]])
+            flow[back[e]] -= cancel
+            flow[e] += amount - cancel
+        supply[u] -= amount
+        demand[end] -= amount
+
+
+def pop_front_decompose(heads, suppliers, consumed, flow):
+    n = len(heads) // 4
+    flow_out = {}
+    for e, units in enumerate(flow):
+        if units:
+            flow_out.setdefault(e % n, []).extend([e] * units)
+    terminal = dict(consumed)
+    paths = []
+    for node, quota in suppliers:
+        for _ in range(quota):
+            path, u = [], node
+            while not (path and terminal.get(u, 0) > 0):
+                e = flow_out[u].pop(0)
+                path.append(e)
+                u = heads[e]
+            terminal[u] -= 1
+            paths.append(_trim_cycles(heads, node, path))
+    return paths
+
+
+@st.composite
+def quota_networks(draw):
+    spec = TorusSpec(draw(st.integers(3, 7)), draw(st.integers(3, 7)))
+    n = spec.num_nodes
+    cap = draw(st.lists(st.integers(0, 3), min_size=4 * n, max_size=4 * n))
+    picked = draw(st.permutations(range(n)))
+    n_src, n_dst = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    quotas = st.integers(1, 3)
+    suppliers = [(u, draw(quotas)) for u in picked[:n_src]]
+    demanders = [(v, draw(quotas)) for v in picked[n_src : n_src + n_dst]]
+    return spec, cap, suppliers, demanders
+
+
+@settings(max_examples=200, deadline=None)
+@given(quota_networks())
+def test_residual_augment_matches_queue_bfs_oracle(network):
+    spec, cap, suppliers, demanders = network
+    heads = edge_heads(spec).ravel().tolist()
+    capacity = np.array(cap).reshape(4, spec.rows, spec.cols)
+
+    def node(u):
+        return Node(u % spec.cols, u // spec.cols)
+
+    # the max-flow routine itself: flows, leftover quotas and last search
+    supply, demand = dict(suppliers), dict(demanders)
+    flow, parent = queue_bfs_augment(heads, cap, supply, demand)
+    new_supply, new_demand, res = dict(suppliers), dict(demanders), list(cap)
+    new_parent = _augment(spec.rows, spec.cols, res, new_supply, new_demand)
+    assert [max(c - r, 0) for c, r in zip(cap, res)] == flow
+    assert (new_supply, new_demand, new_parent) == (supply, demand, parent)
+
+    # route_disjoint_quanta: the same CutTooSmall outcome, the same paths
+    args = (
+        spec,
+        [(node(u), q) for u, q in suppliers],
+        [(node(v), q) for v, q in demanders],
+        capacity,
+    )
+    if any(supply.values()):
+        with pytest.raises(CutTooSmall):
+            route_disjoint_quanta(*args)
+    else:
+        consumed = {v: q - demand[v] for v, q in demanders}
+        expected = pop_front_decompose(heads, suppliers, consumed, flow)
+        assert route_disjoint_quanta(*args) == expected
+
+    # max_flow: the same value and min cut
+    sources, sinks = {node(u) for u, _ in suppliers}, {node(v) for v, _ in demanders}
+    big = sum(cap) + 1
+    supply = {u.y * spec.cols + u.x: big for u in sources}
+    demand = {u.y * spec.cols + u.x: big for u in sinks}
+    _, parent = queue_bfs_augment(heads, cap, supply, demand)
+    value = big * len(supply) - sum(supply.values())
+    n = spec.num_nodes
+    cut = {
+        DirectedEdge(node(e % n), Direction(e // n))
+        for e, c in enumerate(cap)
+        if c and parent[e % n] != -2 and parent[heads[e]] == -2
+    }
+    assert max_flow(spec, sources, sinks, capacity) == (value, cut)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from toruslb.evaluate import worst_case_load
+from toruslb.evaluate import candidate_edges, worst_case_load
 from toruslb.policy import (
     OriginPolicy,
     check_reflection_invariance,
@@ -131,6 +131,27 @@ def test_reflection_invariance_checks():
             node = spec.step(node, Direction.POS_VERT)
         flows[t] = edge_flows
     assert not check_reflection_invariance(OriginPolicy.from_flows(spec, flows))
+
+
+def test_reflection_verdict_kept_until_flows_change(monkeypatch):
+    checks = []
+    monkeypatch.setattr(
+        "toruslb.policy.check_reflection_invariance",
+        lambda g: checks.append(g) or check_reflection_invariance(g),
+    )
+    g = build_llb(TorusSpec(6, 6), 2)
+    for _ in range(3):
+        assert candidate_edges(g) == [DirectedEdge(Node(0, 0), Direction.POS_VERT)]
+    assert len(checks) == 1
+    # an in-place edit that breaks the x=y reflection is checked again
+    saved = g.flows[1].copy()
+    g.flows[1] = np.roll(saved, 1, axis=-1)
+    assert candidate_edges(g) == [DirectedEdge(Node(0, 0), d) for d in Direction]
+    assert len(checks) == 2
+    assert worst_case_load(g, 4).value == pytest.approx(worst_case_load(expand(g), 4).value)
+    g.flows[1] = saved
+    assert candidate_edges(g) == [DirectedEdge(Node(0, 0), Direction.POS_VERT)]
+    assert len(checks) == 3
 
 
 def test_policy_csv_roundtrip():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from toruslb.evaluate import edge_loads, worst_case_load
-from toruslb.paths import RadiusTooLarge
+from toruslb import paths
+from toruslb.paths import PathError, RadiusTooLarge
 from toruslb.policy import check_reflection_invariance, edge_entries, expand, validate_policy
 from toruslb.schemes import (
     build_ecmp,
@@ -253,6 +254,23 @@ def test_worst_case_representative_edge_consistency():
         g, 4, edges=[DirectedEdge(Node(0, 0), d) for d in Direction]
     ).value
     assert fast == pytest.approx(full, abs=1e-12)
+
+
+def test_stem_route_widens_only_for_a_cut_too_small(monkeypatch):
+    # any other routing failure is a fault, not a reason to widen the pool
+    decompose = paths._decompose_flow
+    calls = []
+
+    def fail_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise PathError("flow decomposition failed to terminate")
+        return decompose(*args)
+
+    monkeypatch.setattr(paths, "_decompose_flow", fail_once)
+    with pytest.raises(PathError, match="failed to terminate"):
+        build_llb(TorusSpec(6, 6), 2)
+    assert len(calls) == 1
 
 
 def test_stem_route_slabs_pinned():
