@@ -7,60 +7,56 @@ demands is replaced by hose-model duals: per load-edge class, multipliers
 a_s, b_t >= 0 and gam >= 0 must cover every pair's flow coefficient on that
 edge, and their total (with gam weighted by k) is charged against the edge
 capacity times theta.  Both programs number edges by slab index, ``dir *
-num_nodes + y * cols + x``, and read heads from ``torus.edge_heads``.  No
-solver is embedded; a round-trip parser lets tests check the emitted files
-coefficient by coefficient.
+num_nodes + y * cols + x``, and read heads from ``torus.edge_heads``.
 
-Variable naming (bit-exact; ``tests/test_lpexport.py`` pins the emitted
-text by sha256 in ``test_reduced_lp_bytes_pinned`` and checks every name
-against orbits computed by ``apply_automorphism`` in
-``test_orbit_names_match_automorphism_orbits``):
+Each program is built once as arrays (``_Program``): column and row names,
+the constraint matrix in CSR form, senses, right-hand sides, and the boxed
+and nonnegative columns.  Conservation rows come from one COO block per
+program, +1 at every edge's tail and -1 at its head, merged by column;
+``_write_lp`` only formats, each distinct coefficient once.  No solver is
+embedded: :func:`parse_lp` reads the text back by whitespace tokens, so
+every ``.17g`` coefficient, exponent forms included, round-trips exactly.
+
+Variable naming (bit-exact; ``tests/test_lpexport.py`` pins both writers'
+text by sha256 and checks every name against orbits computed by
+``apply_automorphism`` in ``test_orbit_names_match_automorphism_orbits``):
 
 * ``g_t{tx}_{ty}_e{ex}_{ey}_{dir}`` - flow toward destination offset (tx, ty)
   on the edge with tail (ex, ey); dir is pv/nv/ph/nh.  The name used is the
   lexicographically smallest point-group image, which is how the reflection
-  ties are encoded.  Each (destination, edge) pair has an
-  integer orbit key that sorts like the pair; one table per call, built with
-  one ``np.minimum`` per point-group element over the index permutations of
-  :func:`toruslb.torus.automorphism_index_maps`, holds every pair's smallest
-  image key, and each distinct key is formatted once (see ``_OrbitIndex``).
+  ties are encoded.  Each (destination, edge) pair has an integer orbit key
+  that sorts like the pair; one table per call, built with one
+  ``np.minimum`` per point-group element, holds every pair's smallest image
+  key, and the distinct keys are named from their digits by one list
+  comprehension (``_OrbitIndex.table``), which the feasibility check shares.
 * ``th`` - the load bound being minimized.
 * ``a_{cls}_s{x}_{y}``, ``b_{cls}_t{x}_{y}``, ``gam_{cls}`` - per-source,
   per-sink, and total-demand hose multipliers for load-edge class ``cls``
   (``v`` always, plus ``h`` on specs without the x=y symmetry).
 * ``f_p{i}_e{ex}_{ey}_{dir}`` - per-pair flows in the fixed-demand program,
-  with pairs indexed in sorted order, from one table by edge id.
+  with pairs indexed in sorted order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable
+from itertools import repeat
+from operator import mul
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
 from toruslb.evaluate import SpecMismatch, load_edge_classes
 from toruslb.policy import OriginPolicy
-from toruslb.torus import (
-    DirectedEdge,
-    Direction,
-    Node,
-    TorusSpec,
-    automorphism_index_maps,
-    edge_heads,
-    point_group,
-)
+from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, edge_heads
+from toruslb.torus import automorphism_index_maps, point_group
 from toruslb.traffic import TrafficMatrix
 
-_DIR_NAME = {
-    Direction.POS_VERT: "pv",
-    Direction.NEG_VERT: "nv",
-    Direction.POS_HOR: "ph",
-    Direction.NEG_HOR: "nh",
-}
+_DIRS = ("pv", "nv", "ph", "nh")  # names of the directions, in Direction order
 MAX_LINE = 255
-Row = tuple[str, list[tuple[float, str]], str, float]  # name, terms, sense, rhs
+# row names, terms per row, column ids, coefficients, sense, right-hand sides
+Block = tuple[list[str], np.ndarray, np.ndarray, np.ndarray, str, np.ndarray]
 
 
 @dataclass
@@ -94,9 +90,9 @@ class LpCounts:
 
 
 def _g_name(t: Node, edge: DirectedEdge) -> str:
-    return (
-        f"g_t{t.x}_{t.y}_e{edge.tail.x}_{edge.tail.y}_{_DIR_NAME[edge.dir]}"
-    )
+    """One pair's flow variable spelt from the pair; :meth:`_OrbitIndex.names`
+    spells whole key tables from their digits the same way."""
+    return f"g_t{t.x}_{t.y}_e{edge.tail.x}_{edge.tail.y}_{_DIRS[edge.dir]}"
 
 
 class _OrbitIndex:
@@ -115,33 +111,121 @@ class _OrbitIndex:
         ys, xs = np.divmod(np.arange(n), spec.cols)
         lex = xs * spec.rows + ys
         self.key = (lex[:, None, None] * n + lex) * 4 + np.arange(4)[:, None]
-        self.rep = self.orbit_min(self.key)
-        self._names: dict[int, str] = {}
+        self.rep = self.key.copy()  # one np.minimum per point-group element
+        for phi in point_group(spec):
+            nodes, dirs = automorphism_index_maps(spec, phi)
+            np.minimum(self.rep, self.key[np.ix_(nodes, dirs, nodes)], out=self.rep)
 
-    def orbit_min(self, table: np.ndarray) -> np.ndarray:
-        """Smallest entry of ``table[t, dir, u]`` over each cell's point-group
-        images: one ``np.minimum`` per group element."""
-        out = table.copy()
-        for phi in point_group(self.spec):
-            nodes, dirs = automorphism_index_maps(self.spec, phi)
-            np.minimum(out, table[np.ix_(nodes, dirs, nodes)], out=out)
-        return out
+    def names(self, keys: np.ndarray) -> list[str]:
+        """The variable names of an array of pair keys, from its digits."""
+        dest, rest = np.divmod(keys, 4 * self.spec.num_nodes)
+        tail, d = np.divmod(rest, 4)
+        digits = (*np.divmod(dest, self.spec.rows), *np.divmod(tail, self.spec.rows), d)
+        return [
+            f"g_t{tx}_{ty}_e{ex}_{ey}_{_DIRS[dd]}"
+            for tx, ty, ex, ey, dd in zip(*(a.tolist() for a in digits))
+        ]
 
     def name(self, key: int) -> str:
-        """The variable name of the pair with this key, formatted once."""
-        name = self._names.get(key)
-        if name is None:
-            t, rest = divmod(key, 4 * self.spec.num_nodes)
-            tail, d = divmod(rest, 4)
-            name = self._names[key] = _g_name(
-                Node(*divmod(t, self.spec.rows)),
-                DirectedEdge(Node(*divmod(tail, self.spec.rows)), Direction(d)),
-            )
-        return name
+        return self.names(np.array([key]))[0]
+
+    def table(self) -> tuple[np.ndarray, list[str]]:
+        """The sorted distinct orbit keys of every destination but the
+        origin, which names no variable, and their names."""
+        keys = np.unique(self.rep[1:])
+        return keys, self.names(keys)
 
 
-def _emit(sink: IO[str], lines: Iterable[str]) -> None:
-    for line in lines:
+class _Program(NamedTuple):
+    """``minimize th`` over the columns ``cols``, subject to rows kept as CSR
+    arrays: row i has coefficients ``vals[indptr[i]:indptr[i + 1]]`` on the
+    columns ``ids[...]`` in the order written, then ``senses[i]`` and
+    ``rhs[i]``.  ``boxed`` columns lie in [0, 1] and ``nonnegative`` ones are
+    at least 0, each written in the order given."""
+
+    cols: list[str]
+    rows: list[str]
+    indptr: np.ndarray
+    ids: np.ndarray
+    vals: np.ndarray
+    senses: list[str]
+    rhs: np.ndarray
+    boxed: np.ndarray
+    nonnegative: np.ndarray
+
+    @classmethod
+    def stack(cls, cols: list[str], blocks: list[Block], boxed, nonnegative) -> _Program:
+        """The program whose rows are ``blocks``' rows, in order."""
+        names, counts, ids, vals, senses, rhs = zip(*blocks)
+        rows = [row for block in names for row in block]
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        senses = [sense for block, sense in zip(names, senses) for _ in block]
+        ids, vals, rhs = np.concatenate(ids), np.concatenate(vals), np.concatenate(rhs)
+        return cls(cols, rows, indptr, ids, vals, senses, rhs, boxed, nonnegative)
+
+
+def _by_name(cols: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Column ids in name order, and each column's place in that order."""
+    order = np.array(sorted(range(len(cols)), key=cols.__getitem__), dtype=np.int64)
+    return order, np.argsort(order)
+
+
+def _node_xy(spec: TorusSpec) -> list[str]:
+    return [f"{x}_{y}" for y in range(spec.rows) for x in range(spec.cols)]
+
+
+def _fixed(names: list[str], ids: np.ndarray, vals: np.ndarray, sense: str) -> Block:
+    """Rows of one width: ``ids[i]`` and ``vals[i]`` for row i, right-hand side 0."""
+    rows = len(names)
+    return names, np.full(rows, ids.shape[1]), ids.ravel(), vals.ravel(), sense, np.zeros(rows)
+
+
+def _conservation(
+    spec: TorusSpec, var: np.ndarray, rank: np.ndarray, tags: list[str], source, sink
+) -> Block:
+    """Rows ``cons_{tag}_n{x}_{y}`` for every tag, then node, where
+    ``var[i]`` holds tag i's column of every edge id: +1 at each edge's tail
+    and -1 at its head, merged by column with zeros dropped and ordered by
+    name (``rank``); right-hand side 1 at tag i's ``source`` node and -1 at
+    its ``sink`` node (one node for all tags, or one per tag)."""
+    n, blocks = spec.num_nodes, len(tags)
+    first_row = np.arange(blocks)[:, None] * n
+    rows = np.concatenate([(first_row + np.arange(4 * n) % n).ravel(),
+                           (first_row + edge_heads(spec).ravel()).ravel()])
+    ids = np.concatenate([var.ravel(), var.ravel()])
+    key = rows * len(rank) + rank[ids]
+    key, first, merged = np.unique(key, return_index=True, return_inverse=True)
+    coef = np.bincount(merged, weights=np.repeat([1.0, -1.0], var.size))
+    keep = coef != 0
+    rhs = np.zeros(blocks * n)
+    rhs[first_row.ravel() + source] = 1.0
+    rhs[first_row.ravel() + sink] = -1.0
+    names = [f"cons_{tag}_n{xy}" for tag in tags for xy in _node_xy(spec)]
+    counts = np.bincount(key[keep] // len(rank), minlength=blocks * n)
+    return names, counts, ids[first[keep]], coef[keep], "=", rhs
+
+
+def _write_lp(sink: IO[str], title: str, prog: _Program) -> None:
+    """Write ``prog`` as CPLEX LP text, a line at a time, wrapping lines
+    longer than ``MAX_LINE`` at a space.  Each distinct coefficient is
+    formatted once; a row's leading ``+ `` is dropped."""
+    values, which = np.unique(prog.vals, return_inverse=True)
+    signed = [f"{'-' if v < 0 else '+'} {abs(v):.17g} " for v in values.tolist()]
+    cols, ids, which, ptr = prog.cols, prog.ids, which.tolist(), prog.indptr.tolist()
+    rows = zip(prog.rows, ptr, ptr[1:], prog.senses, prog.rhs.tolist())
+
+    def lines() -> Iterator[str]:
+        yield from (f"\\ {title}", "Minimize", " obj: th", "Subject To")
+        for name, lo, hi, sense, rhs in rows:
+            terms = zip(which[lo:hi], ids[lo:hi].tolist())
+            body = " ".join([signed[i] + cols[j] for i, j in terms])
+            yield f" {name}: {body[2:] if body.startswith('+ ') else body} {sense} {rhs:.17g}"
+        yield "Bounds"
+        yield from (f" 0 <= {cols[j]} <= 1" for j in prog.boxed.tolist())
+        yield from (f" 0 <= {cols[j]}" for j in prog.nonnegative.tolist())
+        yield "End"
+
+    for line in lines():
         while len(line) > MAX_LINE:
             cut = line.rfind(" ", 0, MAX_LINE)
             if cut <= 0:
@@ -151,182 +235,119 @@ def _emit(sink: IO[str], lines: Iterable[str]) -> None:
         sink.write(line + "\n")
 
 
-def _format_terms(terms: list[tuple[float, str]]) -> str:
-    parts = []
-    for coef, name in terms:
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        parts.append(f"{sign} {mag:.17g} {name}")
-    joined = " ".join(parts)
-    return joined[2:] if joined.startswith("+ ") else joined
-
-
-def _conservation_rows(
-    spec: TorusSpec, heads: list[int], tag: str, names: list[str], source: int, sink: int
-) -> list[Row]:
-    """One ``cons_{tag}_n{x}_{y}`` row per node, in node order, over the
-    variables ``names[e]`` of the edge ids: +1 on every edge leaving the node
-    and -1 on every edge entering it, merged by name with zeros dropped;
-    right-hand side 1 at ``source``, -1 at ``sink``, 0 elsewhere."""
-    n = spec.num_nodes
-    terms: list[dict[str, float]] = [{} for _ in range(n)]
-    for e, (name, head) in enumerate(zip(names, heads)):
-        for u, coef in ((e % n, 1.0), (head, -1.0)):
-            terms[u][name] = terms[u].get(name, 0.0) + coef
-    return [
-        (
-            f"cons_{tag}_n{u.x}_{u.y}",
-            sorted(((c, v) for v, c in row.items() if c != 0.0), key=lambda x: x[1]),
-            "=",
-            1.0 if i == source else (-1.0 if i == sink else 0.0),
-        )
-        for i, (u, row) in enumerate(zip(spec.nodes(), terms))
-    ]
-
-
-def _write_lp(
-    sink: IO[str], title: str, rows: list[Row], boxed: Iterable[str], nonnegative: list[str]
-) -> None:
-    """Write ``minimize th`` subject to ``rows``, with ``boxed`` variables in
-    [0, 1] (sorted) and ``nonnegative`` ones at least 0 (in the given order)."""
-    lines = [f"\\ {title}", "Minimize", " obj: th", "Subject To"]
-    for name, terms, sense, rhs in rows:
-        lines.append(f" {name}: {_format_terms(terms)} {sense} {rhs:.17g}")
-    lines.append("Bounds")
-    lines += [f" 0 <= {name} <= 1" for name in sorted(boxed)]
-    lines += [f" 0 <= {name}" for name in nonnegative]
-    lines.append("End")
-    _emit(sink, lines)
-
-
 def export_reduced_oblivious_lp(spec: TorusSpec, k: int, sink: IO[str]) -> LpCounts:
     """Write the dualized reduced oblivious LP: minimize theta subject to
     origin-rooted flow conservation for every destination, reflection ties
     (every pair reads its orbit head's variable), box bounds, and one
     dualized hose constraint block per load-edge class."""
     index = _OrbitIndex(spec)
-    var = index.rep
-    nodes = list(spec.nodes())
-    n = len(nodes)
-    heads = edge_heads(spec).ravel().tolist()
-    gvars = {index.name(key) for key in set(var[1:].ravel().tolist())}
+    n = spec.num_nodes
+    keys, cols = index.table()
+    flows = len(cols)
+    # every pair's column; the origin's own slab is never read
+    var = np.searchsorted(keys, index.rep)
+    xy = _node_xy(spec)
+    classes = load_edge_classes(spec)
+    for label, _, _ in classes:
+        cols += [f"a_{label}_s{s}" for s in xy] + [f"b_{label}_t{t}" for t in xy]
+        cols.append(f"gam_{label}")
+    th = len(cols)
+    cols.append("th")
+    order, rank = _by_name(cols)
 
-    # flow conservation per (destination, node), on canonical variables; a key
-    # divided by 4n is its destination's rank x*rows + y, so a destination's
-    # smallest image is read off any of its keys
-    constraints: list[Row] = []
-    for rank in dict.fromkeys((var[1:, 0, 0] // (4 * n)).tolist()):
-        rep_t = Node(*divmod(rank, spec.rows))
-        t = rep_t.y * spec.cols + rep_t.x
-        names = [index.name(key) for key in var[t].ravel().tolist()]
-        constraints += _conservation_rows(
-            spec, heads, f"t{rep_t.x}_{rep_t.y}", names, 0, t
-        )
+    # flow conservation per destination orbit: a key divided by 4n is its
+    # destination's rank x*rows + y, so each destination's smallest image is
+    # read off any of its keys
+    heads = np.array(list(dict.fromkeys((index.rep[1:, 0, 0] // (4 * n)).tolist())))
+    hx, hy = np.divmod(heads, spec.rows)
+    dest = hy * spec.cols + hx
+    tags = [f"t{x}_{y}" for x, y in zip(hx.tolist(), hy.tolist())]
+    blocks = [_conservation(spec, var[dest].reshape(len(dest), -1), rank, tags, 0, dest)]
 
     # the hose row of pair (s, tau) names the variable carrying that pair's
-    # flow on the class edge: on_edge read over the table of variable keys
-    keys_as_policy = OriginPolicy(spec, var.reshape(n, 4, spec.rows, spec.cols))
-    dual_vars: set[str] = set()
-    for label, edge, cap in load_edge_classes(spec):
-        a_names = {s: f"a_{label}_s{s.x}_{s.y}" for s in nodes}
-        b_names = {t: f"b_{label}_t{t.x}_{t.y}" for t in nodes}
-        gam = f"gam_{label}"
-        dual_vars.update(a_names.values())
-        dual_vars.update(b_names.values())
-        dual_vars.add(gam)
-        budget = [(1.0, name) for name in sorted(a_names.values())]
-        budget += [(1.0, name) for name in sorted(b_names.values())]
-        budget += [(float(k), gam), (-cap, "th")]
-        constraints.append((f"load_{label}", budget, "<=", 0.0))
-        pair_keys = keys_as_policy.on_edge(edge).tolist()
-        for s, keys in zip(nodes, pair_keys):
-            for tau, pair_key in zip(nodes, keys):
-                if s == tau:
-                    continue
-                gname = index.name(pair_key)
-                constraints.append(
-                    (
-                        f"hose_{label}_s{s.x}_{s.y}_t{tau.x}_{tau.y}",
-                        [(1.0, a_names[s]), (1.0, b_names[tau]), (1.0, gam), (-1.0, gname)],
-                        ">=",
-                        0.0,
-                    )
-                )
+    # flow on the class edge: on_edge read over the table of column ids
+    as_policy = OriginPolicy(spec, var.reshape(n, 4, spec.rows, spec.cols))
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    for i, (label, edge, cap) in enumerate(classes):
+        a = flows + i * (2 * n + 1)
+        gam = a + 2 * n
+        budget = np.append(order[(order >= a) & (order < gam)], [gam, th])
+        weights = np.array([[1.0] * (2 * n) + [k, -cap]])
+        blocks.append(_fixed([f"load_{label}"], budget[None], weights, "<="))
+        hose = [a + src, a + n + dst, np.full_like(src, gam), as_policy.on_edge(edge)[src, dst]]
+        names = [f"hose_{label}_s{xy[s]}_t{xy[t]}" for s, t in zip(src.tolist(), dst.tolist())]
+        ones = np.tile([1.0, 1.0, 1.0, -1.0], (len(src), 1))
+        blocks.append(_fixed(names, np.stack(hose, axis=1), ones, ">="))
 
-    _write_lp(
-        sink, "reduced oblivious routing program", constraints, gvars, [*sorted(dual_vars), "th"]
-    )
-    return LpCounts(
-        variables=len(gvars) + len(dual_vars) + 1,
-        constraints=len(constraints),
-        flow_variables=len(gvars),
-    )
+    duals = order[(order >= flows) & (order < th)]
+    prog = _Program.stack(cols, blocks, order[order < flows], np.append(duals, th))
+    _write_lp(sink, "reduced oblivious routing program", prog)
+    return LpCounts(variables=len(cols), constraints=len(prog.rows), flow_variables=flows)
 
 
-def _f_names(spec: TorusSpec, pairs: int) -> list[list[str]]:
-    """``f_p{i}_e{x}_{y}_{dir}`` of every pair index and edge id."""
-    suffixes = [
-        f"{x}_{y}_{_DIR_NAME[d]}"
-        for d in Direction
-        for y in range(spec.rows)
-        for x in range(spec.cols)
-    ]
-    return [[f"f_p{p}_e{suffix}" for suffix in suffixes] for p in range(pairs)]
+def _f_names(spec: TorusSpec, pairs: int) -> list[str]:
+    """``f_p{i}_e{x}_{y}_{dir}`` of every pair index, then edge id."""
+    suffixes = [f"{xy}_{d}" for d in _DIRS for xy in _node_xy(spec)]
+    return [f"f_p{p}_e{suffix}" for p in range(pairs) for suffix in suffixes]
 
 
 def export_opt_lp(spec: TorusSpec, d: TrafficMatrix, sink: IO[str]) -> LpCounts:
     """Write the fixed-demand optimal-routing LP: per-pair flow conservation
     and per-edge load at most capacity times theta, minimized over theta."""
     pairs = sorted(d.entries.items())
-    fnames = _f_names(spec, len(pairs))
-    heads = edge_heads(spec).ravel().tolist()
-    cols, n = spec.cols, spec.num_nodes
-    constraints: list[Row] = []
-    for p, ((s, tau), _) in enumerate(pairs):
-        constraints += _conservation_rows(
-            spec, heads, f"p{p}", fnames[p], s.y * cols + s.x, tau.y * cols + tau.x
-        )
+    n, m, p = spec.num_nodes, 4 * spec.num_nodes, len(pairs)
+    cols = [*_f_names(spec, p), "th"]
+    th = p * m
+    order, rank = _by_name(cols)
+    ends = np.array([u.y * spec.cols + u.x for pair, _ in pairs for u in pair], dtype=int)
+    tags = [f"p{i}" for i in range(p)]
+    blocks = [_conservation(spec, np.arange(th).reshape(p, m), rank, tags, ends[::2], ends[1::2])]
     # load rows in TorusSpec.edges() order: by tail node, then direction
-    for u in range(n):
-        for dd in Direction:
-            e = dd * n + u
-            terms = [(amount, names[e]) for names, (_, amount) in zip(fnames, pairs)]
-            terms.append((-spec.capacity(dd), "th"))
-            name = f"load_e{u % cols}_{u // cols}_{_DIR_NAME[dd]}"
-            constraints.append((name, terms, "<=", 0.0))
+    edge = (np.arange(4) * n + np.arange(n)[:, None]).ravel()
+    caps = np.tile([spec.capacity(dd) for dd in Direction], n)
+    amounts = np.broadcast_to([amount for _, amount in pairs], (m, p))
+    blocks.append(_fixed(
+        [f"load_e{xy}_{dd}" for xy in _node_xy(spec) for dd in _DIRS],
+        np.hstack([edge[:, None] + m * np.arange(p), np.full((m, 1), th)]),
+        np.hstack([amounts, -caps[:, None]]),
+        "<=",
+    ))
 
-    boxed = [name for names in fnames for name in names]
-    _write_lp(sink, "optimal routing for a fixed demand", constraints, boxed, ["th"])
-    return LpCounts(
-        variables=len(boxed) + 1,
-        constraints=len(constraints),
-        flow_variables=len(boxed),
-    )
-
-
-_TERM_RE = re.compile(r"([+-])\s*([0-9.eE+-]*?)\s*([A-Za-z_][A-Za-z0-9_]*)")
-
-
-def _parse_expression(text: str) -> dict[str, float]:
-    terms: dict[str, float] = {}
-    if not text.lstrip().startswith(("+", "-")):
-        text = "+ " + text
-    for sign, mag, name in _TERM_RE.findall(text):
-        coef = float(mag) if mag not in ("", "+", "-") else 1.0
-        if sign == "-":
-            coef = -coef
-        terms[name] = terms.get(name, 0.0) + coef
-    return terms
+    prog = _Program.stack(cols, blocks, order[order < th], np.array([th]))
+    _write_lp(sink, "optimal routing for a fixed demand", prog)
+    return LpCounts(variables=th + 1, constraints=len(prog.rows), flow_variables=th)
 
 
 _ENTRY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*\s*:")
+_SECTIONS = {
+    "minimize": "obj", "maximize": "obj", "subject to": "cons", "bounds": "bounds", "end": "end"
+}
+_NUMBER_START = frozenset("0123456789.")
+
+
+def _parse_terms(tokens: list[str]) -> dict[str, float]:
+    """Terms ``[+|-] [magnitude] name`` read from whitespace tokens: the
+    sign defaults to ``+`` and the magnitude to 1; repeated names add up."""
+    terms: dict[str, float] = {}
+    sign, mag = 1.0, 1.0
+    for tok in tokens:
+        if tok == "+" or tok == "-":
+            sign = -1.0 if tok == "-" else 1.0
+        elif tok[0] in _NUMBER_START:
+            mag = float(tok)
+        else:
+            coef = sign if mag == 1.0 else sign * mag  # unit terms share two floats
+            terms[tok] = terms[tok] + coef if tok in terms else coef
+            sign, mag = 1.0, 1.0
+    return terms
 
 
 def parse_lp(text: str) -> LpModel:
     """Parse the subset of CPLEX LP format emitted by this module.  A line is
     a new entry when it names a section or starts with ``name:``; anything
-    else continues the previous entry (wrapped long constraints)."""
-    sections = {"minimize", "maximize", "subject to", "bounds", "end"}
+    else continues the previous entry (wrapped long constraints).  Entries
+    are read by whitespace tokens, so ``1.0000000000000001e-05`` is one
+    coefficient."""
     entries: list[tuple[str, str]] = []  # (mode, full text)
     mode = None
     sense = "min"
@@ -335,17 +356,10 @@ def parse_lp(text: str) -> LpModel:
         if not ln or ln.startswith("\\"):
             continue
         low = ln.lower()
-        if low in sections:
-            if low == "minimize":
-                sense, mode = "min", "obj"
-            elif low == "maximize":
-                sense, mode = "max", "obj"
-            elif low == "subject to":
-                mode = "cons"
-            elif low == "bounds":
-                mode = "bounds"
-            else:
-                mode = "end"
+        if low in _SECTIONS:
+            mode = _SECTIONS[low]
+            if mode == "obj":
+                sense = low[:3]
             continue
         if mode == "end":
             break
@@ -360,30 +374,20 @@ def parse_lp(text: str) -> LpModel:
     bounds: dict[str, tuple[float | None, float | None]] = {}
     for entry_mode, ln in entries:
         if entry_mode == "obj":
-            body = ln.split(":", 1)[1] if ":" in ln else ln
-            objective.update(_parse_expression(body))
+            objective.update(_parse_terms(ln.split(":", 1)[-1].split()))
         elif entry_mode == "cons":
             name, body = ln.split(":", 1)
-            m = re.search(r"(<=|>=|=)\s*([0-9.eE+-]+)\s*$", body)
-            if not m:
+            tokens = body.split()
+            if len(tokens) < 2 or tokens[-2] not in ("<=", ">=", "="):
                 raise ValueError(f"cannot parse constraint: {ln!r}")
-            constraints.append(
-                LpConstraint(
-                    name=name.strip(),
-                    terms=_parse_expression(body[: m.start()]),
-                    sense=m.group(1),
-                    rhs=float(m.group(2)),
-                )
-            )
+            terms = _parse_terms(tokens[:-2])
+            constraints.append(LpConstraint(name.strip(), terms, tokens[-2], float(tokens[-1])))
         elif entry_mode == "bounds":
-            two = re.match(
-                r"([0-9.eE+-]+)\s*<=\s*([A-Za-z_][A-Za-z0-9_]*)\s*<=\s*([0-9.eE+-]+)", ln
-            )
-            one = re.match(r"([0-9.eE+-]+)\s*<=\s*([A-Za-z_][A-Za-z0-9_]*)\s*$", ln)
-            if two:
-                bounds[two.group(2)] = (float(two.group(1)), float(two.group(3)))
-            elif one:
-                bounds[one.group(2)] = (float(one.group(1)), None)
+            tokens = ln.split()
+            if len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
+                bounds[tokens[2]] = (float(tokens[0]), float(tokens[4]))
+            elif len(tokens) == 3 and tokens[1] == "<=":
+                bounds[tokens[2]] = (float(tokens[0]), None)
             else:
                 raise ValueError(f"cannot parse bound: {ln!r}")
     return LpModel(sense=sense, objective=objective, constraints=constraints, bounds=bounds)
@@ -393,8 +397,10 @@ def _violations(model: LpModel, values: dict[str, float], tol: float) -> list[st
     """Every constraint and then every variable bound of ``model`` that
     ``values`` (missing names read 0) violates by more than ``tol``."""
     failures = []
+    value = values.get
     for con in model.constraints:
-        lhs = sum(coef * values.get(name, 0.0) for name, coef in con.terms.items())
+        # the products coef * value summed in term order, without a frame per term
+        lhs = sum(map(mul, con.terms.values(), map(value, con.terms, repeat(0.0))))
         ok = (
             lhs <= con.rhs + tol
             if con.sense == "<="
@@ -412,54 +418,47 @@ def _violations(model: LpModel, values: dict[str, float], tol: float) -> list[st
 
 
 def check_opt_feasibility(
-    spec: TorusSpec,
-    demand: TrafficMatrix,
-    model: LpModel,
-    pair_flows: dict[tuple[Node, Node], np.ndarray],
-    theta: float,
-    tol: float = 1e-7,
+    spec: TorusSpec, demand: TrafficMatrix, model: LpModel,
+    pair_flows: dict[tuple[Node, Node], np.ndarray], theta: float, tol: float = 1e-7,
 ) -> list[str]:
     """Substitute per-pair flows (``[dir, y, x]`` slabs, as
     ``Policy.pair_flows`` returns them) and a load bound into a parsed
     fixed-demand model and report every violated constraint."""
     values: dict[str, float] = {"th": theta}
     pairs = sorted(demand.entries)
-    for names, pair in zip(_f_names(spec, len(pairs)), pairs):
+    names, m = _f_names(spec, len(pairs)), 4 * spec.num_nodes
+    for p, pair in enumerate(pairs):
         flows = pair_flows.get(pair)
         if flows is not None:
-            values.update(zip(names, np.ravel(flows).tolist()))
+            values.update(zip(names[p * m : (p + 1) * m], np.ravel(flows).tolist()))
     return _violations(model, values, tol)
 
 
 def check_oblivious_feasibility(
-    spec: TorusSpec,
-    k: int,
-    model: LpModel,
-    policy: OriginPolicy,
-    theta: float,
-    duals: dict[str, float],
-    tol: float = 1e-7,
+    spec: TorusSpec, k: int, model: LpModel, policy: OriginPolicy,
+    theta: float, duals: dict[str, float], tol: float = 1e-7,
 ) -> list[str]:
     """Substitute a policy's flows (with hose duals and its worst-case theta)
-    into a parsed model and report every violated constraint.
+    into a parsed reduced model and report every violated constraint.
 
-    ``k`` is unused: the model already carries it as the coefficient of
-    ``gam`` in each load row.  It stays because the acceptance gate and the
-    benchmark pass the arguments positionally."""
+    The model must have been exported for this ``k``: every ``load_{label}``
+    row weighs ``gam_{label}`` by k, and a model of another k raises
+    ``ValueError``, as a policy on another spec raises ``SpecMismatch``."""
     if policy.spec != spec:
         raise SpecMismatch("policy and model use different torus specs")
+    for con in model.constraints:
+        if con.name.startswith("load_"):
+            gam = f"gam_{con.name[5:]}"
+            if con.terms.get(gam) != k:
+                raise ValueError(f"{con.name} weighs {gam} by {con.terms.get(gam)}, not k={k}")
     index = _OrbitIndex(spec)
-    values: dict[str, float] = {"th": theta}
-    values.update(duals)
-    # position[t, dir, u] is the pair's place in nodes() x edges() order; the
-    # orbit member with the smallest position supplies the orbit's value, and
-    # the origin's own slab names no variable
+    _, names = index.table()
+    # each orbit's value is its member first in nodes() x edges() order, that
+    # is [t, u, dir]; the origin's own slab names no variable
     n = spec.num_nodes
-    position = np.arange(n * n * 4).reshape(n, n, 4).transpose(0, 2, 1)
-    first = index.orbit_min(position) == position
-    first[0] = False
-    flows = policy.flows.reshape(n, 4, n)
-    for key, v in zip(index.rep[first].tolist(), flows[first].tolist()):
-        values.setdefault(index.name(key), v)
-
+    _, first = np.unique(index.rep[1:].transpose(0, 2, 1), return_index=True)
+    flows = policy.flows.reshape(n, 4, n)[1:].transpose(0, 2, 1).ravel()[first]
+    values = dict(zip(names, flows.tolist()))
+    values["th"] = theta
+    values.update(duals)
     return _violations(model, values, tol)

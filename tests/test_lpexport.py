@@ -1,5 +1,6 @@
 import hashlib
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from toruslb.evaluate import (
     worst_case_load,
 )
 from toruslb.lpexport import (
+    LpConstraint,
+    LpModel,
     _g_name,
     _OrbitIndex,
     check_oblivious_feasibility,
@@ -20,7 +23,7 @@ from toruslb.lpexport import (
     load_edge_classes,
     parse_lp,
 )
-from toruslb.schemes import build_ecmp, build_llb
+from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
 from toruslb.torus import (
     Direction,
     Node,
@@ -29,7 +32,7 @@ from toruslb.torus import (
     apply_to_edge,
     point_group,
 )
-from toruslb.traffic import gen_split_diamond
+from toruslb.traffic import TrafficMatrix, gen_hotspot, gen_split_diamond
 
 
 def export_text(spec, k):
@@ -210,6 +213,41 @@ def test_reduced_lp_bytes_pinned(dims, k, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+SPEC_5X7 = TorusSpec(5, 7, 1.0, 3.0)
+# demands other than 1 on a rectangle with unequal capacities; 0.1 prints in 17
+# digits as 0.10000000000000001
+HAND_DEMAND = {
+    (Node(0, 0), Node(3, 4)): 1.0,
+    (Node(2, 1), Node(6, 0)): 0.1,
+    (Node(4, 4), Node(1, 2)): 2.25,
+    (Node(6, 3), Node(0, 3)): 3.0,
+}
+
+# sha256 of export_opt_lp text, recorded before that writer moved to coefficient
+# arrays; the 8x8 programs have load rows long enough to wrap.
+OPT_LP_DIGESTS = [
+    ("split-diamond-6x6", TorusSpec(6, 6), lambda s: gen_split_diamond(s, 2),
+     "02c0bccf22342734b084b3a075bba86be365c655b27d6d15cf3d623a8ad936c8"),
+    ("hotspot-6x6", TorusSpec(6, 6), lambda s: gen_hotspot(s, 4),
+     "778f9b8dfe6ded9b141b23802f79ee8166dab95307c9322aeef1f36c3fbdd08d"),
+    ("split-diamond-8x8", TorusSpec(8, 8), lambda s: gen_split_diamond(s, 3),
+     "d0d18c8c137f210b48582cb7be2f1f38a7f4e46f0b602a25aee7a9be532d7e07"),
+    ("hotspot-8x8", TorusSpec(8, 8), lambda s: gen_hotspot(s, 18),
+     "b8abd444606791afdf7d605a69283d07cd86325cbd3aa465b40bec4496bf03ff"),
+    ("hand-5x7", SPEC_5X7, lambda s: TrafficMatrix(s, HAND_DEMAND),
+     "c0e849b674933090529ea84d8d66a617b85b8fe550515f5eedee85ba71e6e93d"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,make,digest", [case[1:] for case in OPT_LP_DIGESTS], ids=[c[0] for c in OPT_LP_DIGESTS]
+)
+def test_opt_lp_bytes_pinned(spec, make, digest):
+    buf = io.StringIO()
+    export_opt_lp(spec, make(spec), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
 def orbit_head_name(spec, t, edge):
     """Reference: the name of the smallest point-group image of (t, edge),
     found by applying every automorphism."""
@@ -247,3 +285,203 @@ def test_feasibility_rejects_mismatched_spec():
         policy = build_ecmp(TorusSpec(*policy_dims))
         with pytest.raises(SpecMismatch):
             check_oblivious_feasibility(spec, 2, model, policy, 1.0, {})
+
+
+def hose_duals(policy, k):
+    """The hose multipliers of ``policy``'s k-limited matching on every load
+    edge class, named as the reduced program names them."""
+    duals = {}
+    for label, edge, _cap in load_edge_classes(policy.spec):
+        res = _k_matching_sparse(pair_weights_on_edge(policy, edge), k)
+        for s, v in res.row_duals.items():
+            duals[f"a_{label}_s{s.x}_{s.y}"] = v
+        for t, v in res.col_duals.items():
+            duals[f"b_{label}_t{t.x}_{t.y}"] = v
+        duals[f"gam_{label}"] = res.card_dual
+    return duals
+
+
+# rectangles and unequal capacities; the last two have two load-edge classes
+@pytest.mark.parametrize(
+    "spec,build,k",
+    [
+        (TorusSpec(6, 8), lambda s: build_gllb(s, 2, 2), 8),
+        (TorusSpec(6, 8), build_vlb, 8),
+        (TorusSpec(6, 6, 2.0, 1.0), build_ring_lb, 2),
+        (SPEC_5X7, build_ecmp, 5),
+    ],
+    ids=["gllb22-6x8", "vlb-6x8", "ring-6x6-c2-1", "ecmp-5x7-c1-3"],
+)
+def test_feasibility_injection_off_square_unit_torus(spec, build, k):
+    text, _ = export_text(spec, k)
+    model = parse_lp(text)
+    policy = build(spec)
+    wc = worst_case_load(policy, k)
+    duals = hose_duals(policy, k)
+    assert check_oblivious_feasibility(spec, k, model, policy, wc.value, duals) == []
+    assert check_oblivious_feasibility(spec, k, model, policy, 0.9 * wc.value, duals)
+
+
+def test_feasibility_rejects_model_of_another_k():
+    spec = TorusSpec(6, 6)
+    text, _ = export_text(spec, 2)
+    policy = build_llb(spec, 1)
+    with pytest.raises(ValueError, match="gam_v"):
+        check_oblivious_feasibility(spec, 3, parse_lp(text), policy, 1.0, hose_duals(policy, 3))
+
+
+def test_exponent_coefficients_roundtrip():
+    spec = TorusSpec(4, 6, 1e-5, 1.0)
+    text, counts = export_text(spec, 2)
+    model = parse_lp(text)
+    assert len(model.variables()) == counts.variables
+    assert len(model.constraints) == counts.constraints
+    load_v = next(c for c in model.constraints if c.name == "load_v")
+    assert load_v.terms["th"] == -1e-5
+
+    small, large = (Node(0, 0), Node(2, 1)), (Node(3, 3), Node(1, 0))
+    demand = TrafficMatrix(spec, {small: 1e-5, large: 2.5e20})
+    buf = io.StringIO()
+    counts = export_opt_lp(spec, demand, buf)
+    assert "e-05" in buf.getvalue() and "e+20" in buf.getvalue()
+    model = parse_lp(buf.getvalue())
+    assert len(model.variables()) == counts.variables
+    assert len(model.constraints) == counts.constraints
+    loads = {c.name: c.terms for c in model.constraints if c.name.startswith("load_")}
+    assert loads["load_e0_0_pv"] == {"f_p0_e0_0_pv": 1e-5, "f_p1_e0_0_pv": 2.5e20, "th": -1e-5}
+    assert loads["load_e0_0_ph"] == {"f_p0_e0_0_ph": 1e-5, "f_p1_e0_0_ph": 2.5e20, "th": -1.0}
+
+
+# The regex parser parse_lp had before it read by tokens, kept as the
+# reference.  Its term pattern splits an exponent such as ``1e-05`` into a
+# variable ``e`` and a coefficient, so it is compared only on programs whose
+# coefficients print without one.
+_ORACLE_TERM_RE = re.compile(r"([+-])\s*([0-9.eE+-]*?)\s*([A-Za-z_][A-Za-z0-9_]*)")
+_ORACLE_ENTRY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*\s*:")
+
+
+def _oracle_expression(text):
+    terms = {}
+    if not text.lstrip().startswith(("+", "-")):
+        text = "+ " + text
+    for sign, mag, name in _ORACLE_TERM_RE.findall(text):
+        coef = float(mag) if mag not in ("", "+", "-") else 1.0
+        if sign == "-":
+            coef = -coef
+        terms[name] = terms.get(name, 0.0) + coef
+    return terms
+
+
+def oracle_parse_lp(text):
+    sections = {"minimize", "maximize", "subject to", "bounds", "end"}
+    entries = []
+    mode = None
+    sense = "min"
+    for raw in text.splitlines():
+        ln = raw.strip()
+        if not ln or ln.startswith("\\"):
+            continue
+        low = ln.lower()
+        if low in sections:
+            if low == "minimize":
+                sense, mode = "min", "obj"
+            elif low == "maximize":
+                sense, mode = "max", "obj"
+            elif low == "subject to":
+                mode = "cons"
+            elif low == "bounds":
+                mode = "bounds"
+            else:
+                mode = "end"
+            continue
+        if mode == "end":
+            break
+        if mode == "bounds" or _ORACLE_ENTRY_RE.match(ln) or not entries:
+            entries.append((mode, ln))
+        else:
+            prev_mode, prev = entries[-1]
+            entries[-1] = (prev_mode, prev + " " + ln)
+
+    objective = {}
+    constraints = []
+    bounds = {}
+    for entry_mode, ln in entries:
+        if entry_mode == "obj":
+            body = ln.split(":", 1)[1] if ":" in ln else ln
+            objective.update(_oracle_expression(body))
+        elif entry_mode == "cons":
+            name, body = ln.split(":", 1)
+            m = re.search(r"(<=|>=|=)\s*([0-9.eE+-]+)\s*$", body)
+            if not m:
+                raise ValueError(f"cannot parse constraint: {ln!r}")
+            constraints.append(
+                LpConstraint(
+                    name=name.strip(),
+                    terms=_oracle_expression(body[: m.start()]),
+                    sense=m.group(1),
+                    rhs=float(m.group(2)),
+                )
+            )
+        elif entry_mode == "bounds":
+            two = re.match(
+                r"([0-9.eE+-]+)\s*<=\s*([A-Za-z_][A-Za-z0-9_]*)\s*<=\s*([0-9.eE+-]+)", ln
+            )
+            one = re.match(r"([0-9.eE+-]+)\s*<=\s*([A-Za-z_][A-Za-z0-9_]*)\s*$", ln)
+            if two:
+                bounds[two.group(2)] = (float(two.group(1)), float(two.group(3)))
+            elif one:
+                bounds[one.group(2)] = (float(one.group(1)), None)
+            else:
+                raise ValueError(f"cannot parse bound: {ln!r}")
+    return LpModel(sense=sense, objective=objective, constraints=constraints, bounds=bounds)
+
+
+@st.composite
+def small_programs(draw):
+    """A torus of 3-7 x 3-7 with capacities in {1, 2}, k in 1-4, and a demand
+    of one to four pairs whose amounts print without an exponent."""
+    spec = TorusSpec(
+        draw(st.integers(3, 7)),
+        draw(st.integers(3, 7)),
+        draw(st.sampled_from([1.0, 2.0])),
+        draw(st.sampled_from([1.0, 2.0])),
+    )
+    nodes = list(spec.nodes())
+    pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(lambda p: p[0] != p[1])
+    amount = st.floats(1e-3, 1e3)
+    entries = draw(st.dictionaries(pair, amount, min_size=1, max_size=4))
+    return spec, draw(st.integers(1, 4)), TrafficMatrix(spec, entries)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_programs())
+def test_parse_lp_matches_regex_oracle(program):
+    spec, k, demand = program
+    reduced, _ = export_text(spec, k)
+    buf = io.StringIO()
+    export_opt_lp(spec, demand, buf)
+    for text in (reduced, buf.getvalue()):
+        assert parse_lp(text) == oracle_parse_lp(text)
+
+
+def test_parse_lp_joins_a_break_between_coefficient_and_name():
+    text = "\n".join([
+        "\\ hand-wrapped",
+        "Minimize",
+        " obj: th",
+        "Subject To",
+        " c0: 2 x + 1",
+        " y - 0.5 th <= 0",
+        " c1: - 1 x + 1",
+        "   y = 1",
+        "Bounds",
+        " 0 <= x <= 1",
+        " 0 <= th",
+        "End",
+    ])
+    model = parse_lp(text)
+    assert model == oracle_parse_lp(text)
+    assert [c.terms for c in model.constraints] == [
+        {"x": 2.0, "y": 1.0, "th": -0.5}, {"x": -1.0, "y": 1.0}
+    ]
+    assert model.bounds == {"x": (0.0, 1.0), "th": (0.0, None)}
