@@ -47,9 +47,7 @@ def oblivious_lower_bound(k: int) -> float:
     root = math.isqrt(2 * k)
     if root * root == 2 * k:
         return root / 4
-    m = math.isqrt(k // 2)
-    while 2 * (m + 1) * (m + 1) <= k:
-        m += 1
+    m = math.isqrt(k // 2)  # the largest m with 2m^2 <= k: 2(m+1)^2 >= 2(k//2) + 2 > k
     alpha = (k - 2 * m * m) / (4 * m + 2)
     return (m + alpha) / 2
 

@@ -21,7 +21,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from toruslb.policy import FullPolicy, Policy, edge_entries, reflection_invariant
+from toruslb.policy import FullPolicy, Policy, edge_entries
 from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec
 from toruslb.traffic import TrafficMatrix
 
@@ -302,11 +302,11 @@ def candidate_edges(p: Policy) -> list[DirectedEdge]:
     Origin policies are translation invariant, so only the four origin edges
     can differ; reflection invariance further collapses opposite directions
     to :func:`load_edge_classes`.  The invariance check runs once per policy
-    (:func:`~toruslb.policy.reflection_invariant`).
+    (:attr:`~toruslb.policy.OriginPolicy.reflection_invariant`).
     """
     if isinstance(p, FullPolicy):
         return sorted(p.spec.edges())
-    if reflection_invariant(p):
+    if p.reflection_invariant:
         return [edge for _, edge, _ in load_edge_classes(p.spec)]
     return [DirectedEdge(Node(0, 0), d) for d in Direction]
 

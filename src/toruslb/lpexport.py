@@ -49,7 +49,7 @@ import numpy as np
 
 from toruslb.evaluate import SpecMismatch, load_edge_classes
 from toruslb.policy import OriginPolicy
-from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, edge_heads
+from toruslb.torus import Direction, Node, TorusSpec, edge_heads
 from toruslb.torus import automorphism_index_maps, point_group
 from toruslb.traffic import TrafficMatrix
 
@@ -89,12 +89,6 @@ class LpCounts:
     flow_variables: int = 0
 
 
-def _g_name(t: Node, edge: DirectedEdge) -> str:
-    """One pair's flow variable spelt from the pair; :meth:`_OrbitIndex.names`
-    spells whole key tables from their digits the same way."""
-    return f"g_t{t.x}_{t.y}_e{edge.tail.x}_{edge.tail.y}_{_DIRS[edge.dir]}"
-
-
 class _OrbitIndex:
     """Orbit keys of every (destination, edge) pair, so reflection-tied flow
     variables collapse to one name.
@@ -125,9 +119,6 @@ class _OrbitIndex:
             f"g_t{tx}_{ty}_e{ex}_{ey}_{_DIRS[dd]}"
             for tx, ty, ex, ey, dd in zip(*(a.tolist() for a in digits))
         ]
-
-    def name(self, key: int) -> str:
-        return self.names(np.array([key]))[0]
 
     def table(self) -> tuple[np.ndarray, list[str]]:
         """The sorted distinct orbit keys of every destination but the

@@ -113,8 +113,8 @@ def _shape_tables(
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
     """Edge tables of a rows x cols torus, built once per shape: every edge's
     head, the id of its reverse (which leaves the head in the opposite
-    direction, ``dir ^ 1``), and each node's ``(edge, head)`` pairs in
-    ``Direction`` order."""
+    direction, ``dir ^ 1`` by :class:`Direction`'s bit layout), and each
+    node's ``(edge, head)`` pairs in ``Direction`` order."""
     n = rows * cols
     heads = tuple(edge_heads(TorusSpec(rows, cols)).ravel().tolist())
     back = tuple(((e // n) ^ 1) * n + v for e, v in enumerate(heads))

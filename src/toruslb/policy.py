@@ -21,8 +21,11 @@ demand's pairs in one call.
 
 A zero slab means the policy routes nothing for that destination or pair;
 validation and CSV output skip it.  Translations are rolls and the point
-group acts by index permutations and direction swaps, so symmetrization and
-the reflection check are whole-array operations.  The scheme constructors
+group acts by the index maps of :func:`~toruslb.torus.automorphism_index_maps`,
+so symmetrization and the reflection check are whole-array operations.
+Both classes make their flows read-only on construction, so a policy's
+reflection invariance is a fixed fact: :attr:`OriginPolicy.reflection_invariant`
+checks it once per policy.  The scheme constructors
 write their routes straight into these arrays.  The per-destination
 ``{DirectedEdge: fraction}`` dict form survives only as an input adapter,
 :meth:`OriginPolicy.from_flows`, which serves :func:`origin_policy_from_csv`
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from io import StringIO
 
 import numpy as np
@@ -86,6 +90,13 @@ class OriginPolicy:
 
     def __post_init__(self) -> None:
         _check_shape(self.spec, self.flows, 1)
+        self.flows.flags.writeable = False
+
+    @cached_property
+    def reflection_invariant(self) -> bool:
+        """:func:`check_reflection_invariance` at its default tolerance, run
+        once: the flows are read-only, so the verdict cannot change."""
+        return check_reflection_invariance(self)
 
     @classmethod
     def from_flows(cls, spec: TorusSpec, flows: dict[Node, EdgeFlows]) -> OriginPolicy:
@@ -133,6 +144,7 @@ class FullPolicy:
 
     def __post_init__(self) -> None:
         _check_shape(self.spec, self.flows, 2)
+        self.flows.flags.writeable = False
 
     def gather(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Edge flows ``[k, dir, y, x]`` of the k pairs src[i] -> dst[i]."""
@@ -230,22 +242,8 @@ def check_reflection_invariance(g: OriginPolicy, tol: float = CONSERVATION_TOL) 
     flat = g.flows.reshape(spec.num_nodes, 4, spec.num_nodes)
     return all(
         np.abs(_pull_back(spec, flat, phi) - flat).max() <= tol
-        for phi in point_group(spec)
-        if phi.reflect_origin or phi.reflect_xy
+        for phi in point_group(spec)[1:]
     )
-
-
-def reflection_invariant(g: OriginPolicy) -> bool:
-    """:func:`check_reflection_invariance` at its default tolerance, run once
-    per flows content: the verdict is kept on ``g`` with a 64-bit hash of
-    ``g.flows``' bytes and reused while the hash matches, so a policy whose
-    flows change afterwards is checked again."""
-    key = hash(g.flows.tobytes())
-    known = g.__dict__.get("_reflection_verdict")
-    if known is None or known[0] != key:
-        known = (key, check_reflection_invariance(g))
-        object.__setattr__(g, "_reflection_verdict", known)  # g is frozen
-    return known[1]
 
 
 ORIGIN_CSV_HEADER = ["dst_x", "dst_y", "tail_x", "tail_y", "dir", "fraction"]

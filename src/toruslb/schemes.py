@@ -268,7 +268,8 @@ def build_ring_lb(spec: TorusSpec) -> OriginPolicy:
     """Ring load balancing along the dimension with the smaller crossing
     bisection (ties go to vertical rings).  Horizontal rings are vertical
     rings of the transposed torus, mapped back by swapping the node axes and
-    the vertical and horizontal directions."""
+    the vertical and horizontal directions (``d ^ 2``, the axis bit of
+    :class:`~toruslb.torus.Direction`)."""
     rows, cols = spec.rows, spec.cols
     if rows * spec.cap_horizontal <= cols * spec.cap_vertical:
         flows = _vertical_ring_flows(rows, cols)
@@ -276,7 +277,7 @@ def build_ring_lb(spec: TorusSpec) -> OriginPolicy:
         flows = (
             _vertical_ring_flows(cols, rows)
             .reshape(cols, rows, 4, cols, rows)
-            .transpose(1, 0, 2, 4, 3)[:, :, [2, 3, 0, 1]]
+            .transpose(1, 0, 2, 4, 3)[:, :, np.arange(4) ^ 2]
             .reshape(spec.num_nodes, 4, rows, cols)
         )
     return symmetrize_origin(OriginPolicy(spec=spec, flows=flows))

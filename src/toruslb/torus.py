@@ -5,12 +5,19 @@ pair with ``x`` the horizontal coordinate in ``[0, cols)`` and ``y`` the
 vertical coordinate in ``[0, rows)``.  The vertical axis is the canonical
 "first" axis: vertical links carry capacity ``cap_vertical`` and the
 worst-case evaluator's representative edge points in ``POS_VERT``.
+
+Symmetries are arithmetic.  A :class:`Direction` is two bits, so the point
+group acts on directions by xor, and :func:`automorphism_index_maps` gives a
+symmetry's action on node arrays from the coordinate grids in one pass;
+:func:`apply_automorphism` is the same map for one node.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
+from numbers import Integral
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -30,6 +37,10 @@ class Node(NamedTuple):
 
 
 class Direction(IntEnum):
+    """Edge direction as two bits: bit 1 is the axis (0 vertical, 1
+    horizontal) and bit 0 the sign (0 positive, 1 negative).  The opposite
+    direction is ``d ^ 1``, the same sign on the other axis ``d ^ 2``."""
+
     POS_VERT = 0
     NEG_VERT = 1
     POS_HOR = 2
@@ -41,36 +52,20 @@ class Direction(IntEnum):
 
     @property
     def opposite(self) -> "Direction":
-        return _OPPOSITE[self]
+        return Direction(self ^ 1)
 
     @property
     def is_vertical(self) -> bool:
-        return self in (Direction.POS_VERT, Direction.NEG_VERT)
+        return self < 2
 
     @property
     def token(self) -> str:
         return _TOKENS[self]
 
 
-_DELTAS = {
-    Direction.POS_VERT: (0, 1),
-    Direction.NEG_VERT: (0, -1),
-    Direction.POS_HOR: (1, 0),
-    Direction.NEG_HOR: (-1, 0),
-}
-_OPPOSITE = {
-    Direction.POS_VERT: Direction.NEG_VERT,
-    Direction.NEG_VERT: Direction.POS_VERT,
-    Direction.POS_HOR: Direction.NEG_HOR,
-    Direction.NEG_HOR: Direction.POS_HOR,
-}
-_TOKENS = {
-    Direction.POS_VERT: "+v",
-    Direction.NEG_VERT: "-v",
-    Direction.POS_HOR: "+h",
-    Direction.NEG_HOR: "-h",
-}
-DIRECTION_FROM_TOKEN = {tok: d for d, tok in _TOKENS.items()}
+_DELTAS = ((0, 1), (0, -1), (1, 0), (-1, 0))
+_TOKENS = ("+v", "-v", "+h", "-h")
+DIRECTION_FROM_TOKEN = {tok: Direction(d) for d, tok in enumerate(_TOKENS)}
 
 
 class DirectedEdge(NamedTuple):
@@ -93,10 +88,14 @@ class TorusSpec:
     cap_horizontal: float = 1.0
 
     def __post_init__(self) -> None:
+        extents = (self.rows, self.cols)
+        if any(isinstance(n, bool) or not isinstance(n, Integral) for n in extents):
+            raise TorusError(f"rows and cols must be integers, got {extents}")
         if self.rows < 3 or self.cols < 3:
             raise TorusError("rows and cols must each be at least 3")
-        if self.cap_vertical <= 0 or self.cap_horizontal <= 0:
-            raise TorusError("capacities must be positive")
+        caps = (self.cap_vertical, self.cap_horizontal)
+        if not all(c > 0 and math.isfinite(c) for c in caps):
+            raise TorusError(f"capacities must be finite and positive, got {caps}")
 
     def is_square_symmetric(self) -> bool:
         return self.rows == self.cols and self.cap_vertical == self.cap_horizontal
@@ -201,16 +200,8 @@ def apply_automorphism(spec: TorusSpec, phi: Automorphism, u: Node) -> Node:
 
 
 def apply_to_direction(phi: Automorphism, d: Direction) -> Direction:
-    if phi.reflect_xy:
-        d = {
-            Direction.POS_VERT: Direction.POS_HOR,
-            Direction.NEG_VERT: Direction.NEG_HOR,
-            Direction.POS_HOR: Direction.POS_VERT,
-            Direction.NEG_HOR: Direction.NEG_VERT,
-        }[d]
-    if phi.reflect_origin:
-        d = d.opposite
-    return d
+    """x=y swaps the axis bit and the origin reflection flips the sign bit."""
+    return Direction(d ^ 2 * phi.reflect_xy ^ phi.reflect_origin)
 
 
 def apply_to_edge(spec: TorusSpec, phi: Automorphism, edge: DirectedEdge) -> DirectedEdge:
@@ -224,17 +215,22 @@ def automorphism_index_maps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """phi as index permutations for arrays over nodes and directions: the
     flat index ``y * cols + x`` of each node's image, in :meth:`TorusSpec.nodes`
-    order, and each direction's image, in :class:`Direction` order."""
-    images = [apply_automorphism(spec, phi, u) for u in spec.nodes()]
-    return (
-        np.array([v.y * spec.cols + v.x for v in images]),
-        np.array([apply_to_direction(phi, d) for d in Direction]),
-    )
+    order, and each direction's image, in :class:`Direction` order.  The node
+    images are :func:`apply_automorphism` on the coordinate grids: swap,
+    negate, translate, wrap."""
+    _check_valid(spec, phi)
+    y, x = np.divmod(np.arange(spec.num_nodes), spec.cols)
+    if phi.reflect_xy:
+        x, y = y, x
+    if phi.reflect_origin:
+        x, y = -x, -y
+    nodes = (y + phi.translation.y) % spec.rows * spec.cols + (x + phi.translation.x) % spec.cols
+    return nodes, np.arange(4) ^ 2 * phi.reflect_xy ^ phi.reflect_origin
 
 
 def point_group(spec: TorusSpec) -> list[Automorphism]:
     """Translation-free symmetries: {I, R0} always, plus the x=y reflections
-    on square symmetric specs."""
+    on square symmetric specs.  The identity comes first."""
     group = [Automorphism(), Automorphism(reflect_origin=True)]
     if spec.is_square_symmetric():
         group.append(Automorphism(reflect_xy=True))

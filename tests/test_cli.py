@@ -191,3 +191,16 @@ def test_failed_run_leaves_no_output_file(tmp_path, monkeypatch):
     out = tmp_path / "r.lp"
     assert main(["export-lp", "--n", "4", "--k", "1", "--out", str(out)]) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_capacity_exits_1_without_output(tmp_path):
+    for argv in (
+        ["worst-case", "--n", "6", "--c1", "nan", "--c2", "nan", "--scheme", "ecmp", "--k", "2"],
+        ["export-lp", "--n", "4", "--c1", "nan", "--k", "2"],
+        ["export-lp", "--n", "4", "--c2", "inf", "--k", "2"],
+        ["evaluate", "--n", "6", "--c1", "inf", "--c2", "inf", "--scheme", "vlb",
+         "--traffic", "hotspot", "--k", "2"],
+    ):
+        out = tmp_path / "never.txt"
+        assert main(argv + ["--out", str(out)]) == 1, argv
+        assert not out.exists(), argv

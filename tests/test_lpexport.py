@@ -2,6 +2,7 @@ import hashlib
 import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from toruslb.evaluate import (
 from toruslb.lpexport import (
     LpConstraint,
     LpModel,
-    _g_name,
     _OrbitIndex,
     check_oblivious_feasibility,
     export_opt_lp,
@@ -248,6 +248,12 @@ def test_opt_lp_bytes_pinned(spec, make, digest):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
+def _g_name(t, edge):
+    """The oracle's own spelling of one pair's flow variable."""
+    d = ("pv", "nv", "ph", "nh")[edge.dir]
+    return f"g_t{t.x}_{t.y}_e{edge.tail.x}_{edge.tail.y}_{d}"
+
+
 def orbit_head_name(spec, t, edge):
     """Reference: the name of the smallest point-group image of (t, edge),
     found by applying every automorphism."""
@@ -268,8 +274,8 @@ def test_orbit_names_match_automorphism_orbits(rows, cols, cap_vertical):
         for edge in spec.edges():
             expected = orbit_head_name(spec, t, edge)
             at = (t.y * cols + t.x, edge.dir, edge.tail.y * cols + edge.tail.x)
-            assert index.name(int(index.rep[at])) == expected
-            assert index.name(int(index.key[at])) == _g_name(t, edge)
+            assert index.names(np.array([index.rep[at]]))[0] == expected
+            assert index.names(np.array([index.key[at]]))[0] == _g_name(t, edge)
             if t != Node(0, 0):
                 heads.add(expected)
     text, _ = export_text(spec, 2)

@@ -12,9 +12,10 @@ from toruslb.policy import (
     origin_policy_from_csv,
     policy_to_csv,
     symmetrize,
+    symmetrize_origin,
     validate_policy,
 )
-from toruslb.schemes import build_ecmp, build_gllb, build_llb
+from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
 from toruslb.torus import (
     Automorphism,
     DirectedEdge,
@@ -23,6 +24,7 @@ from toruslb.torus import (
     TorusSpec,
     automorphism_group,
     node_add,
+    point_group,
 )
 
 from tests.test_evaluate import random_origin_policy
@@ -143,15 +145,39 @@ def test_reflection_verdict_kept_until_flows_change(monkeypatch):
     for _ in range(3):
         assert candidate_edges(g) == [DirectedEdge(Node(0, 0), Direction.POS_VERT)]
     assert len(checks) == 1
-    # an in-place edit that breaks the x=y reflection is checked again
-    saved = g.flows[1].copy()
-    g.flows[1] = np.roll(saved, 1, axis=-1)
-    assert candidate_edges(g) == [DirectedEdge(Node(0, 0), d) for d in Direction]
+    # the flows are read-only, so the verdict holds for the policy's life;
+    # edited flows make a new policy, which is checked exactly once more
+    with pytest.raises(ValueError):
+        g.flows[1] = np.roll(g.flows[1], 1, axis=-1)
+    edited = g.flows.copy()
+    edited[1] = np.roll(edited[1], 1, axis=-1)
+    h = OriginPolicy(g.spec, edited)
+    assert candidate_edges(h) == [DirectedEdge(Node(0, 0), d) for d in Direction]
     assert len(checks) == 2
-    assert worst_case_load(g, 4).value == pytest.approx(worst_case_load(expand(g), 4).value)
-    g.flows[1] = saved
-    assert candidate_edges(g) == [DirectedEdge(Node(0, 0), Direction.POS_VERT)]
-    assert len(checks) == 3
+    assert worst_case_load(h, 4).value == pytest.approx(worst_case_load(expand(h), 4).value)
+    assert len(checks) == 2
+
+
+def test_policy_flows_are_read_only():
+    spec = TorusSpec(6, 6)
+    ecmp = build_ecmp(TorusSpec(4, 4))
+    policies = [
+        build_ecmp(spec),
+        build_vlb(spec),
+        build_llb(spec, 2),
+        build_gllb(TorusSpec(6, 8), 2, 2),
+        build_gllb(TorusSpec(4, 10), 2, 5),
+        build_ring_lb(TorusSpec(4, 6)),
+        build_ring_lb(TorusSpec(6, 4)),
+        expand(ecmp),
+        symmetrize(expand(ecmp), point_group(ecmp.spec)),
+        symmetrize_origin(ecmp),
+        OriginPolicy(spec, np.zeros((36, 4, 6, 6))),
+    ]
+    for p in policies:
+        assert p.flows.flags.writeable is False
+        with pytest.raises(ValueError):
+            p.flows[(0,) * p.flows.ndim] = 0.5
 
 
 def test_policy_csv_roundtrip():

@@ -1,15 +1,22 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toruslb.torus import (
+    DIRECTION_FROM_TOKEN,
     Automorphism,
+    Direction,
     InvalidAutomorphism,
     Node,
+    TorusError,
     TorusSpec,
     apply_automorphism,
     apply_to_edge,
     automorphism_group,
+    automorphism_index_maps,
     hop_distance,
     node_add,
     node_neg,
@@ -127,3 +134,72 @@ def test_edge_count_and_spec_validation():
     assert TorusSpec(5, 5).is_square_symmetric()
     assert not TorusSpec(5, 5, cap_vertical=2.0).is_square_symmetric()
     assert node_neg(spec, Node(1, 2)) == Node(5, 2)
+
+
+@pytest.mark.parametrize(
+    "rows,cols", [(4.5, 4), (4, 4.0), ("4", 4), (True, 4), (4, None)]
+)
+def test_spec_requires_integer_extents(rows, cols):
+    with pytest.raises(TorusError):
+        TorusSpec(rows, cols)
+
+
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_spec_requires_finite_positive_capacities(cap):
+    with pytest.raises(TorusError):
+        TorusSpec(6, 6, cap_vertical=cap)
+    with pytest.raises(TorusError):
+        TorusSpec(6, 8, cap_horizontal=cap)
+
+
+def test_spec_accepts_numpy_integer_extents():
+    spec = TorusSpec(np.int64(4), np.int32(5), np.float64(2.0))
+    assert spec.num_nodes == 20
+
+
+def test_direction_bits():
+    table = {
+        Direction.POS_VERT: ((0, 1), Direction.NEG_VERT, True, "+v"),
+        Direction.NEG_VERT: ((0, -1), Direction.POS_VERT, True, "-v"),
+        Direction.POS_HOR: ((1, 0), Direction.NEG_HOR, False, "+h"),
+        Direction.NEG_HOR: ((-1, 0), Direction.POS_HOR, False, "-h"),
+    }
+    for d, (delta, opposite, is_vertical, token) in table.items():
+        assert d.delta == delta
+        assert d.opposite is opposite
+        assert d.is_vertical is is_vertical
+        assert d.token == token
+        assert DIRECTION_FROM_TOKEN[token] is d
+    assert len(DIRECTION_FROM_TOKEN) == 4
+
+
+# direction images by (reflect_xy, reflect_origin), spelled out
+DIRECTION_IMAGES = {
+    (False, False): [Direction.POS_VERT, Direction.NEG_VERT, Direction.POS_HOR, Direction.NEG_HOR],
+    (False, True): [Direction.NEG_VERT, Direction.POS_VERT, Direction.NEG_HOR, Direction.POS_HOR],
+    (True, False): [Direction.POS_HOR, Direction.NEG_HOR, Direction.POS_VERT, Direction.NEG_VERT],
+    (True, True): [Direction.NEG_HOR, Direction.POS_HOR, Direction.NEG_VERT, Direction.POS_VERT],
+}
+
+
+def test_index_maps_match_per_node_images(monkeypatch):
+    def scalar_call(*args):
+        raise AssertionError("index maps must not call apply_automorphism")
+
+    monkeypatch.setattr("toruslb.torus.apply_automorphism", scalar_call)
+    checked = 0
+    for rows in range(3, 9):
+        for cols in range(3, 9):
+            for caps in ((1.0, 1.0), (2.0, 1.0)):
+                spec = TorusSpec(rows, cols, *caps)
+                for phi in automorphism_group(spec):
+                    nodes, dirs = automorphism_index_maps(spec, phi)
+                    images = [apply_automorphism(spec, phi, u) for u in spec.nodes()]
+                    assert nodes.tolist() == [v.y * cols + v.x for v in images]
+                    assert dirs.tolist() == DIRECTION_IMAGES[phi.reflect_xy, phi.reflect_origin]
+                    checked += 1
+    assert checked == 4754
+    with pytest.raises(InvalidAutomorphism):
+        automorphism_index_maps(TorusSpec(4, 5), Automorphism(reflect_xy=True))
+    with pytest.raises(InvalidAutomorphism):
+        automorphism_index_maps(TorusSpec(4, 4, 2.0), Automorphism(reflect_xy=True))
