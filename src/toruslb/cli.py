@@ -32,15 +32,20 @@ from toruslb.traffic import (
 DEFAULT_SEED = 20240917
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for --k and --trials: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(lowest: int) -> Callable[[str], int]:
+    """argparse type for --k and --trials (at least 1) and --seed (at least
+    0): an integer of at least ``lowest``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    return parse
 
 
 def _spec(args: argparse.Namespace) -> TorusSpec:
@@ -231,12 +236,12 @@ _FLAGS = {
     "m": dict(type=int, default=None, help="cols (defaults to --n)"),
     "c1": dict(type=float, default=1.0, help="vertical link capacity"),
     "c2": dict(type=float, default=1.0, help="horizontal link capacity"),
-    "k": dict(type=_positive_int, default=18),
+    "k": dict(type=_int_at_least(1), default=18),
     "r": dict(type=int, default=None),
     "scheme": dict(default="llb", choices=["ecmp", "vlb", "llb", "gllb", "ring"]),
     "traffic": dict(default="split-diamond", choices=["split-diamond", "hotspot", "random"]),
-    "trials": dict(type=_positive_int, default=1000),
-    "seed": dict(type=int, default=DEFAULT_SEED),
+    "trials": dict(type=_int_at_least(1), default=1000),
+    "seed": dict(type=_int_at_least(0), default=DEFAULT_SEED),
 }
 _COMMANDS = {
     "table1": (cmd_table1, ("k", "r", "trials", "seed")),

@@ -1,5 +1,13 @@
 """Exact load evaluation and worst-case analysis over k-limited traffic.
 
+Loads on concrete demands come from one block evaluator: a run of demands
+with the same number of entries W is packed into ``[B, W]`` pair and amount
+arrays, read with one :meth:`~toruslb.policy.OriginPolicy.gather`, and
+reduced to per-demand loads and mean hops.  :func:`run_trials` evaluates its
+generated demands in such blocks, and :func:`edge_loads` is the one-demand
+block; both give what adding one pair at a time in entry order gives, to
+the bit.
+
 The worst case over the k-limited polytope is computed combinatorially: for a
 fixed edge the load is linear in the demand, the polytope's vertices are 0/1
 matrices with per-source and per-sink multiplicity one and at most k entries,
@@ -17,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,32 +59,72 @@ class WorstCaseResult:
     edge: DirectedEdge
 
 
+# Cap on B * W * 4 * num_nodes, the elements of one block's flow array and of
+# the gather's index array: 128 KB each on any torus.  Blocks twice as large
+# ran about 10% faster at 10x10 in some processes; in others, depending on
+# what the process had allocated before, the allocator gave their freed
+# temporaries back to the system after every block, and the next block
+# page-faulted them in again.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _blocks(p: Policy, demands: Iterable[TrafficMatrix]) -> Iterator[list[TrafficMatrix]]:
+    """Runs of consecutive demands with the same number of entries, each
+    checked against ``p``'s spec as it arrives, cut where a run would pass
+    ``_BLOCK_ELEMENTS``.  A demand wider than the cap is a block of one."""
+    slab = 4 * p.spec.num_nodes
+    block: list[TrafficMatrix] = []
+    for d in demands:
+        if p.spec != d.spec:
+            raise SpecMismatch("policy and traffic use different torus specs")
+        width = len(d.entries)
+        if block and (
+            width != len(block[0].entries) or (len(block) + 1) * width * slab > _BLOCK_ELEMENTS
+        ):
+            yield block
+            block = []
+        block.append(d)
+    if block:
+        yield block
+
+
+def _evaluate_block(
+    p: Policy, block: list[TrafficMatrix]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Loads ``[B, dir, y, x]``, max loads ``[B]`` and mean hops ``[B]`` of B
+    demands with W entries each, from one gather of all B * W pairs.
+
+    Bit-identical to evaluating one pair at a time: a reduction over the
+    pair axis, which is not the innermost, adds each demand's rows in entry
+    order; a row sum is the same pairwise sum that a lone slab's ``.sum()``
+    gives; and the hops are a running sum, from 0.0, in entry order."""
+    spec = p.spec
+    b, w = len(block), len(block[0].entries)
+    cv, ch = spec.cap_vertical, spec.cap_horizontal
+    caps = np.array([cv, cv, ch, ch])[:, None, None]  # by Direction's axis bit
+    flat = np.array(
+        [u.y * spec.cols + u.x for d in block for pair in d.entries for u in pair], dtype=np.intp
+    ).reshape(b * w, 2)  # [pair, (src, dst)]
+    amount = np.array([v for d in block for v in d.entries.values()], dtype=float).reshape(b, w)
+    flows = p.gather(flat[:, 0], flat[:, 1])  # a fresh array, scaled in place below
+    terms = np.zeros((b, w + 1))
+    np.multiply(amount, flows.reshape(b, w, 4 * spec.num_nodes).sum(axis=2), out=terms[:, 1:])
+    hops = terms.cumsum(axis=1)[:, -1]
+    np.multiply(amount.reshape(b * w, 1, 1, 1), flows, out=flows)
+    np.divide(flows, caps, out=flows)
+    load = np.add.reduce(flows.reshape(b, w, 4, spec.rows, spec.cols), axis=1, initial=0.0)
+    # every entry is positive, so a demand's total is positive iff it has entries
+    avg_hops = hops / np.array([d.total() for d in block]) if w else hops
+    return load, load.reshape(b, -1).max(axis=1), avg_hops
+
+
 def edge_loads(p: Policy, d: TrafficMatrix) -> LoadReport:
     """Capacity-normalized load of every edge under demand ``d``, plus the
-    demand-weighted mean path length."""
-    if p.spec != d.spec:
-        raise SpecMismatch("policy and traffic use different torus specs")
-    spec = p.spec
-    caps = np.array([spec.capacity(direction) for direction in Direction])[:, None, None]
-    cols = spec.cols
-    src = np.array([s.y * cols + s.x for s, _ in d.entries], dtype=np.intp)
-    dst = np.array([t.y * cols + t.x for _, t in d.entries], dtype=np.intp)
-    amount = np.fromiter(d.entries.values(), dtype=float, count=len(d.entries))
-    flows = p.gather(src, dst)
-    # Bit-identical to evaluating one pair at a time: a reduction over the
-    # leading (pair) axis adds the rows in entry order, and a row sum is the
-    # same pairwise sum that the lone slab's ``.sum()`` gives.
-    load = np.add.reduce(amount[:, None, None, None] * flows / caps, axis=0, initial=0.0)
-    slab_sums = flows.reshape(len(amount), 4 * spec.num_nodes).sum(axis=1)
-    hops = 0.0
-    for h in (amount * slab_sums).tolist():
-        hops += h
-    total = d.total()
-    return LoadReport(
-        load=load,
-        max_load=float(load.max()),
-        avg_hops=hops / total if total > 0 else 0.0,
-    )
+    demand-weighted mean path length: the one-demand block of the trial
+    evaluator."""
+    (block,) = _blocks(p, [d])
+    load, max_load, avg_hops = _evaluate_block(p, block)
+    return LoadReport(load=load[0], max_load=float(max_load[0]), avg_hops=float(avg_hops[0]))
 
 
 @dataclass
@@ -355,13 +403,16 @@ def run_trials(
     base_seed: int,
 ) -> TrialSummary:
     """Evaluate a policy on ``trials`` generated demands (trial i uses seed
-    base_seed + i) and summarize max load and mean hops."""
+    base_seed + i, generated in order) and summarize max load and mean hops.
+
+    Demands are evaluated in blocks of consecutive demands with the same
+    number of entries, one gather per block, with the same arithmetic as
+    :func:`edge_loads` on each demand."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    loads, hops = np.zeros(trials), np.zeros(trials)
-    for i in range(trials):
-        report = edge_loads(p, generator(base_seed + i))
-        loads[i], hops[i] = report.max_load, report.avg_hops
+    demands = (generator(base_seed + i) for i in range(trials))
+    per_block = [_evaluate_block(p, block)[1:] for block in _blocks(p, demands)]
+    loads, hops = (np.concatenate(parts) for parts in zip(*per_block))
     return TrialSummary(
         trials=trials,
         base_seed=base_seed,

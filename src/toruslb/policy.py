@@ -16,8 +16,8 @@ value).
 Both classes read the slabs of many pairs at once with one array gather,
 :meth:`~OriginPolicy.gather` (``G[t - s]`` at every cell shifted by its
 source, or ``F[s, t]``); :meth:`~OriginPolicy.pair_flows` is its one-pair
-case, :func:`expand` its all-pairs case, and the load evaluator gathers one
-demand's pairs in one call.
+case, :func:`expand` its all-pairs case, and the load evaluator gathers a
+block of demands' pairs in one call.
 
 A zero slab means the policy routes nothing for that destination or pair;
 validation and CSV output skip it.  Translations are rolls and the point
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from io import StringIO
 
 import numpy as np
@@ -60,6 +60,18 @@ EdgeFlows = dict[DirectedEdge, float]
 
 def _flat(spec: TorusSpec, u: Node) -> int:
     return u.y * spec.cols + u.x
+
+
+@lru_cache(maxsize=16)
+def _differences(rows: int, cols: int) -> np.ndarray:
+    """``D[s, t]``: the flat index of t - s for flat node indices s and t of a
+    rows x cols torus, read-only and built once per shape.  Row s takes every
+    node u to u - s, so pair s -> t routes ``G[D[s, t]]`` read at ``D[s]``."""
+    dy = (np.arange(rows) - np.arange(rows)[:, None]) % rows * cols
+    dx = (np.arange(cols) - np.arange(cols)[:, None]) % cols
+    diff = (dy[:, None, :, None] + dx[None, :, None, :]).reshape(rows * cols, rows * cols)
+    diff.flags.writeable = False
+    return diff
 
 
 def translate(slab: np.ndarray, by: Node) -> np.ndarray:
@@ -109,17 +121,15 @@ class OriginPolicy:
 
     def gather(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Edge flows ``[k, dir, y, x]`` of the k pairs src[i] -> dst[i]
-        (flat node indices): ``G[dst - src]`` read at every cell shifted
-        back by its source, ``((y - s_y) % rows) * cols + (x - s_x) % cols``."""
+        (flat node indices): ``G[dst - src]`` read at every cell u shifted
+        back by its source, at u - src; both differences come from
+        :func:`_differences`."""
         spec = self.spec
-        rows, cols, n = spec.rows, spec.cols, spec.num_nodes
-        sy, sx = np.divmod(src, cols)
-        ty, tx = np.divmod(dst, cols)
-        offset = ((ty - sy) % rows) * cols + (tx - sx) % cols
-        cell_y = (np.arange(rows) - sy[:, None]) % rows * cols
-        cell_x = (np.arange(cols) - sx[:, None]) % cols
-        cell = (offset * (4 * n))[:, None, None] + cell_y[:, :, None] + cell_x[:, None, :]
-        return np.take(self.flows, cell[:, None] + (np.arange(4) * n)[:, None, None])
+        n = spec.num_nodes
+        diff = _differences(spec.rows, spec.cols)
+        slab = (diff[src, dst] * 4)[:, None, None] + np.arange(4)[:, None]  # (t - s, dir) rows
+        cell = slab * n + diff[src][:, None, :]
+        return np.take(self.flows, cell).reshape(-1, 4, spec.rows, spec.cols)
 
     def pair_flows(self, s: Node, t: Node) -> np.ndarray:
         """Edge flows ``[dir, y, x]`` for the pair s -> t."""
@@ -130,11 +140,10 @@ class OriginPolicy:
         """``W[s, t]``: the fraction of pair s -> t on ``edge``, which is
         ``G[t - s]`` read at the edge's tail translated by -s."""
         spec = self.spec
-        ys, xs = np.divmod(np.arange(spec.num_nodes), spec.cols)
-        offset = ((ys - ys[:, None]) % spec.rows) * spec.cols + (xs - xs[:, None]) % spec.cols
-        tail_y = ((edge.tail.y - ys) % spec.rows)[:, None]
-        tail_x = ((edge.tail.x - xs) % spec.cols)[:, None]
-        return self.flows[offset, edge.dir, tail_y, tail_x]
+        n = spec.num_nodes
+        diff = _differences(spec.rows, spec.cols)
+        tail = _flat(spec, edge.tail)
+        return self.flows.reshape(n, 4, n)[diff, edge.dir, diff[:, tail, None]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from io import StringIO
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -30,20 +32,30 @@ class DoesNotFit(TrafficError):
     pass
 
 
+@lru_cache(maxsize=16)
+def _node_table(rows: int, cols: int) -> tuple[tuple[Node, ...], frozenset[Node]]:
+    """The nodes of a rows x cols torus in flat-index order (``y * cols +
+    x``), and as a set for membership tests, built once per shape."""
+    nodes = tuple(TorusSpec(rows, cols).nodes())
+    return nodes, frozenset(nodes)
+
+
 @dataclass(frozen=True)
 class TrafficMatrix:
-    """Sparse demand map (source, dest) -> units: both nodes on the grid and
-    distinct, every demand positive and finite."""
+    """Sparse demand map (source, dest) -> units: both nodes among the grid's
+    nodes and distinct, every demand positive and finite."""
 
     spec: TorusSpec
     entries: dict[tuple[Node, Node], float]
 
     def __post_init__(self) -> None:
         cols, rows = self.spec.cols, self.spec.rows
+        grid = _node_table(rows, cols)[1]
+        if not grid.issuperset(chain.from_iterable(self.entries)):
+            s, t = next(pair for pair in self.entries if not grid.issuperset(pair))
+            u = s if s not in grid else t
+            raise TrafficError(f"node {u} of {s}->{t} is off the {cols}x{rows} grid")
         for (s, t), demand in self.entries.items():
-            for u in (s, t):
-                if not (0 <= u.x < cols and 0 <= u.y < rows):
-                    raise TrafficError(f"node {u} of {s}->{t} is off the {cols}x{rows} grid")
             if s == t:
                 raise TrafficError(f"self-demand at {s}")
             if not 0 < demand < math.inf:
@@ -154,9 +166,11 @@ def gen_random_sparse(spec: TorusSpec, k: int, seed: int) -> TrafficMatrix:
     replacement, paired by a uniform random permutation.  A permutation that
     pairs a node with itself is redrawn (and for k = 1 a sink equal to the
     source, which no permutation avoids), so the result is always a valid
-    traffic matrix.  Deterministic given the seed."""
+    traffic matrix.  Deterministic given the seed, which must be nonnegative."""
     if k < 1 or k > spec.num_nodes:
         raise TrafficError(f"need 1 <= k <= {spec.num_nodes}")
+    if seed < 0:
+        raise TrafficError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     src_idx = rng.choice(spec.num_nodes, size=k, replace=False)
     dst_idx = rng.choice(spec.num_nodes, size=k, replace=False)
@@ -166,10 +180,9 @@ def gen_random_sparse(spec: TorusSpec, k: int, seed: int) -> TrafficMatrix:
         perm = rng.permutation(k)
         if (src_idx != dst_idx[perm]).all():
             break
-    sy, sx = np.divmod(src_idx, spec.cols)
-    ty, tx = np.divmod(dst_idx[perm], spec.cols)
-    sources = map(Node, sx.tolist(), sy.tolist())
-    sinks = map(Node, tx.tolist(), ty.tolist())
+    nodes = _node_table(spec.rows, spec.cols)[0]
+    sources = [nodes[i] for i in src_idx.tolist()]
+    sinks = [nodes[i] for i in dst_idx[perm].tolist()]
     return TrafficMatrix(spec=spec, entries=dict.fromkeys(zip(sources, sinks), 1.0))
 
 

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from toruslb import __version__ as VERSION
 from toruslb.cli import main
 from toruslb.lpexport import parse_lp
 
@@ -139,6 +140,26 @@ def test_usage_error_exit_code(tmp_path):
         ["export-opt", "--n", "10", "--m", "12", "--traffic", "random"],
     ):
         assert run_cli(argv, tmp_path, "ok.txt")[0] == 0, argv
+
+
+def test_negative_seed_is_a_usage_error(tmp_path):
+    """--seed below 0 exits 2 while parsing, before any scheme is built, and
+    leaves no output file."""
+    for argv in (
+        ["table1", "--n", "6", "--k", "4", "--trials", "3", "--seed", "-5"],
+        ["table2", "--n", "6", "--k", "4", "--trials", "3", "--seed", "-1"],
+        ["evaluate", "--n", "6", "--k", "4", "--traffic", "random", "--seed", "-1"],
+        ["export-opt", "--n", "6", "--k", "4", "--traffic", "random", "--seed", "-1"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", str(tmp_path / "never.csv")])
+        assert err.value.code == 2, argv
+        assert not (tmp_path / "never.csv").exists(), argv
+    rc, text = run_cli(
+        ["evaluate", "--n", "6", "--k", "4", "--traffic", "random", "--seed", "0"],
+        tmp_path, "seed0.csv",
+    )
+    assert rc == 0 and text.endswith(f"# seed=0,version={VERSION}\n")
 
 
 def test_runtime_error_exit_code(tmp_path):

@@ -11,6 +11,10 @@ import numpy as np
 import pytest
 
 from toruslb.evaluate import (
+    _BLOCK_ELEMENTS,
+    SpecMismatch,
+    TrialSummary,
+    _blocks,
     _k_matching_sparse,
     candidate_edges,
     edge_loads,
@@ -287,6 +291,127 @@ def test_edge_loads_matches_roll_loop_bit_for_bit(spec, build, k):
             assert np.array_equal(report.load, load)
             assert report.max_load == max_load
             assert report.avg_hops == avg_hops
+
+
+def roll_loop_trials(g: OriginPolicy, generator, trials: int, base_seed: int) -> TrialSummary:
+    """Oracle for ``run_trials``: :func:`roll_loop_loads` on one demand at a
+    time, summarized by mean, min and max of the max load and mean hops."""
+    results = [roll_loop_loads(g, generator(base_seed + i))[1:] for i in range(trials)]
+    loads = np.array([max_load for max_load, _ in results])
+    hops = np.array([avg_hops for _, avg_hops in results])
+    return TrialSummary(
+        trials=trials,
+        base_seed=base_seed,
+        max_load_mean=float(loads.mean()),
+        max_load_min=float(loads.min()),
+        max_load_max=float(loads.max()),
+        avg_hops_mean=float(hops.mean()),
+    )
+
+
+def assert_trials_match_oracle(g: OriginPolicy, generator, trials: int, base_seed: int = 0):
+    expected = roll_loop_trials(g, generator, trials, base_seed)
+    for policy in (g, expand(g)):
+        assert run_trials(policy, generator, trials, base_seed) == expected
+
+
+def block_sizes(g: OriginPolicy, generator, trials: int, base_seed: int = 0) -> list[int]:
+    demands = (generator(base_seed + i) for i in range(trials))
+    return [len(block) for block in _blocks(g, demands)]
+
+
+TRIAL_CASES = {
+    "10x10-ecmp": (TorusSpec(10, 10), build_ecmp, 18),
+    "10x10-vlb": (TorusSpec(10, 10), build_vlb, 18),
+    "10x10-llb3": (TorusSpec(10, 10), lambda spec: build_llb(spec, 3), 18),
+    "5x7-c2-1-ecmp": (TorusSpec(5, 7, 2.0, 1.0), build_ecmp, 6),
+    "5x7-c2-1-vlb": (TorusSpec(5, 7, 2.0, 1.0), build_vlb, 6),
+    "6x4-c0.7-3-vlb": (TorusSpec(6, 4, 0.7, 3.0), build_vlb, 5),
+}
+
+
+@pytest.mark.parametrize("case", TRIAL_CASES)
+def test_run_trials_matches_roll_loop_oracle(case):
+    """Block evaluation gives the one-demand-at-a-time summary exactly, on
+    the bit-for-bit cases' demands (widths change from demand to demand)
+    and on a run of equal-width random demands (blocks of many)."""
+    spec, build, k = TRIAL_CASES[case]
+    g = build(spec)
+    mixed = oracle_demands(spec, k, np.random.default_rng(k))
+    assert_trials_match_oracle(g, mixed.__getitem__, len(mixed))
+    random_k = lambda seed: gen_random_sparse(spec, k, seed)
+    assert max(block_sizes(g, random_k, 40)) > 1
+    assert_trials_match_oracle(g, random_k, 40, base_seed=11)
+
+
+def test_run_trials_cuts_blocks_where_width_changes():
+    spec = TorusSpec(5, 7, 2.0, 1.0)
+    g = build_vlb(spec)
+    rng = np.random.default_rng(4)
+    widths = [3, 3, 0, 0, 5, 5, 5, 1, 0, 3, 6, 6, 2, 2, 2, 0]
+    demands = []
+    for seed, width in enumerate(widths):
+        entries = {}
+        if width:
+            pairs = gen_random_sparse(spec, width, seed).entries
+            entries = {pair: float(rng.uniform(0.05, 3.0)) for pair in pairs}
+        demands.append(TrafficMatrix(spec=spec, entries=entries))
+    assert block_sizes(g, demands.__getitem__, len(demands)) == [2, 2, 3, 1, 1, 1, 2, 3, 1]
+    assert_trials_match_oracle(g, demands.__getitem__, len(demands))
+
+
+def test_run_trials_crosses_block_cap_boundaries():
+    spec = TorusSpec(10, 10)
+    g = build_llb(spec, 3)
+    per_block = _BLOCK_ELEMENTS // (18 * 4 * spec.num_nodes)
+    assert per_block >= 2
+    trials = 4 * per_block + 1
+    generator = lambda seed: gen_random_sparse(spec, 18, seed)
+    assert block_sizes(g, generator, trials, 5) == [per_block] * 4 + [1]
+    assert_trials_match_oracle(g, generator, trials, base_seed=5)
+
+
+def test_demand_wider_than_block_cap_is_a_block_of_one():
+    spec = TorusSpec(10, 10)
+    g = build_ecmp(spec)
+    nodes = list(spec.nodes())
+    width = _BLOCK_ELEMENTS // (4 * spec.num_nodes) + 1
+    rng = np.random.default_rng(8)
+    wide = []
+    for shift in (1, 37, 61):
+        pairs = [(nodes[i % 100], nodes[(i + shift + i // 100) % 100]) for i in range(width)]
+        wide.append(TrafficMatrix(spec=spec, entries={p: float(rng.uniform(0.1, 2)) for p in pairs}))
+    assert [len(d.entries) for d in wide] == [width] * 3
+    assert block_sizes(g, wide.__getitem__, 3) == [1, 1, 1]
+    assert_trials_match_oracle(g, wide.__getitem__, 3)
+
+
+def test_run_trials_rejects_demand_on_another_spec():
+    g = build_vlb(TorusSpec(6, 6))
+    other = TorusSpec(6, 6, 2.0, 2.0)
+    generator = lambda seed: gen_random_sparse(g.spec if seed < 3 else other, 4, seed)
+    with pytest.raises(SpecMismatch):
+        run_trials(g, generator, trials=5, base_seed=0)
+
+
+# run_trials at the benchmark's table1 configuration (10x10, k=18, 100
+# trials, base seed 20240917), recorded while every demand was evaluated on
+# its own: max-load mean, min and max, and mean hops.
+TABLE1_TRIALS = {
+    "ecmp": (1.5729543650793656, 1.0833333333333333, 2.2380952380952377, 5.0505555555555555),
+    "vlb": (1.0085144841269842, 0.8719246031746033, 1.1694444444444447, 10.0),
+    "llb3": (0.9884375, 0.8541666666666665, 1.1354166666666667, 8.787372685185185),
+}
+
+
+def test_run_trials_pinned_at_table1_configuration():
+    spec = TorusSpec(10, 10)
+    builds = {"ecmp": build_ecmp, "vlb": build_vlb, "llb3": lambda s: build_llb(s, 3)}
+    generator = lambda seed: gen_random_sparse(spec, 18, seed)
+    for name, build in builds.items():
+        s = run_trials(build(spec), generator, trials=100, base_seed=20240917)
+        pinned = (s.max_load_mean, s.max_load_min, s.max_load_max, s.avg_hops_mean)
+        assert pinned == TABLE1_TRIALS[name], name
 
 
 def test_avg_hops_lower_bounded_by_distance():

@@ -171,6 +171,36 @@ def test_traffic_matrix_validation():
     assert traffic_from_csv(TorusSpec(6, 6), header + "5,5,3,3,1.0\n").total() == 1.0
 
 
+def test_traffic_matrix_rejects_non_integer_nodes():
+    """A node is valid only if it is one of the grid's nodes: (1.5, 0) lies in
+    range but is no node, and must not be evaluated as (1, 0)."""
+    spec = TorusSpec(4, 4)
+    for bad in (Node(1.5, 0), Node(0, 2.5), Node(float("nan"), 0), Node("1", 0)):
+        with pytest.raises(TrafficError, match="off the 4x4 grid"):
+            TrafficMatrix(spec=spec, entries={(bad, Node(2, 2)): 1.0})
+        with pytest.raises(TrafficError, match="off the 4x4 grid"):
+            TrafficMatrix(spec=spec, entries={(Node(2, 2), bad): 1.0})
+    # numpy integer coordinates name the same nodes as Python ints
+    from toruslb.evaluate import edge_loads
+    from toruslb.schemes import build_ecmp
+
+    s, t = Node(np.int64(1), np.int32(0)), Node(np.intp(2), np.int64(2))
+    d = TrafficMatrix(spec=spec, entries={(s, t): 1.0})
+    plain = TrafficMatrix(spec=spec, entries={(Node(1, 0), Node(2, 2)): 1.0})
+    policy = build_ecmp(spec)
+    got, want = edge_loads(policy, d), edge_loads(policy, plain)
+    assert np.array_equal(got.load, want.load)
+    assert (got.max_load, got.avg_hops) == (want.max_load, want.avg_hops)
+
+
+def test_random_sparse_rejects_negative_seed():
+    spec = TorusSpec(6, 6)
+    for seed in (-1, -5):
+        with pytest.raises(TrafficError, match="seed"):
+            gen_random_sparse(spec, 4, seed)
+    assert len(gen_random_sparse(spec, 4, 0).entries) == 4
+
+
 def test_random_sparse_single_pair_never_self():
     """With k = 1 no permutation avoids a drawn self-pair, so the sink is
     redrawn; on 3x3 a ninth of the seeds draw one."""
