@@ -52,10 +52,14 @@ def _spec(args: argparse.Namespace) -> TorusSpec:
     return TorusSpec(args.n, args.m if args.m is not None else args.n, args.c1, args.c2)
 
 
+def _best_radius(n: int, k: int) -> int:
+    """The radius minimizing ``llb_load_upper`` for k among those that LLB
+    allows on an n x n torus, 1 <= r < n/2."""
+    return bounds_mod.best_llb_radius(k, max_r=max(1, (n - 1) // 2))
+
+
 def _radius(args: argparse.Namespace) -> int:
-    if args.r is not None:
-        return args.r
-    return bounds_mod.best_llb_radius(args.k, max_r=max(1, args.n // 2 - 1))
+    return args.r if args.r is not None else _best_radius(args.n, args.k)
 
 
 def _build_scheme(name: str, args: argparse.Namespace) -> OriginPolicy:
@@ -168,7 +172,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         sink.write("k,cut_lb,oblivious_lb,measured_llb,llb_ub\n")
         policies: dict[int, OriginPolicy] = {}
         for k in range(2, args.k + 1):
-            r = bounds_mod.best_llb_radius(k, max_r=max(1, spec.rows // 2 - 1))
+            r = _best_radius(spec.rows, k)
             if r not in policies:
                 policies[r] = build_llb(spec, r)
             measured = worst_case_load(policies[r], k).value

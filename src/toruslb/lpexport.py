@@ -55,6 +55,7 @@ from toruslb.traffic import TrafficMatrix
 
 _DIRS = ("pv", "nv", "ph", "nh")  # names of the directions, in Direction order
 MAX_LINE = 255
+ROW_TOL = 1e-7  # slack a feasibility check allows on each row and bound
 # row names, terms per row, column ids, coefficients, sense, right-hand sides
 Block = tuple[list[str], np.ndarray, np.ndarray, np.ndarray, str, np.ndarray]
 
@@ -384,33 +385,33 @@ def parse_lp(text: str) -> LpModel:
     return LpModel(sense=sense, objective=objective, constraints=constraints, bounds=bounds)
 
 
-def _violations(model: LpModel, values: dict[str, float], tol: float) -> list[str]:
+def _violations(model: LpModel, values: dict[str, float]) -> list[str]:
     """Every constraint and then every variable bound of ``model`` that
-    ``values`` (missing names read 0) violates by more than ``tol``."""
+    ``values`` (missing names read 0) violates by more than ``ROW_TOL``."""
     failures = []
     value = values.get
     for con in model.constraints:
         # the products coef * value summed in term order, without a frame per term
         lhs = sum(map(mul, con.terms.values(), map(value, con.terms, repeat(0.0))))
         ok = (
-            lhs <= con.rhs + tol
+            lhs <= con.rhs + ROW_TOL
             if con.sense == "<="
-            else lhs >= con.rhs - tol if con.sense == ">=" else abs(lhs - con.rhs) <= tol
+            else lhs >= con.rhs - ROW_TOL if con.sense == ">=" else abs(lhs - con.rhs) <= ROW_TOL
         )
         if not ok:
             failures.append(f"{con.name}: lhs={lhs:.9g} {con.sense} {con.rhs}")
     for name, (lo, hi) in model.bounds.items():
         v = values.get(name, 0.0)
-        if lo is not None and v < lo - tol:
+        if lo is not None and v < lo - ROW_TOL:
             failures.append(f"bound {name}: {v} < {lo}")
-        if hi is not None and v > hi + tol:
+        if hi is not None and v > hi + ROW_TOL:
             failures.append(f"bound {name}: {v} > {hi}")
     return failures
 
 
 def check_opt_feasibility(
     spec: TorusSpec, demand: TrafficMatrix, model: LpModel,
-    pair_flows: dict[tuple[Node, Node], np.ndarray], theta: float, tol: float = 1e-7,
+    pair_flows: dict[tuple[Node, Node], np.ndarray], theta: float,
 ) -> list[str]:
     """Substitute per-pair flows (``[dir, y, x]`` slabs, as
     ``Policy.pair_flows`` returns them) and a load bound into a parsed
@@ -422,12 +423,12 @@ def check_opt_feasibility(
         flows = pair_flows.get(pair)
         if flows is not None:
             values.update(zip(names[p * m : (p + 1) * m], np.ravel(flows).tolist()))
-    return _violations(model, values, tol)
+    return _violations(model, values)
 
 
 def check_oblivious_feasibility(
     spec: TorusSpec, k: int, model: LpModel, policy: OriginPolicy,
-    theta: float, duals: dict[str, float], tol: float = 1e-7,
+    theta: float, duals: dict[str, float],
 ) -> list[str]:
     """Substitute a policy's flows (with hose duals and its worst-case theta)
     into a parsed reduced model and report every violated constraint.
@@ -452,4 +453,4 @@ def check_oblivious_feasibility(
     values = dict(zip(names, flows.tolist()))
     values["th"] = theta
     values.update(duals)
-    return _violations(model, values, tol)
+    return _violations(model, values)

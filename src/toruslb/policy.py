@@ -244,13 +244,13 @@ def symmetrize_origin(g: OriginPolicy) -> OriginPolicy:
     return OriginPolicy(spec=g.spec, flows=_average(g.spec, g.flows, point_group(g.spec)))
 
 
-def check_reflection_invariance(g: OriginPolicy, tol: float = CONSERVATION_TOL) -> bool:
+def check_reflection_invariance(g: OriginPolicy) -> bool:
     """True iff the applicable reflection identities hold: origin reflection
     always, the x=y reflection additionally on square symmetric specs."""
     spec = g.spec
     flat = g.flows.reshape(spec.num_nodes, 4, spec.num_nodes)
     return all(
-        np.abs(_pull_back(spec, flat, phi) - flat).max() <= tol
+        np.abs(_pull_back(spec, flat, phi) - flat).max() <= CONSERVATION_TOL
         for phi in point_group(spec)[1:]
     )
 

@@ -142,9 +142,9 @@ def gen_split_diamond(spec: TorusSpec, r: int) -> TrafficMatrix:
     return gen_generalized_split(spec, 1.0, 1.0, r)[0]
 
 
-def gen_hotspot(spec: TorusSpec, k: int, origin: Node = Node(0, 0)) -> TrafficMatrix:
+def gen_hotspot(spec: TorusSpec, k: int) -> TrafficMatrix:
     """Two adjacent square-ish blocks: k sources filling a floor(sqrt(k))-wide
-    block row-major from ``origin``, k sinks in the horizontally adjacent
+    block row-major from the origin, k sinks in the horizontally adjacent
     block, source i paired with sink i."""
     if k < 1 or k > spec.num_nodes // 2:
         raise TrafficError(f"need 1 <= k <= {spec.num_nodes // 2}")
@@ -155,9 +155,7 @@ def gen_hotspot(spec: TorusSpec, k: int, origin: Node = Node(0, 0)) -> TrafficMa
     entries: dict[tuple[Node, Node], float] = {}
     for i in range(k):
         dx, dy = i % width, i // width
-        src = spec.wrap(origin.x + dx, origin.y + dy)
-        dst = spec.wrap(origin.x + width + dx, origin.y + dy)
-        entries[(src, dst)] = 1.0
+        entries[(Node(dx, dy), Node(width + dx, dy))] = 1.0
     return TrafficMatrix(spec=spec, entries=entries)
 
 
@@ -230,7 +228,7 @@ def traffic_to_csv(d: TrafficMatrix) -> str:
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
     for (s, t), v in sorted(d.entries.items()):
-        writer.writerow([s.x, s.y, t.x, t.y, repr(v)])
+        writer.writerow([int(s.x), int(s.y), int(t.x), int(t.y), repr(float(v))])
     return buf.getvalue()
 
 
@@ -243,6 +241,9 @@ def traffic_from_csv(spec: TorusSpec, text: str) -> TrafficMatrix:
     for row in reader:
         if not row:
             continue
-        sx, sy, tx, ty, v = row
-        entries[(Node(int(sx), int(sy)), Node(int(tx), int(ty)))] = float(v)
+        try:
+            sx, sy, tx, ty, v = row
+            entries[(Node(int(sx), int(sy)), Node(int(tx), int(ty)))] = float(v)
+        except ValueError as exc:
+            raise TrafficError(f"line {reader.line_num}: {','.join(row)}: {exc}") from None
     return TrafficMatrix(spec=spec, entries=entries)

@@ -1,0 +1,122 @@
+"""The reference k-matching that the dense solver of :mod:`toruslb.evaluate`
+is compared with.  Its duals need not equal the dense solver's, as duals are
+not unique; both objectives equal the value."""
+
+from __future__ import annotations
+
+import heapq
+from typing import Hashable
+
+from toruslb.evaluate import VALUE_TOL, MatchingResult
+
+
+def ssp_k_matching(
+    weights: dict[tuple[Hashable, Hashable], float], k: int
+) -> MatchingResult:
+    """Maximum-weight bipartite matching with at most k edges, by successive
+    shortest paths on the min-cost-flow formulation (costs are negated
+    weights; augmentation stops when the marginal path is unprofitable).
+
+    A heap Dijkstra over an adjacency list built from the positive entries of
+    ``weights``; it shares no code with :func:`k_matching_max`.  Its final
+    potentials give the hose-model row, column and cardinality duals.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    rows = sorted({r for r, _ in weights})
+    cols = sorted({c for _, c in weights})
+    nr, nc = len(rows), len(cols)
+    if nr == 0:
+        return MatchingResult(0.0, [], {}, {}, 0.0)
+    row_id = {r: i for i, r in enumerate(rows)}
+    col_id = {c: nr + i for i, c in enumerate(cols)}
+    src, sink = nr + nc, nr + nc + 1
+    n = nr + nc + 2
+
+    # adjacency: lists of [to, cap, cost, rev_index]
+    graph: list[list[list]] = [[] for _ in range(n)]
+
+    def add_arc(u: int, v: int, cap: int, cost: float) -> None:
+        graph[u].append([v, cap, cost, len(graph[v])])
+        graph[v].append([u, 0, -cost, len(graph[u]) - 1])
+
+    for r in rows:
+        add_arc(src, row_id[r], 1, 0.0)
+    for (r, c), w in sorted(weights.items()):
+        if w > 0:
+            add_arc(row_id[r], col_id[c], k, -w)
+    for c in cols:
+        add_arc(col_id[c], sink, 1, 0.0)
+
+    potential = [0.0] * n
+    # initial exact distances on the (acyclic) zero-flow graph
+    dist0 = [float("inf")] * n
+    dist0[src] = 0.0
+    for u in (src, *range(nr), *range(nr, nr + nc)):
+        if dist0[u] == float("inf"):
+            continue
+        for arc in graph[u]:
+            v, cap, cost, _ = arc
+            if cap > 0 and dist0[u] + cost < dist0[v]:
+                dist0[v] = dist0[u] + cost
+    finite = [x for x in dist0 if x < float("inf")]
+    ceiling = max(finite) if finite else 0.0
+    potential = [x if x < float("inf") else ceiling for x in dist0]
+
+    value = 0.0
+    flow_pairs: dict[tuple[int, int], int] = {}
+    pushed = 0
+    while pushed < k:
+        # Dijkstra on reduced costs
+        dist = [float("inf")] * n
+        prev: list[tuple[int, int] | None] = [None] * n
+        dist[src] = 0.0
+        heap = [(0.0, src)]
+        while heap:
+            d_u, u = heapq.heappop(heap)
+            if d_u > dist[u] + 1e-15:
+                continue
+            for idx, arc in enumerate(graph[u]):
+                v, cap, cost, _ = arc
+                if cap <= 0:
+                    continue
+                nd = d_u + cost + potential[u] - potential[v]
+                if nd < dist[v] - 1e-15:
+                    dist[v] = nd
+                    prev[v] = (u, idx)
+                    heapq.heappush(heap, (nd, v))
+        if dist[sink] == float("inf"):
+            break
+        true_cost = dist[sink] + potential[sink] - potential[src]
+        ceiling = max(x for x in dist if x < float("inf"))
+        for v in range(n):
+            potential[v] += dist[v] if dist[v] < float("inf") else ceiling
+        if true_cost >= -VALUE_TOL:
+            break
+        # augment one unit along the recorded path
+        v = sink
+        while v != src:
+            u, idx = prev[v]
+            arc = graph[u][idx]
+            arc[1] -= 1
+            graph[v][arc[3]][1] += 1
+            v = u
+        value += -true_cost
+        pushed += 1
+
+    for u in range(nr):
+        for arc in graph[u]:
+            v, cap, cost, rev = arc
+            if nr <= v < nr + nc and cost < 0 and graph[v][rev][1] > 0:
+                flow_pairs[(u, v)] = graph[v][rev][1]
+
+    assignment = [(rows[u], cols[v - nr]) for (u, v) in sorted(flow_pairs)]
+
+    # Hose-model duals from the final potentials (cardinality multiplier from
+    # clamping the sink potential at the source's level).
+    pi_src = potential[src]
+    pi_sink = min(potential[sink], pi_src)
+    card_dual = pi_src - pi_sink
+    row_duals = {r: max(0.0, potential[row_id[r]] - pi_src) for r in rows}
+    col_duals = {c: max(0.0, pi_sink - potential[col_id[c]]) for c in cols}
+    return MatchingResult(value, assignment, row_duals, col_duals, card_dual)

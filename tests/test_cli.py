@@ -71,6 +71,17 @@ def test_bounds_sweep(tmp_path):
         assert float(r[3]) <= float(r[4]) + 1e-9
 
 
+def test_bounds_odd_torus_uses_radius_up_to_half(tmp_path):
+    # on 7x7 LLB allows r = 3, which k = 17 prefers: 3/4 + 17/24 = 35/24
+    rc, text = run_cli(["bounds", "--n", "7", "--k", "17"], tmp_path, "b7.csv")
+    assert rc == 0
+    rows = [l.split(",") for l in text.splitlines()[1:] if not l.startswith("#")]
+    assert all(float(r[3]) <= float(r[4]) + 1e-9 for r in rows)
+    assert rows[-1][0] == "17"
+    assert float(rows[-1][3]) == pytest.approx(35 / 24, abs=1e-12)
+    assert float(rows[-1][4]) == pytest.approx(35 / 24, abs=1e-12)
+
+
 def test_worst_case_and_evaluate(tmp_path):
     rc, text = run_cli(
         ["worst-case", "--n", "6", "--scheme", "llb", "--r", "1", "--k", "2"],

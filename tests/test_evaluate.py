@@ -29,6 +29,8 @@ from toruslb.traffic import classify
 from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, hop_distance
 from toruslb.traffic import TrafficMatrix, gen_random_sparse
 
+from tests.matching_oracle import ssp_k_matching
+
 
 def brute_force_k_matching(weights: np.ndarray, k: int) -> float:
     """Exhaustive max-weight matching with at most k entries."""
@@ -72,7 +74,7 @@ def sparse_k_matching_value(weights: np.ndarray, k: int) -> float:
     """The successive-shortest-path solver on the positive entries as a dict:
     an oracle that shares no code with the dense solver."""
     positive = {(i, j): float(w) for (i, j), w in np.ndenumerate(weights) if w > 0}
-    return _k_matching_sparse(positive, k).value
+    return ssp_k_matching(positive, k).value
 
 
 def quarter_ties(shape, seed):
@@ -474,9 +476,7 @@ def test_representative_edges_on_asymmetric_spec():
     reps = candidate_edges(policy)
     assert [e.dir for e in reps] == [Direction.POS_VERT, Direction.POS_HOR]
     fast = worst_case_load(policy, 4).value
-    full = worst_case_load(
-        policy, 4, edges=[DirectedEdge(Node(0, 0), d) for d in Direction]
-    ).value
+    full = worst_case_load(expand(policy), 4).value
     assert fast == pytest.approx(full, abs=1e-12)
 
 
@@ -493,7 +493,7 @@ def test_worst_case_rejects_k_below_one():
 def sparse_worst_case(policy, k: int) -> float:
     """Max over candidate edges of the dict-based SSP value, per capacity."""
     return max(
-        _k_matching_sparse(pair_weights_on_edge(policy, edge), k).value
+        ssp_k_matching(pair_weights_on_edge(policy, edge), k).value
         / policy.spec.capacity(edge.dir)
         for edge in candidate_edges(policy)
     )

@@ -328,6 +328,18 @@ def test_feasibility_injection_off_square_unit_torus(spec, build, k):
     assert check_oblivious_feasibility(spec, k, model, policy, 0.9 * wc.value, duals)
 
 
+def test_feasibility_injection_llb3_8x8_k18():
+    # the bounds sweep's top radius on 8x8, whose duals come from 18-pair matchings
+    spec, k = TorusSpec(8, 8), 18
+    text, _ = export_text(spec, k)
+    policy = build_llb(spec, 3)
+    wc = worst_case_load(policy, k)
+    failures = check_oblivious_feasibility(
+        spec, k, parse_lp(text), policy, wc.value, hose_duals(policy, k)
+    )
+    assert failures == []
+
+
 def test_feasibility_rejects_model_of_another_k():
     spec = TorusSpec(6, 6)
     text, _ = export_text(spec, 2)

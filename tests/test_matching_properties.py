@@ -1,10 +1,12 @@
 """Hypothesis properties for the k-cardinality matching solver."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toruslb.evaluate import _k_matching_sparse, k_matching_max
+
+from tests.matching_oracle import ssp_k_matching
 
 
 @st.composite
@@ -65,7 +67,33 @@ def signed_tied_matrices(draw):
 def test_dense_solver_agrees_with_sparse_ssp(weights, k):
     value, assignment = k_matching_max(weights, k)
     positive = {(i, j): float(w) for (i, j), w in np.ndenumerate(weights) if w > 0}
-    assert abs(value - _k_matching_sparse(positive, k).value) <= 1e-12
+    assert abs(value - ssp_k_matching(positive, k).value) <= 1e-12
     assert len(assignment) <= k
     assert len({i for i, _ in assignment}) == len({j for _, j in assignment}) == len(assignment)
     assert abs(sum(weights[i, j] for i, j in assignment) - value) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    signed_tied_matrices().map(
+        lambda weights: {(i, j): float(w) for (i, j), w in np.ndenumerate(weights)}
+    ),
+    st.integers(1, 8),
+)
+@example({}, 3)
+@example({(0, 0): 0.0, (0, 1): -1.5, (2, 1): -0.25}, 2)
+def test_sparse_front_end_duals_certify_its_value(weights, k):
+    """The dict front end's hose duals are nonnegative, cover every weight
+    and price the matching at its value, which the oracle's equals; k runs
+    past both the row and the column count."""
+    result = _k_matching_sparse(weights, k)
+    duals = [*result.row_duals.values(), *result.col_duals.values(), result.card_dual]
+    assert min(duals) >= 0.0
+    for (i, j), w in weights.items():
+        cover = result.row_duals[i] + result.col_duals[j] + result.card_dual
+        assert cover >= w - 1e-9, (i, j, w, cover)
+    dual_obj = (
+        sum(result.row_duals.values()) + sum(result.col_duals.values()) + k * result.card_dual
+    )
+    assert abs(dual_obj - result.value) <= 1e-9
+    assert abs(result.value - ssp_k_matching(weights, k).value) <= 1e-12

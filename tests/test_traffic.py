@@ -147,6 +147,25 @@ def test_traffic_csv_roundtrip():
     assert back.entries == d.entries
 
 
+def test_traffic_csv_reads_its_own_output_for_any_node_type():
+    spec = TorusSpec(4, 4)
+    for s, t, v in (
+        (Node(2.0, 0), Node(0, 1.0), 1.0),
+        (Node(np.int64(2), np.int64(0)), Node(np.int64(1), np.int64(3)), np.float64(0.5)),
+    ):
+        d = TrafficMatrix(spec=spec, entries={(s, t): v})
+        text = traffic_to_csv(d)
+        assert text.splitlines()[1] == f"{int(s.x)},{int(s.y)},{int(t.x)},{int(t.y)},{float(v)!r}"
+        back = traffic_from_csv(spec, text)
+        assert back.entries == d.entries
+        assert all(type(c) is int for pair in back.entries for u in pair for c in u)
+    header = "src_x,src_y,dst_x,dst_y,demand\n"
+    for line, row in ((2, "0,0,1,1"), (3, "2.0,0,1,1,1.0"), (2, "0,0,1,1,lots")):
+        text = header + "3,3,2,2,1.0\n" * (line - 2) + row + "\n"
+        with pytest.raises(TrafficError, match=f"^line {line}: {row}:"):
+            traffic_from_csv(spec, text)
+
+
 def test_traffic_matrix_validation():
     spec = TorusSpec(4, 4)
     with pytest.raises(TrafficError):
