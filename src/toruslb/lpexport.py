@@ -1,5 +1,6 @@
-"""Emit the reduced oblivious-routing LP and the fixed-demand optimal-routing
-LP in CPLEX LP text format, for external solvers.
+"""The reduced oblivious-routing LP and the fixed-demand optimal-routing LP
+as one array model, written in CPLEX LP text for external solvers and read
+back.
 
 The oblivious program minimizes the load bound theta over origin-rooted,
 reflection-tied flow variables.  Its inner maximization over k-limited
@@ -9,13 +10,15 @@ edge, and their total (with gam weighted by k) is charged against the edge
 capacity times theta.  Both programs number edges by slab index, ``dir *
 num_nodes + y * cols + x``, and read heads from ``torus.edge_heads``.
 
-Each program is built once as arrays (``_Program``): column and row names,
-the constraint matrix in CSR form, senses, right-hand sides, and the boxed
-and nonnegative columns.  Conservation rows come from one COO block per
-program, +1 at every edge's tail and -1 at its head, merged by column;
-``_write_lp`` only formats, each distinct coefficient once.  No solver is
-embedded: :func:`parse_lp` reads the text back by whitespace tokens, so
-every ``.17g`` coefficient, exponent forms included, round-trips exactly.
+:class:`LpModel` is the one LP type: column and row names, the rows in CSR
+form, senses, right-hand sides and bounds, all arrays.  The builders
+(:func:`reduced_oblivious_program`, :func:`opt_program`) make one, with
+conservation rows from one COO block, +1 at every edge's tail and -1 at its
+head, merged by column; ``_write_lp`` only formats it, each distinct
+coefficient once; :func:`parse_lp` reads the text back into one by array
+operations on its bytes, so every ``.17g`` coefficient, exponent forms
+included, round-trips exactly; and the feasibility checks compute every
+row's left-hand side with one ``np.bincount``.  No solver is embedded.
 
 Variable naming (bit-exact; ``tests/test_lpexport.py`` pins both writers'
 text by sha256 and checks every name against orbits computed by
@@ -27,8 +30,8 @@ text by sha256 and checks every name against orbits computed by
   ties are encoded.  Each (destination, edge) pair has an integer orbit key
   that sorts like the pair; one table per call, built with one
   ``np.minimum`` per point-group element, holds every pair's smallest image
-  key, and the distinct keys are named from their digits by one list
-  comprehension (``_OrbitIndex.table``), which the feasibility check shares.
+  key, and the distinct keys are named from their digits
+  (``_OrbitIndex.table``), which the feasibility check shares.
 * ``th`` - the load bound being minimized.
 * ``a_{cls}_s{x}_{y}``, ``b_{cls}_t{x}_{y}``, ``gam_{cls}`` - per-source,
   per-sink, and total-demand hose multipliers for load-edge class ``cls``
@@ -40,10 +43,11 @@ text by sha256 and checks every name against orbits computed by
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul
-from typing import IO, Iterator, NamedTuple
+from itertools import count, repeat
+from operator import add
+from typing import IO, Callable, NamedTuple
 
 import numpy as np
 
@@ -60,27 +64,30 @@ ROW_TOL = 1e-7  # slack a feasibility check allows on each row and bound
 Block = tuple[list[str], np.ndarray, np.ndarray, np.ndarray, str, np.ndarray]
 
 
-@dataclass
-class LpConstraint:
-    name: str
-    terms: dict[str, float]
-    sense: str  # one of <=, >=, =
-    rhs: float
+class LpModel(NamedTuple):
+    """A linear program as arrays: minimize (``sense`` ``"min"``) or maximize
+    ``objective`` over the named ``columns``, subject to one row per name in
+    ``constraints``.  Row i has coefficients ``vals[indptr[i]:indptr[i + 1]]``
+    on the columns ``ids[...]`` in written order, then ``senses[i]`` (``<=``,
+    ``>=`` or ``=``) and ``rhs[i]``.  Column ``bound_ids[j]`` lies in
+    ``[lower[j], upper[j]]``, ``upper`` inf when the bound has no upper
+    side; bounds are kept in written order."""
 
-
-@dataclass
-class LpModel:
+    columns: list[str]
+    constraints: list[str]
+    indptr: np.ndarray
+    ids: np.ndarray
+    vals: np.ndarray
+    senses: np.ndarray
+    rhs: np.ndarray
+    bound_ids: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     sense: str
     objective: dict[str, float]
-    constraints: list[LpConstraint]
-    bounds: dict[str, tuple[float | None, float | None]]
 
     def variables(self) -> set[str]:
-        out = set(self.objective)
-        for c in self.constraints:
-            out.update(c.terms)
-        out.update(self.bounds)
-        return out
+        return set(self.columns)
 
 
 @dataclass
@@ -115,11 +122,11 @@ class _OrbitIndex:
         """The variable names of an array of pair keys, from its digits."""
         dest, rest = np.divmod(keys, 4 * self.spec.num_nodes)
         tail, d = np.divmod(rest, 4)
-        digits = (*np.divmod(dest, self.spec.rows), *np.divmod(tail, self.spec.rows), d)
-        return [
-            f"g_t{tx}_{ty}_e{ex}_{ey}_{_DIRS[dd]}"
-            for tx, ty, ex, ey, dd in zip(*(a.tolist() for a in digits))
-        ]
+        # node x_y by rank x*rows + y, as keys number nodes
+        xy = [f"{x}_{y}" for x in range(self.spec.cols) for y in range(self.spec.rows)]
+        parts = (repeat("g_t"), map(xy.__getitem__, dest.tolist()), repeat("_e"),
+                 map(xy.__getitem__, tail.tolist()), map([f"_{n}" for n in _DIRS].__getitem__, d.tolist()))
+        return list(map("".join, zip(*parts)))
 
     def table(self) -> tuple[np.ndarray, list[str]]:
         """The sorted distinct orbit keys of every destination but the
@@ -128,32 +135,18 @@ class _OrbitIndex:
         return keys, self.names(keys)
 
 
-class _Program(NamedTuple):
-    """``minimize th`` over the columns ``cols``, subject to rows kept as CSR
-    arrays: row i has coefficients ``vals[indptr[i]:indptr[i + 1]]`` on the
-    columns ``ids[...]`` in the order written, then ``senses[i]`` and
-    ``rhs[i]``.  ``boxed`` columns lie in [0, 1] and ``nonnegative`` ones are
-    at least 0, each written in the order given."""
-
-    cols: list[str]
-    rows: list[str]
-    indptr: np.ndarray
-    ids: np.ndarray
-    vals: np.ndarray
-    senses: list[str]
-    rhs: np.ndarray
-    boxed: np.ndarray
-    nonnegative: np.ndarray
-
-    @classmethod
-    def stack(cls, cols: list[str], blocks: list[Block], boxed, nonnegative) -> _Program:
-        """The program whose rows are ``blocks``' rows, in order."""
-        names, counts, ids, vals, senses, rhs = zip(*blocks)
-        rows = [row for block in names for row in block]
-        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-        senses = [sense for block, sense in zip(names, senses) for _ in block]
-        ids, vals, rhs = np.concatenate(ids), np.concatenate(vals), np.concatenate(rhs)
-        return cls(cols, rows, indptr, ids, vals, senses, rhs, boxed, nonnegative)
+def _program(columns: list[str], blocks: list[Block], boxed, nonnegative) -> LpModel:
+    """``minimize th`` subject to ``blocks``' rows, in order, with the
+    ``boxed`` columns in [0, 1] and then the ``nonnegative`` ones at least 0."""
+    names, counts, ids, vals, senses, rhs = zip(*blocks)
+    bounds = np.concatenate([boxed, nonnegative])
+    return LpModel(
+        columns, [row for block in names for row in block],
+        np.concatenate([[0], np.cumsum(np.concatenate(counts))]), np.concatenate(ids),
+        np.concatenate(vals), np.repeat(senses, [len(block) for block in names]),
+        np.concatenate(rhs), bounds, np.zeros(len(bounds)),
+        np.repeat([1.0, np.inf], [len(boxed), len(nonnegative)]), "min", {"th": 1.0},
+    )
 
 
 def _by_name(cols: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -197,38 +190,52 @@ def _conservation(
     return names, counts, ids[first[keep]], coef[keep], "=", rhs
 
 
-def _write_lp(sink: IO[str], title: str, prog: _Program) -> None:
-    """Write ``prog`` as CPLEX LP text, a line at a time, wrapping lines
-    longer than ``MAX_LINE`` at a space.  Each distinct coefficient is
-    formatted once; a row's leading ``+ `` is dropped."""
-    values, which = np.unique(prog.vals, return_inverse=True)
-    signed = [f"{'-' if v < 0 else '+'} {abs(v):.17g} " for v in values.tolist()]
-    cols, ids, which, ptr = prog.cols, prog.ids, which.tolist(), prog.indptr.tolist()
-    rows = zip(prog.rows, ptr, ptr[1:], prog.senses, prog.rhs.tolist())
+def _formatted(values: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
+    """``fmt`` of every value, each distinct value formatted once."""
+    distinct, which = np.unique(values, return_inverse=True)
+    return list(map([fmt(v) for v in distinct.tolist()].__getitem__, which.tolist()))
 
-    def lines() -> Iterator[str]:
-        yield from (f"\\ {title}", "Minimize", " obj: th", "Subject To")
-        for name, lo, hi, sense, rhs in rows:
-            terms = zip(which[lo:hi], ids[lo:hi].tolist())
-            body = " ".join([signed[i] + cols[j] for i, j in terms])
-            yield f" {name}: {body[2:] if body.startswith('+ ') else body} {sense} {rhs:.17g}"
-        yield "Bounds"
-        yield from (f" 0 <= {cols[j]} <= 1" for j in prog.boxed.tolist())
-        yield from (f" 0 <= {cols[j]}" for j in prog.nonnegative.tolist())
-        yield "End"
 
-    for line in lines():
-        while len(line) > MAX_LINE:
-            cut = line.rfind(" ", 0, MAX_LINE)
-            if cut <= 0:
-                break
-            sink.write(line[:cut] + "\n")
+def _write_lp(sink: IO[str], title: str, model: LpModel) -> None:
+    """Write ``model`` as CPLEX LP text in one write.  Every term string is
+    built in one pass over the nonzeros, each row's line joins its slice
+    without the leading ``+ ``, and a line longer than ``MAX_LINE`` breaks
+    at a space.  An objective coefficient of magnitude 1 is not written."""
+    cols = model.columns
+    signed = _formatted(model.vals, lambda v: f"{'-' if v < 0 else '+'} {abs(v):.17g} ")
+    terms = list(map(add, signed, map(cols.__getitem__, model.ids.tolist())))
+    obj = " ".join(f"{'-' if v < 0 else '+'} {'' if abs(v) == 1 else f'{abs(v):.17g} '}{name}"
+                   for name, v in model.objective.items())
+    lines = [f"\\ {title}", "Minimize" if model.sense == "min" else "Maximize",
+             f" obj: {obj.removeprefix('+ ')}", "Subject To"]
+    ptr, rhs = model.indptr.tolist(), _formatted(model.rhs, "{:.17g}".format)
+    for name, lo, hi, sense, value in zip(model.constraints, ptr, ptr[1:], model.senses.tolist(), rhs):
+        line = f" {name}: {' '.join(terms[lo:hi]).removeprefix('+ ')} {sense} {value}"
+        while len(line) > MAX_LINE and (cut := line.rfind(" ", 0, MAX_LINE)) > 0:
+            lines.append(line[:cut])
             line = " " + line[cut + 1 :]
-        sink.write(line + "\n")
+        lines.append(line)
+    lower = _formatted(model.lower, " {:.17g} <= ".format)
+    upper = _formatted(model.upper, lambda v: "" if v == np.inf else f" <= {v:.17g}")
+    bounds = map(add, map(add, lower, map(cols.__getitem__, model.bound_ids.tolist())), upper)
+    sink.write("\n".join([*lines, "Bounds", *bounds, "End\n"]))
+
+
+def _export(sink: IO[str], title: str, model: LpModel) -> LpCounts:
+    """Write ``model`` and count its columns, rows and boxed flow columns."""
+    _write_lp(sink, title, model)
+    flows = int(np.count_nonzero(model.upper == 1.0))
+    return LpCounts(len(model.columns), len(model.constraints), flows)
 
 
 def export_reduced_oblivious_lp(spec: TorusSpec, k: int, sink: IO[str]) -> LpCounts:
-    """Write the dualized reduced oblivious LP: minimize theta subject to
+    """Write :func:`reduced_oblivious_program` as CPLEX LP text."""
+    model = reduced_oblivious_program(spec, k)
+    return _export(sink, "reduced oblivious routing program", model)
+
+
+def reduced_oblivious_program(spec: TorusSpec, k: int) -> LpModel:
+    """The dualized reduced oblivious LP: minimize theta subject to
     origin-rooted flow conservation for every destination, reflection ties
     (every pair reads its orbit head's variable), box bounds, and one
     dualized hose constraint block per load-edge class."""
@@ -272,9 +279,7 @@ def export_reduced_oblivious_lp(spec: TorusSpec, k: int, sink: IO[str]) -> LpCou
         blocks.append(_fixed(names, np.stack(hose, axis=1), ones, ">="))
 
     duals = order[(order >= flows) & (order < th)]
-    prog = _Program.stack(cols, blocks, order[order < flows], np.append(duals, th))
-    _write_lp(sink, "reduced oblivious routing program", prog)
-    return LpCounts(variables=len(cols), constraints=len(prog.rows), flow_variables=flows)
+    return _program(cols, blocks, order[order < flows], np.append(duals, th))
 
 
 def _f_names(spec: TorusSpec, pairs: int) -> list[str]:
@@ -284,8 +289,13 @@ def _f_names(spec: TorusSpec, pairs: int) -> list[str]:
 
 
 def export_opt_lp(spec: TorusSpec, d: TrafficMatrix, sink: IO[str]) -> LpCounts:
-    """Write the fixed-demand optimal-routing LP: per-pair flow conservation
-    and per-edge load at most capacity times theta, minimized over theta."""
+    """Write :func:`opt_program` as CPLEX LP text."""
+    return _export(sink, "optimal routing for a fixed demand", opt_program(spec, d))
+
+
+def opt_program(spec: TorusSpec, d: TrafficMatrix) -> LpModel:
+    """The fixed-demand optimal-routing LP: per-pair flow conservation and
+    per-edge load at most capacity times theta, minimized over theta."""
     pairs = sorted(d.entries.items())
     n, m, p = spec.num_nodes, 4 * spec.num_nodes, len(pairs)
     cols = [*_f_names(spec, p), "th"]
@@ -305,107 +315,204 @@ def export_opt_lp(spec: TorusSpec, d: TrafficMatrix, sink: IO[str]) -> LpCounts:
         "<=",
     ))
 
-    prog = _Program.stack(cols, blocks, order[order < th], np.array([th]))
-    _write_lp(sink, "optimal routing for a fixed demand", prog)
-    return LpCounts(variables=th + 1, constraints=len(prog.rows), flow_variables=th)
+    return _program(cols, blocks, order[order < th], np.array([th]))
 
 
-_ENTRY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*\s*:")
-_SECTIONS = {
-    "minimize": "obj", "maximize": "obj", "subject to": "cons", "bounds": "bounds", "end": "end"
-}
-_NUMBER_START = frozenset("0123456789.")
+# a section header, a row's ``name:`` label, or a comment line, after a newline
+_SECTION_RE = re.compile(r"\n[ \t]*(minimize|maximize|subject to|bounds|end)[ \t\r]*(?=\n|$)", re.I)
+_LABEL_RE = re.compile(r"\n[ \t]*([A-Za-z_][A-Za-z0-9_]*)[ \t]*:")
+_COMMENT_RE = re.compile(r"\n[ \t]*\\[^\n]*")
+# a token's kind by its first byte: plus, minus, number, <=, >=, =, or name (w)
+_PLUS, _MINUS, _NUMBER, _LE, _GE, _EQ, _NAME = b"pmnlgew"
+_DOT, _ZERO, _EQUALS = b".0="
+_KIND = np.full(256, _NAME, np.uint8)
+for _chars, _kind in zip((b"+", b"-", b"0123456789.", b"<", b">", b"="), b"pmnlge"):
+    _KIND[list(_chars)] = _kind
+# records as strings of kinds, each ending in a newline: the objective, rows
+# (terms, a sense, a value) and bound lines (lo <= name [<= hi]); a value is a
+# number or a word such as -1, which float must read
+_OBJECTIVE_RE = re.compile(rb"[pmnw]*\n")
+_ROWS_RE = re.compile(rb"(?:[pmnw]*[lge][nw]\n)*")
+_BOUNDS_RE = re.compile(rb"(?:(?:[nw]lw(?:l[nw])?)?\n)*")
+_CHUNK = 2048  # records read at a time, so a chunk's arrays and token objects stay small
 
 
-def _parse_terms(tokens: list[str]) -> dict[str, float]:
-    """Terms ``[+|-] [magnitude] name`` read from whitespace tokens: the
-    sign defaults to ``+`` and the magnitude to 1; repeated names add up."""
-    terms: dict[str, float] = {}
-    sign, mag = 1.0, 1.0
-    for tok in tokens:
-        if tok == "+" or tok == "-":
-            sign = -1.0 if tok == "-" else 1.0
-        elif tok[0] in _NUMBER_START:
-            mag = float(tok)
-        else:
-            coef = sign if mag == 1.0 else sign * mag  # unit terms share two floats
-            terms[tok] = terms[tok] + coef if tok in terms else coef
-            sign, mag = 1.0, 1.0
-    return terms
+class _Chunk(NamedTuple):
+    """The whitespace tokens of ``records`` joined by newlines, classified by
+    array operations on their bytes: record r has the next ``counts[r]``
+    tokens; each token has a ``kind``, a name its ``word`` id in a shared
+    numbering, and a one-digit number its ``digit`` value (else nan)."""
+
+    counts: np.ndarray
+    kind: np.ndarray
+    word: np.ndarray
+    digit: np.ndarray
+    split: list[bytes]
+
+    @classmethod
+    def of(cls, records: list[str], index: defaultdict[bytes, int]) -> _Chunk:
+        text = "\n".join(records)
+        raw = text.encode()
+        code = np.frombuffer(raw, np.uint8)
+        space = np.ones(len(code) + 2, bool)  # the bytes bytes.split splits at: 9-13, 32
+        np.less_equal(code - 9, 4, out=space[1:-1])
+        space[1:-1] |= code == 32
+        start = np.flatnonzero(space[:-2] & ~space[1:-1])
+        end = np.flatnonzero(~space[1:-1] & space[2:]) + 1
+        sizes = np.fromiter(map(len, records if text.isascii() else map(str.encode, records)), int)
+        counts = np.diff(np.searchsorted(start, np.cumsum(sizes + 1)), prepend=0)
+        kind, second = _KIND[code[start]], code[np.minimum(start + 1, len(code) - 1)]
+        # signs, one-digit numbers and senses are read from their bytes
+        short = (kind == _PLUS) | (kind == _MINUS) | (kind == _EQ) | (kind == _NUMBER) & (code[start] != _DOT)
+        short &= end - start == 1
+        short |= (end - start == 2) & ((kind == _LE) | (kind == _GE)) & (second == _EQUALS)
+        kind[~short & (kind != _NUMBER)] = _NAME
+        split, names = raw.split(), np.flatnonzero(kind == _NAME)
+        word = np.full(len(kind), -1)
+        word[names] = np.fromiter(map(index.__getitem__, map(split.__getitem__, names.tolist())), int)
+        digit = np.where(short & (kind == _NUMBER), code[start] - float(_ZERO), np.nan)
+        return cls(counts, kind, word, digit, split)
+
+    def values(self, at: np.ndarray) -> np.ndarray:
+        """The tokens at ``at`` read by ``float``."""
+        out = self.digit[at]
+        rest = np.flatnonzero(np.isnan(out))
+        out[rest] = list(map(float, map(self.split.__getitem__, at[rest].tolist())))
+        return out
+
+    def terms(self):
+        """The terms ``[+|-] [magnitude] name`` of every record: a name takes
+        the last sign (default +) and the last magnitude (default 1) since
+        the previous name in its record.  Returns each name's record, token
+        and coefficient."""
+        kind, pos = self.kind, np.arange(len(self.kind), dtype=np.int32)
+        names = np.flatnonzero(kind == _NAME)
+        record = np.repeat(np.arange(len(self.counts), dtype=np.int32), self.counts)[names]
+        after = np.maximum(np.append(-1, names[:-1]), (np.cumsum(self.counts) - self.counts)[record] - 1)
+        signs = (kind == _PLUS) | (kind == _MINUS)
+        sign, magnitude = (np.maximum.accumulate(np.where(k, pos, -1))[names] for k in (signs, kind == _NUMBER))
+        coefs = np.ones(len(names))
+        coefs[magnitude > after] = self.values(magnitude[magnitude > after])
+        coefs[(sign > after) & (kind[sign] == _MINUS)] *= -1.0
+        return record, names, coefs
+
+
+def _read(records: list[str], index: defaultdict[bytes, int], grammar: re.Pattern, fail: Callable):
+    """Each chunk of ``records`` with the place of its first record, once
+    the chunk's kinds match ``grammar``; else ``fail(r)`` of the first
+    record r that does not."""
+    for lo in range(0, max(len(records), 1), _CHUNK):
+        chunk = _Chunk.of(records[lo : lo + _CHUNK], index)
+        shape = np.full(len(chunk.kind) + len(chunk.counts), ord("\n"), np.uint8)
+        shape[np.arange(len(chunk.kind)) + np.repeat(np.arange(len(chunk.counts)), chunk.counts)] = chunk.kind
+        shape = shape.tobytes()
+        stop = grammar.match(shape).end()
+        if stop < len(shape):
+            raise fail(lo + shape.count(b"\n", 0, stop))
+        yield lo, chunk
 
 
 def parse_lp(text: str) -> LpModel:
     """Parse the subset of CPLEX LP format emitted by this module.  A line is
     a new entry when it names a section or starts with ``name:``; anything
-    else continues the previous entry (wrapped long constraints).  Entries
-    are read by whitespace tokens, so ``1.0000000000000001e-05`` is one
-    coefficient."""
-    entries: list[tuple[str, str]] = []  # (mode, full text)
-    mode = None
-    sense = "min"
-    for raw in text.splitlines():
-        ln = raw.strip()
-        if not ln or ln.startswith("\\"):
-            continue
-        low = ln.lower()
-        if low in _SECTIONS:
-            mode = _SECTIONS[low]
-            if mode == "obj":
-                sense = low[:3]
-            continue
-        if mode == "end":
+    else continues the previous entry (wrapped long constraints), and lines
+    that start with a backslash are comments.  The objective, each row and
+    each bound line is a record; records' whitespace tokens are found and
+    classified by array operations on their bytes, a chunk of records at a
+    time, so ``1.0000000000000001e-05`` is one coefficient and only tokens
+    of more than one character become Python objects.  A row that does not
+    end in a sense and a value, or a bound line of another shape, raises
+    ``ValueError`` naming it."""
+    parts = _SECTION_RE.split("\n" + text)
+    sense, objective, rows, bounds = "min", [], [], []
+    for header, body in zip(parts[1::2], parts[2::2]):
+        header = header.lower()
+        if header == "end":
             break
-        if mode == "bounds" or _ENTRY_RE.match(ln) or not entries:
-            entries.append((mode, ln))
+        body = _COMMENT_RE.sub("", body) if "\\" in body else body
+        if header[0] == "m":
+            sense = header[:3]
+            objective.append(_LABEL_RE.sub("\n", body))
         else:
-            prev_mode, prev = entries[-1]
-            entries[-1] = (prev_mode, prev + " " + ln)
+            (rows if header[0] == "s" else bounds).append(body)
+    labelled = _LABEL_RE.split("".join(rows))
+    if labelled[0].strip():
+        raise ValueError(f"cannot parse constraint: {labelled[0].strip()!r}")
+    names, bodies, lines = labelled[1::2], labelled[2::2], "".join(bounds).split("\n")
+    index: defaultdict[bytes, int] = defaultdict(count().__next__)  # numbers new words in turn
 
-    objective: dict[str, float] = {}
-    constraints: list[LpConstraint] = []
-    bounds: dict[str, tuple[float | None, float | None]] = {}
-    for entry_mode, ln in entries:
-        if entry_mode == "obj":
-            objective.update(_parse_terms(ln.split(":", 1)[-1].split()))
-        elif entry_mode == "cons":
-            name, body = ln.split(":", 1)
-            tokens = body.split()
-            if len(tokens) < 2 or tokens[-2] not in ("<=", ">=", "="):
-                raise ValueError(f"cannot parse constraint: {ln!r}")
-            terms = _parse_terms(tokens[:-2])
-            constraints.append(LpConstraint(name.strip(), terms, tokens[-2], float(tokens[-1])))
-        elif entry_mode == "bounds":
-            tokens = ln.split()
-            if len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
-                bounds[tokens[2]] = (float(tokens[0]), float(tokens[4]))
-            elif len(tokens) == 3 and tokens[1] == "<=":
-                bounds[tokens[2]] = (float(tokens[0]), None)
-            else:
-                raise ValueError(f"cannot parse bound: {ln!r}")
-    return LpModel(sense=sense, objective=objective, constraints=constraints, bounds=bounds)
+    def fail(what: str, line: str) -> ValueError:
+        return ValueError(f"cannot parse {what}: {' '.join(line.split())!r}")
+
+    objective = ["".join(objective)]
+    for _, chunk in _read(objective, index, _OBJECTIVE_RE, lambda r: fail("objective", objective[0])):
+        _, at, obj_coefs = chunk.terms()
+        obj_words = chunk.word[at]
+    row_out, bound_out = [], []
+    for lo, chunk in _read(bodies, index, _ROWS_RE, lambda r: fail("constraint", f"{names[r]}: {bodies[r]}")):
+        ends = np.cumsum(chunk.counts)
+        sense_kind, rhs = chunk.kind[ends - 2], chunk.values(ends - 1)
+        chunk.kind[ends - 1] = _NUMBER  # a value such as -1 closes its row, naming nothing
+        record, at, coefs = chunk.terms()
+        row_out.append((record + lo, chunk.word[at], coefs, sense_kind, rhs))
+    for _, chunk in _read(lines, index, _BOUNDS_RE, lambda r: fail("bound", lines[r])):
+        lo = (np.cumsum(chunk.counts) - chunk.counts)[chunk.counts > 0]
+        full = chunk.counts[chunk.counts > 0] == 5
+        upper = np.full(len(lo), np.inf)
+        upper[full] = chunk.values(lo[full] + 4)
+        bound_out.append((chunk.word[lo + 2], chunk.values(lo), upper))
+    rows, row_words, coefs, sense_kind, rhs = map(np.concatenate, zip(*row_out))
+    bound_words, lower, upper = map(np.concatenate, zip(*bound_out))
+
+    # columns in order of first appearance; names repeated in a row add up
+    # in written order, at their first place
+    words = list(index)
+    used = np.flatnonzero(np.bincount(np.concatenate([obj_words, row_words, bound_words]), minlength=len(words)))
+    column = np.zeros(len(words), np.int64)
+    column[used] = np.arange(len(used))
+    columns = list(map(bytes.decode, map(words.__getitem__, used.tolist())))
+    obj: dict[str, float] = {}
+    for j, coef in zip(column[obj_words].tolist(), obj_coefs.tolist()):
+        obj[columns[j]] = obj[columns[j]] + coef if columns[j] in obj else coef
+    ids = column[row_words]
+    key = rows * len(columns) + ids
+    if (np.diff(np.sort(key)) == 0).any():
+        _, once, inverse = np.unique(key, return_index=True, return_inverse=True)
+        keep = np.sort(once)
+        coefs, rows, ids = np.bincount(inverse, weights=coefs)[inverse[keep]], rows[keep], ids[keep]
+    return LpModel(
+        columns, names, np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(names)))]), ids,
+        coefs, np.array(["<=", ">=", "="])[(sense_kind == _GE) + 2 * (sense_kind == _EQ)], rhs,
+        column[bound_words], lower, upper, sense, obj,
+    )
 
 
 def _violations(model: LpModel, values: dict[str, float]) -> list[str]:
     """Every constraint and then every variable bound of ``model`` that
-    ``values`` (missing names read 0) violates by more than ``ROW_TOL``."""
-    failures = []
-    value = values.get
-    for con in model.constraints:
-        # the products coef * value summed in term order, without a frame per term
-        lhs = sum(map(mul, con.terms.values(), map(value, con.terms, repeat(0.0))))
-        ok = (
-            lhs <= con.rhs + ROW_TOL
-            if con.sense == "<="
-            else lhs >= con.rhs - ROW_TOL if con.sense == ">=" else abs(lhs - con.rhs) <= ROW_TOL
-        )
-        if not ok:
-            failures.append(f"{con.name}: lhs={lhs:.9g} {con.sense} {con.rhs}")
-    for name, (lo, hi) in model.bounds.items():
-        v = values.get(name, 0.0)
-        if lo is not None and v < lo - ROW_TOL:
-            failures.append(f"bound {name}: {v} < {lo}")
-        if hi is not None and v > hi + ROW_TOL:
-            failures.append(f"bound {name}: {v} > {hi}")
+    ``values`` (missing names read 0) violates by more than ``ROW_TOL``.
+    ``np.bincount`` adds each row's products in term order, as a running
+    sum over the row would."""
+    x = np.fromiter(map(values.get, model.columns, repeat(0.0)), float, len(model.columns))
+    rows = np.repeat(np.arange(len(model.constraints)), np.diff(model.indptr))
+    lhs = np.bincount(rows, weights=model.vals * x[model.ids], minlength=len(model.constraints))
+    rhs = model.rhs
+    ok = np.where(
+        model.senses == "<=",
+        lhs <= rhs + ROW_TOL,
+        np.where(model.senses == ">=", lhs >= rhs - ROW_TOL, np.abs(lhs - rhs) <= ROW_TOL),
+    )
+    failures = [
+        f"{model.constraints[i]}: lhs={lhs[i].item():.9g} {model.senses[i].item()} {rhs[i].item()}"
+        for i in np.flatnonzero(~ok).tolist()
+    ]
+    v = x[model.bound_ids]
+    low, high = v < model.lower - ROW_TOL, v > model.upper + ROW_TOL
+    for j in np.flatnonzero(low | high).tolist():
+        name, vj = model.columns[model.bound_ids[j]], v[j].item()
+        if low[j]:
+            failures.append(f"bound {name}: {vj} < {model.lower[j].item()}")
+        if high[j]:
+            failures.append(f"bound {name}: {vj} > {model.upper[j].item()}")
     return failures
 
 
@@ -438,11 +545,15 @@ def check_oblivious_feasibility(
     ``ValueError``, as a policy on another spec raises ``SpecMismatch``."""
     if policy.spec != spec:
         raise SpecMismatch("policy and model use different torus specs")
-    for con in model.constraints:
-        if con.name.startswith("load_"):
-            gam = f"gam_{con.name[5:]}"
-            if con.terms.get(gam) != k:
-                raise ValueError(f"{con.name} weighs {gam} by {con.terms.get(gam)}, not k={k}")
+    ptr = model.indptr
+    for i in np.flatnonzero(list(map(str.startswith, model.constraints, repeat("load_")))).tolist():
+        name = model.constraints[i]
+        gam = f"gam_{name[5:]}"
+        row = slice(ptr[i], ptr[i + 1])
+        weights = zip(map(model.columns.__getitem__, model.ids[row].tolist()), model.vals[row].tolist())
+        weight = dict(weights).get(gam)
+        if weight != k:
+            raise ValueError(f"{name} weighs {gam} by {weight}, not k={k}")
     index = _OrbitIndex(spec)
     _, names = index.table()
     # each orbit's value is its member first in nodes() x edges() order, that

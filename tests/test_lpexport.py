@@ -14,15 +14,18 @@ from toruslb.evaluate import (
     worst_case_load,
 )
 from toruslb.lpexport import (
-    LpConstraint,
-    LpModel,
     _OrbitIndex,
+    _write_lp,
     check_oblivious_feasibility,
+    check_opt_feasibility,
     export_opt_lp,
     export_reduced_oblivious_lp,
     load_edge_classes,
+    opt_program,
     parse_lp,
+    reduced_oblivious_program,
 )
+from toruslb.policy import OriginPolicy
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
 from toruslb.torus import (
     Direction,
@@ -33,6 +36,9 @@ from toruslb.torus import (
     point_group,
 )
 from toruslb.traffic import TrafficMatrix, gen_hotspot, gen_split_diamond
+
+from tests import lp_oracle
+from tests.lp_oracle import LpConstraint, LpModel, dict_view
 
 
 def export_text(spec, k):
@@ -72,7 +78,7 @@ def test_asymmetric_spec_emits_two_classes():
     model = parse_lp(text)
     names = model.variables()
     assert "gam_v" in names and "gam_h" in names
-    load_names = {c.name for c in model.constraints if c.name.startswith("load_")}
+    load_names = {c.name for c in dict_view(model).constraints if c.name.startswith("load_")}
     assert load_names == {"load_v", "load_h"}
 
 
@@ -83,10 +89,10 @@ def test_reduced_lp_coefficients_survive_roundtrip():
     export_reduced_oblivious_lp(spec, 1, again)
     assert again.getvalue() == text
     model = parse_lp(text)
-    load = next(c for c in model.constraints if c.name == "load_v")
+    load = next(c for c in dict_view(model).constraints if c.name == "load_v")
     assert load.terms["th"] == -1.0
     assert load.terms["gam_v"] == 1.0
-    hose = next(c for c in model.constraints if c.name.startswith("hose_"))
+    hose = next(c for c in dict_view(model).constraints if c.name.startswith("hose_"))
     assert sorted(hose.terms.values()) == [-1.0, 1.0, 1.0, 1.0]
 
 
@@ -354,7 +360,7 @@ def test_exponent_coefficients_roundtrip():
     model = parse_lp(text)
     assert len(model.variables()) == counts.variables
     assert len(model.constraints) == counts.constraints
-    load_v = next(c for c in model.constraints if c.name == "load_v")
+    load_v = next(c for c in dict_view(model).constraints if c.name == "load_v")
     assert load_v.terms["th"] == -1e-5
 
     small, large = (Node(0, 0), Node(2, 1)), (Node(3, 3), Node(1, 0))
@@ -365,7 +371,7 @@ def test_exponent_coefficients_roundtrip():
     model = parse_lp(buf.getvalue())
     assert len(model.variables()) == counts.variables
     assert len(model.constraints) == counts.constraints
-    loads = {c.name: c.terms for c in model.constraints if c.name.startswith("load_")}
+    loads = {c.name: c.terms for c in dict_view(model).constraints if c.name.startswith("load_")}
     assert loads["load_e0_0_pv"] == {"f_p0_e0_0_pv": 1e-5, "f_p1_e0_0_pv": 2.5e20, "th": -1e-5}
     assert loads["load_e0_0_ph"] == {"f_p0_e0_0_ph": 1e-5, "f_p1_e0_0_ph": 2.5e20, "th": -1.0}
 
@@ -479,7 +485,7 @@ def test_parse_lp_matches_regex_oracle(program):
     buf = io.StringIO()
     export_opt_lp(spec, demand, buf)
     for text in (reduced, buf.getvalue()):
-        assert parse_lp(text) == oracle_parse_lp(text)
+        assert dict_view(parse_lp(text)) == oracle_parse_lp(text)
 
 
 def test_parse_lp_joins_a_break_between_coefficient_and_name():
@@ -497,9 +503,105 @@ def test_parse_lp_joins_a_break_between_coefficient_and_name():
         " 0 <= th",
         "End",
     ])
-    model = parse_lp(text)
+    model = dict_view(parse_lp(text))
     assert model == oracle_parse_lp(text)
     assert [c.terms for c in model.constraints] == [
         {"x": 2.0, "y": 1.0, "th": -0.5}, {"x": -1.0, "y": 1.0}
     ]
     assert model.bounds == {"x": (0.0, 1.0), "th": (0.0, None)}
+
+
+def row_terms(model):
+    """Each row's (column name, coefficient) pairs, in written order."""
+    ptr = model.indptr.tolist()
+    terms = list(zip(map(model.columns.__getitem__, model.ids.tolist()), model.vals.tolist()))
+    return [terms[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+
+
+def bound_list(model):
+    return list(zip(map(model.columns.__getitem__, model.bound_ids.tolist()),
+                    model.lower.tolist(), model.upper.tolist()))
+
+
+PINNED_PROGRAMS = [
+    *(
+        pytest.param(
+            lambda dims=dims, k=k: reduced_oblivious_program(TorusSpec(*dims), k),
+            lambda sink, dims=dims, k=k: export_reduced_oblivious_lp(TorusSpec(*dims), k, sink),
+            id=f"reduced-{dims}-k{k}",
+        )
+        for dims, k, _ in LP_DIGESTS
+    ),
+    *(
+        pytest.param(
+            lambda spec=spec, make=make: opt_program(spec, make(spec)),
+            lambda sink, spec=spec, make=make: export_opt_lp(spec, make(spec), sink),
+            id=f"opt-{name}",
+        )
+        for name, spec, make, _ in OPT_LP_DIGESTS
+    ),
+]
+
+
+@pytest.mark.parametrize("build,export", PINNED_PROGRAMS)
+def test_parse_lp_reads_back_the_built_program_exactly(build, export):
+    buf = io.StringIO()
+    export(buf)
+    text = buf.getvalue()
+    built, parsed = build(), parse_lp(text)
+    assert parsed.constraints == built.constraints
+    assert parsed.senses.tolist() == built.senses.tolist()
+    assert parsed.rhs.tolist() == built.rhs.tolist()
+    assert bound_list(parsed) == bound_list(built)
+    assert row_terms(parsed) == row_terms(built)
+    assert (parsed.sense, parsed.objective) == (built.sense, built.objective)
+    assert parsed.variables() == built.variables()
+    again = io.StringIO()
+    _write_lp(again, text.splitlines()[0].removeprefix("\\ "), parsed)
+    assert again.getvalue() == text
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_programs(), st.sampled_from([build_ecmp, build_vlb]), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-9, 1e-3, 0.2]), st.floats(0.0, 3.0))
+def test_feasibility_checks_match_dict_oracle(program, build, seed, noise, theta):
+    """Perturbed flows, random duals and any theta: the array checks report
+    exactly the oracle's failure strings, in the same order."""
+    spec, k, demand = program
+    rng = np.random.default_rng(seed)
+    policy = build(spec)
+    flows = policy.flows + noise * rng.standard_normal(policy.flows.shape)
+    perturbed = OriginPolicy(spec, flows)
+    reduced, _ = export_text(spec, k)
+    hose = sorted(v for v in lp_oracle.parse_lp(reduced).variables() if v[:2] in ("a_", "b_", "ga"))
+    duals = dict(zip(hose, (rng.uniform(-0.1, 1.0, len(hose)) * (rng.random(len(hose)) < 0.5)).tolist()))
+    assert check_oblivious_feasibility(spec, k, parse_lp(reduced), perturbed, theta, duals) == (
+        lp_oracle.check_oblivious_feasibility(spec, lp_oracle.parse_lp(reduced), perturbed, theta, duals)
+    )
+
+    buf = io.StringIO()
+    export_opt_lp(spec, demand, buf)
+    pairs = sorted(demand.entries)[: rng.integers(len(demand.entries) + 1)]
+    pair_flows = {pair: perturbed.pair_flows(*pair) for pair in pairs}
+    assert check_opt_feasibility(spec, demand, parse_lp(buf.getvalue()), pair_flows, theta) == (
+        lp_oracle.check_opt_feasibility(spec, demand, lp_oracle.parse_lp(buf.getvalue()), pair_flows, theta)
+    )
+
+
+MALFORMED_LINES = [
+    ("Subject To", " c1: x + y", "constraint: 'c1: x + y'"),
+    ("Subject To", " c1: x + 2 y >=", "constraint: 'c1: x + 2 y >='"),
+    ("Subject To", " c1: x + y <= 1 2", "constraint: 'c1: x + y <= 1 2'"),
+    ("Subject To", " c1:", "constraint: 'c1:'"),
+    ("Bounds", " x >= 0", "bound: 'x >= 0'"),
+    ("Bounds", " 0 <= y <= 1 <= 2", "bound: '0 <= y <= 1 <= 2'"),
+    ("Bounds", " 0 <= y z", "bound: '0 <= y z'"),
+]
+
+
+@pytest.mark.parametrize("section,line,message", MALFORMED_LINES)
+def test_parse_lp_names_a_malformed_line(section, line, message):
+    lines = ["Minimize", " obj: th", "Subject To", " c0: x + y <= 1", "Bounds", " 0 <= x <= 1", "End"]
+    lines.insert(lines.index(section) + 2, line)
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse {message}")):
+        parse_lp("\n".join(lines))
