@@ -167,8 +167,10 @@ def k_matching_max(
     scanned in label order (each reaches its row through the tight matched
     edge, and that row relaxes all columns) until the sink's label is final.
     It stops after ``min(k, rows, cols)`` augmentations or at the first one
-    that gains at most ``VALUE_TOL``.  Returns the value (the ``math.fsum`` of
-    the matched weights) and the sorted matched pairs of positive weight.
+    that gains nothing, so the duals of :func:`_k_matching` price exactly the
+    optimum; a tolerance on the gain would leave up to ``k`` uncertified gains
+    below it.  Returns the value (the ``math.fsum`` of the matched weights)
+    and the sorted matched pairs of positive weight.
     """
     value, pairs, *_ = _k_matching(weights, k)
     return value, pairs
@@ -228,7 +230,7 @@ def _k_matching(
         # unscanned columns' labels are key - gap; every label caps at d_sink
         pc += np.minimum(np.minimum(dist_col, key - gap), d_sink)
         pt += d_sink
-        if -pt <= VALUE_TOL:
+        if pt >= 0.0:
             break
         while j >= 0:
             i = pred[j]

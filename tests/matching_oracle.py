@@ -7,7 +7,7 @@ from __future__ import annotations
 import heapq
 from typing import Hashable
 
-from toruslb.evaluate import VALUE_TOL, MatchingResult
+from toruslb.evaluate import MatchingResult
 
 
 def ssp_k_matching(
@@ -91,7 +91,7 @@ def ssp_k_matching(
         ceiling = max(x for x in dist if x < float("inf"))
         for v in range(n):
             potential[v] += dist[v] if dist[v] < float("inf") else ceiling
-        if true_cost >= -VALUE_TOL:
+        if true_cost >= 0.0:
             break
         # augment one unit along the recorded path
         v = sink

@@ -82,6 +82,8 @@ def test_dense_solver_agrees_with_sparse_ssp(weights, k):
 )
 @example({}, 3)
 @example({(0, 0): 0.0, (0, 1): -1.5, (2, 1): -0.25}, 2)
+@example({(0, 0): 9.999999717180685e-10, (0, 1): 9.999999717180685e-10}, 1)
+@example({(0, 0): 9e-10, (1, 1): 9e-10, (2, 2): 9e-10}, 3)
 def test_sparse_front_end_duals_certify_its_value(weights, k):
     """The dict front end's hose duals are nonnegative, cover every weight
     and price the matching at its value, which the oracle's equals; k runs
