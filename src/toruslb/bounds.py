@@ -100,8 +100,11 @@ def general_torus_bounds(spec: TorusSpec, k: int) -> BoundSet:
     """Lower and upper bounds for an N x M torus with per-axis capacities,
     with the regime chosen by k against L^2/2 and NM/2.
 
-    The additive slack on the sparse-regime upper bound is 1/min(c1, c2),
-    the concrete correction carried by the generalized stem scheme.
+    The sparse floor with equal capacities c is ``oblivious_lower_bound(k) / c``;
+    with unequal ones it is still sqrt(2k)/(4 gm), gm the geometric mean, not
+    yet checked against the oblivious optimum.  The sparse upper bound adds
+    the slack 1/min(c1, c2), the concrete correction carried by the
+    generalized stem scheme, to sqrt(2k)/(4 gm).
     """
     if k < 1:
         raise OutOfRegime("k must be positive")
@@ -112,8 +115,9 @@ def general_torus_bounds(spec: TorusSpec, k: int) -> BoundSet:
     slack = 1 / min(c1, c2)
     if k <= big_l * big_l / 2:
         regime = Regime.SPARSE
-        general_lb = math.sqrt(2 * k) / (4 * gm)
-        general_ub = general_lb + slack
+        floor = math.sqrt(2 * k) / (4 * gm)
+        general_lb = oblivious_lower_bound(k) / c1 if c1 == c2 else floor
+        general_ub = floor + slack
     elif k <= n * m / 2:
         regime = Regime.MID
         general_lb = k / (2 * big_l * gm)

@@ -356,6 +356,5 @@ def run_trials(
 
 def load_report_to_csv(report: LoadReport) -> str:
     lines = ["edge_tail_x,edge_tail_y,dir,load"]
-    for edge, load in sorted(report.per_edge.items()):
-        lines.append(f"{edge.tail.x},{edge.tail.y},{edge.dir.token},{load!r}")
+    lines += [f"{e.tail.x},{e.tail.y},{e.dir.token},{load!r}" for e, load in edge_entries(report.load)]
     return "\n".join(lines) + "\n"

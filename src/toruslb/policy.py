@@ -25,11 +25,11 @@ group acts by the index maps of :func:`~toruslb.torus.automorphism_index_maps`,
 so symmetrization and the reflection check are whole-array operations.
 Both classes make their flows read-only on construction, so a policy's
 reflection invariance is a fixed fact: :attr:`OriginPolicy.reflection_invariant`
-checks it once per policy.  The scheme constructors
-write their routes straight into these arrays.  The per-destination
-``{DirectedEdge: fraction}`` dict form survives only as an input adapter,
-:meth:`OriginPolicy.from_flows`, which serves :func:`origin_policy_from_csv`
-and the tests.
+checks it once per policy.  Policies enter and leave only as these arrays:
+the scheme constructors write their routes into them, :func:`policy_to_csv`
+writes either class in one sorted walk, and :func:`origin_policy_from_csv`
+reads rows into ``G``, naming the line of a row with a wrong field count or
+a non-number, a node off the grid, destination (0, 0) or an unknown direction.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ from toruslb.torus import (
 
 CONSERVATION_TOL = 1e-9
 BOUND_TOL = 1e-12
-
-EdgeFlows = dict[DirectedEdge, float]
-
 
 def _flat(spec: TorusSpec, u: Node) -> int:
     return u.y * spec.cols + u.x
@@ -109,15 +106,6 @@ class OriginPolicy:
         """:func:`check_reflection_invariance` at its default tolerance, run
         once: the flows are read-only, so the verdict cannot change."""
         return check_reflection_invariance(self)
-
-    @classmethod
-    def from_flows(cls, spec: TorusSpec, flows: dict[Node, EdgeFlows]) -> OriginPolicy:
-        """Build from per-destination ``{DirectedEdge: fraction}`` dicts."""
-        g = np.zeros((spec.num_nodes, 4, spec.rows, spec.cols))
-        for t, edge_flows in flows.items():
-            for e, v in edge_flows.items():
-                g[_flat(spec, t), e.dir, e.tail.y, e.tail.x] = v
-        return cls(spec=spec, flows=g)
 
     def gather(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Edge flows ``[k, dir, y, x]`` of the k pairs src[i] -> dst[i]
@@ -175,11 +163,8 @@ def validate_policy(p: Policy) -> list[str]:
     (or pair); empty list means valid."""
     spec = p.spec
     n = spec.num_nodes
-    if isinstance(p, OriginPolicy):
-        slabs, src, dst = p.flows, np.zeros(n, dtype=int), np.arange(n)
-    else:
-        slabs = p.flows.reshape(n * n, 4, spec.rows, spec.cols)
-        src, dst = np.divmod(np.arange(n * n), n)
+    slabs = p.flows.reshape(-1, 4, spec.rows, spec.cols)  # origin: source 0 throughout
+    src, dst = np.divmod(np.arange(len(slabs)), n)
     routed = np.flatnonzero(slabs.any(axis=(1, 2, 3)))
     slabs, src, dst = slabs[routed], src[routed], dst[routed]
     inflow = sum(translate(slabs[:, d], Node(*d.delta)) for d in Direction)
@@ -260,35 +245,46 @@ FULL_CSV_HEADER = ["src_x", "src_y"] + ORIGIN_CSV_HEADER
 
 
 def policy_to_csv(p: Policy) -> str:
+    """Every nonzero flow as a row, sorted by source (full policies only),
+    destination and tail, each as (x, y), then direction: the order of one
+    ``np.nonzero`` over ``flows`` with each node axis split into (x, y)."""
+    spec = p.spec
+    node_axes = p.flows.ndim - 3
+    grid = p.flows.reshape((spec.rows, spec.cols) * node_axes + (4, spec.rows, spec.cols))
+    tail = 2 * node_axes  # axes (y, x) per node, then the slab's (dir, y, x)
+    walk = grid.transpose([a ^ 1 for a in range(tail)] + [tail + 2, tail + 1, tail])
+    index = np.nonzero(walk)
+    *coords, dirs = (a.tolist() for a in index)
+    tokens = [d.token for d in Direction]
     buf = StringIO()
     writer = csv.writer(buf)
-    nodes = sorted(p.spec.nodes())
-    if isinstance(p, OriginPolicy):
-        writer.writerow(ORIGIN_CSV_HEADER)
-        for t in nodes:
-            for e, v in edge_entries(p.flows[_flat(p.spec, t)]):
-                writer.writerow([t.x, t.y, e.tail.x, e.tail.y, e.dir.token, repr(v)])
-    else:
-        writer.writerow(FULL_CSV_HEADER)
-        for s in nodes:
-            for t in nodes:
-                for e, v in edge_entries(p.pair_flows(s, t)):
-                    writer.writerow(
-                        [s.x, s.y, t.x, t.y, e.tail.x, e.tail.y, e.dir.token, repr(v)]
-                    )
+    writer.writerow(FULL_CSV_HEADER[2 * (2 - node_axes):])
+    writer.writerows(zip(*coords, map(tokens.__getitem__, dirs), map(repr, walk[index].tolist())))
     return buf.getvalue()
 
 
 def origin_policy_from_csv(spec: TorusSpec, text: str) -> OriginPolicy:
+    """:func:`policy_to_csv`'s rows of an :class:`OriginPolicy`, each written
+    into ``G[t, dir, y, x]`` (a later row overrides an earlier one); a row
+    that cannot be placed raises ``ValueError`` naming its line."""
     reader = csv.reader(StringIO(text))
     header = next(reader)
     if header != ORIGIN_CSV_HEADER:
         raise ValueError(f"unexpected header {header}")
-    flows: dict[Node, EdgeFlows] = {}
+    g = np.zeros((spec.num_nodes, 4, spec.rows, spec.cols))
     for row in reader:
         if not row:
             continue
-        tx, ty, ex, ey, tok, v = row
-        edge = DirectedEdge(Node(int(ex), int(ey)), DIRECTION_FROM_TOKEN[tok])
-        flows.setdefault(Node(int(tx), int(ty)), {})[edge] = float(v)
-    return OriginPolicy.from_flows(spec, flows)
+        try:
+            tx, ty, ex, ey, tok, v = row
+            xs, ys = (int(tx), int(ex)), (int(ty), int(ey))
+            if not all(0 <= x < spec.cols for x in xs) or not all(0 <= y < spec.rows for y in ys):
+                raise ValueError(f"node off the grid x < {spec.cols}, y < {spec.rows}")
+            if xs[0] == ys[0] == 0:
+                raise ValueError("destination (0, 0) is the origin, which routes nothing")
+            if tok not in DIRECTION_FROM_TOKEN:
+                raise ValueError(f"unknown direction {tok!r}")
+            g[ys[0] * spec.cols + xs[0], DIRECTION_FROM_TOKEN[tok], ys[1], xs[1]] = float(v)
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {','.join(row)}: {exc}") from None
+    return OriginPolicy(spec=spec, flows=g)

@@ -137,6 +137,29 @@ def test_sandwich_on_8x8():
     assert worst_case_load(build_llb(spec, r), 8).value <= llb_load_upper(r, 8) + 1e-9
 
 
+@pytest.mark.parametrize(
+    "dims,k,build,value",
+    [
+        ((5, 5), 12, build_vlb, 1.2),
+        ((5, 5), 9, build_ring_lb, 1.05),
+        ((7, 9), 24, build_ring_lb, 12 / 7),
+        ((5, 8), 12, build_ring_lb, 1.2),
+    ],
+)
+def test_sparse_general_floor_is_the_oblivious_floor(dims, k, build, value):
+    # each scheme reaches below sqrt(2k)/4, so that closed form is no floor
+    spec = TorusSpec(*dims)
+    bs = general_torus_bounds(spec, k)
+    exact = worst_case_load(build(spec), k).value
+    assert bs.regime == Regime.SPARSE
+    assert exact == pytest.approx(value, abs=1e-9)
+    assert exact < math.sqrt(2 * k) / 4
+    assert bs.general_lb == oblivious_lower_bound(k) <= exact + 1e-9
+    assert bs.general_ub == math.sqrt(2 * k) / 4 + 1
+    doubled = general_torus_bounds(TorusSpec(*dims, 2.0, 2.0), k)
+    assert doubled.general_lb == oblivious_lower_bound(k) / 2
+
+
 @pytest.mark.parametrize("dims", [(4, 10), (6, 8)])
 def test_gllb_within_general_bounds(dims):
     spec = TorusSpec(*dims)

@@ -7,7 +7,10 @@ import pytest
 
 from toruslb import __version__ as VERSION
 from toruslb.cli import main
+from toruslb.evaluate import worst_case_load
 from toruslb.lpexport import parse_lp
+from toruslb.schemes import build_ring_lb
+from toruslb.torus import TorusSpec
 
 
 def run_cli(args, tmp_path, name):
@@ -56,6 +59,26 @@ def test_table_bytes_pinned(tmp_path, command):
                        tmp_path, f"{command}.csv")
     assert rc == 0
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_DIGESTS[command]
+
+
+def test_evaluate_stdout_pinned(capsys):
+    # sha256 of stdout, recorded while load_report_to_csv still sorted the
+    # per_edge dict; the footer carries the package version
+    assert main(["evaluate", "--n", "6", "--scheme", "ecmp", "--traffic", "hotspot", "--k", "4"]) == 0
+    text = capsys.readouterr().out
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "eaf98576925f01192fbbb38103ad990acc4619663874ce19e9832d1b80353885"
+    )
+
+
+def test_worst_case_ring(tmp_path):
+    rc, text = run_cli(["worst-case", "--n", "6", "--scheme", "ring", "--k", "2"], tmp_path, "r.csv")
+    assert rc == 0
+    assert text.splitlines()[0] == "scheme,k,value,edge_tail_x,edge_tail_y,dir"
+    exact = worst_case_load(build_ring_lb(TorusSpec(6, 6)), 2)
+    tail, d = exact.edge
+    assert text.splitlines()[1] == f"ring,2,{exact.value!r},{tail.x},{tail.y},{d.token}"
 
 
 def test_bounds_sweep(tmp_path):

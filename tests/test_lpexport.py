@@ -511,6 +511,24 @@ def test_parse_lp_joins_a_break_between_coefficient_and_name():
     assert model.bounds == {"x": (0.0, 1.0), "th": (0.0, None)}
 
 
+def test_parse_lp_adds_a_name_repeated_in_a_row():
+    text = "\n".join([
+        "Minimize", " obj: th",
+        "Subject To", " c1: y + th <= 2", " c2: x + y - x <= 1", " c3: 2 y + y - th >= 0",
+        "End",
+    ])
+    model = dict_view(parse_lp(text))
+    assert model == oracle_parse_lp(text)
+    assert [c.terms for c in model.constraints] == [
+        {"y": 1.0, "th": 1.0}, {"x": 0.0, "y": 1.0}, {"y": 3.0, "th": -1.0}
+    ]
+
+
+def test_parse_lp_rejects_an_unlabelled_first_row():
+    with pytest.raises(ValueError, match=re.escape("cannot parse constraint: 'x + y <= 1'")):
+        parse_lp("Minimize\n obj: th\nSubject To\n x + y <= 1\n c1: x <= 1\nEnd\n")
+
+
 def row_terms(model):
     """Each row's (column name, coefficient) pairs, in written order."""
     ptr = model.indptr.tolist()

@@ -19,7 +19,7 @@ from toruslb.paths import (
     route_disjoint_quanta,
     stem,
 )
-from toruslb.policy import policy_to_csv
+from toruslb.policy import origin_policy_from_csv, policy_to_csv
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
 from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, edge_heads
 
@@ -293,8 +293,10 @@ BUILDERS = {
 
 @pytest.mark.parametrize("scheme,shape,radii,digest", POLICY_DIGESTS)
 def test_stem_policy_bytes_pinned(scheme, shape, radii, digest):
-    text = policy_to_csv(BUILDERS[scheme](TorusSpec(*shape), *radii))
+    policy = BUILDERS[scheme](TorusSpec(*shape), *radii)
+    text = policy_to_csv(policy)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert np.array_equal(origin_policy_from_csv(policy.spec, text).flows, policy.flows)
 
 
 # The queue-BFS Edmonds-Karp and flow decomposition that the residual-list

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def test_validate_flags_injected_fault():
 
 
 def test_validate_empty_policy():
-    assert validate_policy(OriginPolicy.from_flows(TorusSpec(4, 4), {})) == []
+    assert validate_policy(OriginPolicy(TorusSpec(4, 4), np.zeros((16, 4, 4, 4)))) == []
 
 
 def test_expand_bytes_pinned():
@@ -119,20 +120,14 @@ def test_reflection_invariance_checks():
     assert check_reflection_invariance(build_gllb(TorusSpec(4, 10), 2, 2))
     # a policy routing clockwise-only is asymmetric by construction
     spec = TorusSpec(5, 5)
-    flows = {}
+    g = np.zeros((25, 4, 5, 5))
     for t in spec.nodes():
-        if t == Node(0, 0):
-            continue
-        edge_flows = {}
         node = Node(0, 0)
-        for _ in range(t.x):
-            edge_flows[DirectedEdge(node, Direction.POS_HOR)] = 1.0
-            node = spec.step(node, Direction.POS_HOR)
-        for _ in range(t.y):
-            edge_flows[DirectedEdge(node, Direction.POS_VERT)] = 1.0
-            node = spec.step(node, Direction.POS_VERT)
-        flows[t] = edge_flows
-    assert not check_reflection_invariance(OriginPolicy.from_flows(spec, flows))
+        for d, steps in ((Direction.POS_HOR, t.x), (Direction.POS_VERT, t.y)):
+            for _ in range(steps):
+                g[t.y * 5 + t.x, d, node.y, node.x] = 1.0
+                node = spec.step(node, d)
+    assert not check_reflection_invariance(OriginPolicy(spec, g))
 
 
 def test_reflection_verdict_kept_until_flows_change(monkeypatch):
@@ -189,8 +184,51 @@ def test_policy_csv_roundtrip():
     assert np.array_equal(back.flows, g.flows)
 
 
-def test_full_policy_csv_header():
+def test_full_policy_csv_bytes_pinned():
+    # sha256 of the CSV, recorded while policy_to_csv still walked one pair's
+    # slab at a time
+    text = policy_to_csv(expand(build_ecmp(TorusSpec(4, 4))))
+    assert text.splitlines()[0] == "src_x,src_y,dst_x,dst_y,tail_x,tail_y,dir,fraction"
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "354dcf8fd02e248ca3353e2ae3ae169f9602e925590ba105ab6072f36efe7a31"
+    )
+
+
+@pytest.mark.parametrize(
+    "row,reason",
+    [
+        ("-1,0,0,0,+h,1.0", "off the grid"),  # destination
+        ("9,0,0,0,+h,1.0", "off the grid"),
+        ("0,4,0,0,+v,1.0", "off the grid"),
+        ("1,0,-1,0,+h,1.0", "off the grid"),  # tail
+        ("1,0,0,4,+h,1.0", "off the grid"),
+        ("0,0,0,0,+h,1.0", "destination (0, 0)"),
+        ("1,0,0,0,+x,1.0", "unknown direction '+x'"),
+        ("1,0,0,0,+h", "not enough values"),
+        ("1,0,0,0,+h,1.0,2", "too many values"),
+        ("1,0,0,0,+h,half", "could not convert"),
+        ("1.5,0,0,0,+h,1.0", "invalid literal"),
+    ],
+)
+def test_origin_policy_csv_names_a_row_it_cannot_place(row, reason):
+    text = "dst_x,dst_y,tail_x,tail_y,dir,fraction\n1,0,0,0,+h,1.0\n" + row + "\n"
+    with pytest.raises(ValueError, match=re.escape(f"line 3: {row}: ") + ".*" + re.escape(reason)):
+        origin_policy_from_csv(TorusSpec(4, 4), text)
+
+
+def test_origin_policy_csv_later_row_overrides():
+    text = "dst_x,dst_y,tail_x,tail_y,dir,fraction\n1,0,0,0,+h,0.25\n\n1,0,0,0,+h,1.0\n"
+    g = origin_policy_from_csv(TorusSpec(4, 4), text).flows
+    assert g[1, Direction.POS_HOR, 0, 0] == 1.0
+    assert np.count_nonzero(g) == 1
+    assert validate_policy(OriginPolicy(TorusSpec(4, 4), g)) == []
+
+
+def test_validate_policy_names_flows_outside_the_box():
     spec = TorusSpec(4, 4)
-    full = expand(build_ecmp(spec))
-    header = policy_to_csv(full).splitlines()[0]
-    assert header == "src_x,src_y,dst_x,dst_y,tail_x,tail_y,dir,fraction"
+    g = np.zeros((16, 4, 4, 4))
+    g[1, Direction.POS_HOR, 0, 0] = 1.5
+    violations = validate_policy(OriginPolicy(spec, g))
+    edge = DirectedEdge(Node(0, 0), Direction.POS_HOR)
+    assert f"dest {Node(1, 0)}: flow 1.5 on {edge} outside [0, 1]" in violations

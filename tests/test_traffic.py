@@ -63,6 +63,21 @@ def test_classify_cases():
     assert any("rate" in v for v in report.violations)
 
 
+def test_classify_names_sink_rate_and_source_count():
+    spec = TorusSpec(6, 6)
+    t = Node(3, 3)
+    converging = TrafficMatrix(
+        spec=spec, entries={(Node(0, 0), t): 0.75, (Node(1, 0), t): 0.75, (Node(2, 0), t): 0.75}
+    )
+    report = classify(converging, 2)
+    assert not report.is_hose and not report.is_k_limited and not report.is_k_sparse
+    assert report.violations == [
+        f"sink {t} rate 2.25 exceeds 1",
+        "total demand 2.25 exceeds k=2",
+        "3 sources exceed k=2",
+    ]
+
+
 def test_k_sparse_implies_k_limited():
     # container relation: sparse membership forces limited membership
     spec = TorusSpec(5, 5)
