@@ -16,10 +16,15 @@ capacities as one such slab, where 0 removes an edge; only
 
 ``_augment`` keeps one residual-capacity list and tests an edge as
 ``res[e] > 0``; the flow is recovered at the end as ``max(cap - res, 0)``.
-Each breadth-first search stops when it discovers the first node with demand
-left, which is the path a search stopping at that node's dequeue would find.
-The head list, the reverse-edge ids and each node's ``(edge, head)`` pairs
-come from ``_shape_tables``, built once per ``(rows, cols)``.
+It works in distance phases (Dinic, 1970): one reverse breadth-first search
+per phase labels nodes with their residual distance to the demanders, and
+walks down those levels, each taking the first usable edge in ``Direction``
+order, find every augmenting path of that length.  Each walk finds the path
+one breadth-first search per augmenting path would find (shortest, then
+least by supplier and direction sequence), so flows, paths and cuts do not
+depend on the phases.  The head list, the reverse-edge ids and each node's
+out- and in-edges come from ``_shape_tables``, built once per ``(rows,
+cols)``.
 """
 
 from __future__ import annotations
@@ -107,27 +112,32 @@ def _disjoint_stems(
     return s_stem, t_stem
 
 
+EdgePairs = tuple[tuple[tuple[int, int], ...], ...]
+
+
 @lru_cache(maxsize=16)
 def _shape_tables(
     rows: int, cols: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], EdgePairs, EdgePairs]:
     """Edge tables of a rows x cols torus, built once per shape: every edge's
     head, the id of its reverse (which leaves the head in the opposite
-    direction, ``dir ^ 1`` by :class:`Direction`'s bit layout), and each
-    node's ``(edge, head)`` pairs in ``Direction`` order."""
+    direction, ``dir ^ 1`` by :class:`Direction`'s bit layout), each node's
+    ``(edge, head)`` pairs in ``Direction`` order, and each node's in-edges
+    as ``(edge, tail)`` pairs."""
     n = rows * cols
     heads = tuple(edge_heads(TorusSpec(rows, cols)).ravel().tolist())
     back = tuple(((e // n) ^ 1) * n + v for e, v in enumerate(heads))
     adj = tuple(tuple((e, heads[e]) for e in range(u, 4 * n, n)) for u in range(n))
-    return heads, back, adj
+    into = tuple(tuple((back[e], v) for e, v in out) for out in adj)
+    return heads, back, adj, into
 
 
 def _augment(
     rows: int, cols: int, res: list[int], supply: dict[int, int], demand: dict[int, int]
 ) -> list[int]:
     """Integer max flow from supplier quotas to demander quotas by shortest
-    augmenting paths (Edmonds and Karp) over slab-index edge ids, between
-    disjoint supplier and demander sets.
+    augmenting paths (Edmonds and Karp), found in distance phases (Dinic),
+    over slab-index edge ids, between disjoint supplier and demander sets.
 
     ``res`` holds every edge's residual capacity: it starts as the capacity
     ``cap``, and an edge is usable while ``res[e] > 0``.  Sending an amount
@@ -137,51 +147,102 @@ def _augment(
     carry flow, and the flow on e is ``max(cap[e] - res[e], 0)``.  ``res``,
     ``supply`` and ``demand`` are drawn down in place.
 
-    Each search is a breadth-first search seeded with every supplier that
-    has quota left, in ``supply`` order, that visits a node's edges in
-    ``Direction`` order and stops when it discovers the first node with
-    demand left.  Nodes leave the queue in discovery order, so this is the
-    path a search stopping at the first dequeued demander finds: the least
-    (supplier, then direction sequence) among the shortest residual paths.
-    The path's bottleneck is sent at once.  Returns, from the last search,
+    Each phase (Dinic, 1970) first labels every node with its residual
+    distance to the demanders with quota left, by one breadth-first search
+    over in-edges that stops after the level D of the nearest supplier with
+    quota left.  Then, for each supplier at level D in ``supply`` order, a
+    walk takes at each node the first residual edge, in ``Direction`` order,
+    whose head is one level lower; a node with no such edge is dropped for
+    the rest of the phase and the walk steps back one edge.  At a demander
+    the walk sends ``min(supply, demand, bottleneck)``, drops the demander if
+    its quota is spent, and resumes before the first edge it saturated (or
+    before that demander).
+    The phase ends when no supplier at level D reaches a demander.
+
+    These are the paths one breadth-first search per augmenting path finds,
+    seeded with the suppliers in order and visiting edges in ``Direction``
+    order: the least (supplier position, direction sequence) among the
+    shortest residual paths.  Within a phase no level falls, and a new
+    residual edge (the reverse of a pushed one) climbs a level, so every
+    residual path of length D from a supplier at level D descends one level
+    per edge and lies in the level graph; a dropped node, or a supplier
+    whose walk failed, never regains such a path in the phase; and a
+    depth-first walk in ``Direction`` order that skips dead ends meets the
+    lexicographically least path first.
+
+    Returns, from a last forward search from the suppliers with quota left,
     the edge that reached each node (-1 for seeds, -2 unreached): once no
     path is left, the reached nodes are the source side of a min cut.
     """
-    _, back, adj = _shape_tables(rows, cols)
+    _, back, adj, into = _shape_tables(rows, cols)
     n = rows * cols
-    want = [0] * n
-    for v, quota in demand.items():
-        want[v] = quota
+    live = [False] * n
+    for u, quota in supply.items():
+        live[u] = quota > 0
     while True:
-        parent = [-2] * n
-        queue = [u for u, quota in supply.items() if quota > 0]
-        for u in queue:
-            parent[u] = -1
-        end = -1
-        for u in queue:
-            for e, v in adj[u]:
-                if parent[v] == -2 and res[e] > 0:
-                    parent[v] = e
-                    if want[v] > 0:
-                        end = v
-                        break
-                    queue.append(v)
-            if end >= 0:
-                break
-        else:
-            return parent
-        u = end
-        path = []
-        while parent[u] >= 0:
-            path.append(parent[u])
-            u = parent[u] % n
-        amount = min(supply[u], want[end], *(res[e] for e in path))
-        for e in path:
-            res[e] -= amount
-            res[back[e]] += amount
-        supply[u] -= amount
-        want[end] -= amount
-        demand[end] -= amount
+        level = [-1] * n
+        frontier = [v for v, quota in demand.items() if quota > 0]
+        for v in frontier:
+            level[v] = 0
+        depth = 0
+        found = False
+        while frontier and not found:
+            depth += 1
+            labelled = []
+            for v in frontier:
+                for e, u in into[v]:
+                    if level[u] < 0 and res[e] > 0:
+                        level[u] = depth
+                        labelled.append(u)
+                        if live[u]:
+                            found = True
+            frontier = labelled
+        if not found:
+            break
+        for s in supply:
+            if not live[s] or level[s] != depth:
+                continue
+            path: list[int] = []
+            u = s
+            while True:
+                if level[u]:
+                    below = level[u] - 1
+                    for e, v in adj[u]:
+                        if level[v] == below and res[e] > 0:
+                            path.append(e)
+                            u = v
+                            break
+                    else:
+                        level[u] = -1
+                        if not path:
+                            break
+                        u = path.pop() % n
+                    continue
+                amount = min(supply[s], demand[u], *(res[e] for e in path))
+                for e in path:
+                    res[e] -= amount
+                    res[back[e]] += amount
+                supply[s] -= amount
+                demand[u] -= amount
+                if not demand[u]:
+                    level[u] = -1
+                if not supply[s]:
+                    live[s] = False
+                    break
+                cut = next((i for i, e in enumerate(path) if not res[e]), len(path) - 1)
+                u = path[cut] % n
+                del path[cut:]
+
+    parent = [-2] * n
+    queue = [u for u in supply if live[u]]
+    for u in queue:
+        parent[u] = -1
+    for u in queue:
+        for e, v in adj[u]:
+            if parent[v] == -2 and res[e] > 0:
+                parent[v] = e
+                queue.append(v)
+    return parent
 
 
 def max_flow(
@@ -196,8 +257,9 @@ def max_flow(
     ``capacity[dir, y, x]`` is the capacity of the edge leaving (x, y) in
     direction ``dir``, 0 removing it; it defaults to the spec's link
     capacities.  Rational values are scaled to integers so the value and cut
-    agree exactly; a capacity that is not a fraction with denominator at
-    most 10**6 raises ``ValueError`` instead of being rounded.  The cut is
+    agree exactly; a capacity that is negative, or not a fraction with
+    denominator at most 10**6, raises ``ValueError`` instead of being
+    clamped or rounded.  The cut is
     the one around the nodes reachable from the sources in the residual
     graph, the same for every maximum flow.
     """
@@ -210,6 +272,8 @@ def max_flow(
     if capacity.shape != shape:
         raise ValueError(f"capacity has shape {capacity.shape}, expected (4, rows, cols)")
     values, inverse = np.unique(capacity.ravel(), return_inverse=True)
+    if values[0] < 0:
+        raise ValueError(f"capacity {values[0].item()!r} is negative")
     fracs = [Fraction(c).limit_denominator(10**6) for c in values.tolist()]
     for c, frac in zip(values.tolist(), fracs):
         if float(frac) != c:
@@ -253,7 +317,8 @@ def route_disjoint_quanta(
     demanders, with the given per-node path counts.  ``capacity[dir, y, x]``
     is the number of quanta the edge leaving (x, y) in direction ``dir`` may
     carry; 0 forbids the edge, and all ones asks for pairwise edge-disjoint
-    paths.
+    paths.  A capacity that is not a nonnegative whole number (a float such
+    as 2.0 counts as 2) raises ``ValueError`` before any search.
 
     The quanta are routed by ``_augment``'s shortest augmenting paths,
     seeded with the suppliers in the given order, so a later path may undo
@@ -263,6 +328,13 @@ def route_disjoint_quanta(
     """
     if capacity.shape != (4, spec.rows, spec.cols):
         raise ValueError(f"capacity has shape {capacity.shape}, expected (4, rows, cols)")
+    flat = capacity.ravel()
+    bad = np.flatnonzero(~(np.isfinite(flat) & (flat >= 0) & (flat == np.round(flat))))
+    if bad.size:
+        d, y, x = np.unravel_index(bad[0], capacity.shape)
+        raise ValueError(
+            f"capacity[{d}, {y}, {x}] is {flat[bad[0]].item()!r}, not a nonnegative whole number"
+        )
     sources = [(u.y * spec.cols + u.x, quota) for u, quota in suppliers]
     sinks = [(v.y * spec.cols + v.x, quota) for v, quota in demanders]
     supply: dict[int, int] = {}
@@ -275,7 +347,7 @@ def route_disjoint_quanta(
 
     wanted = dict(demand)
     total = sum(supply.values())
-    cap = capacity.ravel().tolist()
+    cap = flat.astype(int).tolist()
     res = list(cap)
     _augment(spec.rows, spec.cols, res, supply, demand)
     unrouted = sum(supply.values())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toruslb import schemes
 from toruslb.paths import (
     CutTooSmall,
     _augment,
@@ -267,6 +268,7 @@ def test_route_disjoint_quanta_against_brute_force_cut(network, data):
 POLICY_DIGESTS = [
     ("llb", (6, 6), (2,), "4312a43806019b60bc2e07a5e3fe8df8ab510ac1401deff37730a79058a88848"),
     ("llb", (10, 10), (3,), "1736673ddcaa620f660753a1062dd45079aa74ecb48637b33bbe40abaf3627c9"),
+    ("llb", (12, 12), (4,), "0d1dce0fcf7732f42e7f437033d30df7620fb0b63400cd1c3aee11a0a659e688"),
     ("gllb", (6, 8), (2, 2), "ca7433586195183360f02378e0907aa8dab5c09f6d419e67ed5cf59e04055f7c"),
     ("gllb", (8, 10), (3, 3), "5903954ca03ce7fcd119cede764519002faa5e671e3d35d848b75f6a7be06f6e"),
     ("gllb", (5, 9), (2, 3), "0acf654e2aad780305b3bcdccd7f1f94e1f06f76bacc017614fc12e6baeddb25"),
@@ -364,11 +366,12 @@ def pop_front_decompose(heads, suppliers, consumed, flow):
 
 @st.composite
 def quota_networks(draw):
-    spec = TorusSpec(draw(st.integers(3, 7)), draw(st.integers(3, 7)))
+    spec = TorusSpec(draw(st.integers(3, 10)), draw(st.integers(3, 10)))
     n = spec.num_nodes
     cap = draw(st.lists(st.integers(0, 3), min_size=4 * n, max_size=4 * n))
     picked = draw(st.permutations(range(n)))
-    n_src, n_dst = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n_src = draw(st.integers(1, min(12, n - 1)))
+    n_dst = draw(st.integers(1, min(12, n - n_src)))
     quotas = st.integers(1, 3)
     suppliers = [(u, draw(quotas)) for u in picked[:n_src]]
     demanders = [(v, draw(quotas)) for v in picked[n_src : n_src + n_dst]]
@@ -422,3 +425,48 @@ def test_residual_augment_matches_queue_bfs_oracle(network):
         if c and parent[e % n] != -2 and parent[heads[e]] == -2
     }
     assert max_flow(spec, sources, sinks, capacity) == (value, cut)
+
+
+def test_augment_matches_queue_bfs_oracle_on_every_stem_crossing(monkeypatch):
+    # every crossing the stem schemes route, at every pool they try, with the
+    # ones whose cut is too small: many phases, and many suppliers per level
+    instances = []
+    route = schemes.route_disjoint_quanta
+
+    def capture(spec, suppliers, demanders, capacity):
+        instances.append((spec, suppliers, demanders, capacity.copy()))
+        return route(spec, suppliers, demanders, capacity)
+
+    monkeypatch.setattr(schemes, "route_disjoint_quanta", capture)
+    build_llb(TorusSpec(12, 12), 4)
+    build_gllb(TorusSpec(5, 9), 2, 3)
+    short = 0
+    for spec, suppliers, demanders, capacity in instances:
+        cap = capacity.ravel().tolist()
+        supply = {u.y * spec.cols + u.x: q for u, q in suppliers}
+        demand = {v.y * spec.cols + v.x: q for v, q in demanders}
+        new_supply, new_demand, res = dict(supply), dict(demand), list(cap)
+        flow, parent = queue_bfs_augment(edge_heads(spec).ravel().tolist(), cap, supply, demand)
+        new_parent = _augment(spec.rows, spec.cols, res, new_supply, new_demand)
+        assert [max(c - r, 0) for c, r in zip(cap, res)] == flow
+        assert (new_supply, new_demand, new_parent) == (supply, demand, parent)
+        short += any(supply.values())
+    assert len(instances) > 200 and short > 0
+
+
+def test_route_disjoint_quanta_reads_whole_floats_and_rejects_the_rest():
+    spec = TorusSpec(4, 4)
+    ends = ([(Node(0, 0), 2)], [(Node(2, 2), 2)])
+    ones = route_disjoint_quanta(spec, *ends, np.ones((4, 4, 4), dtype=int))
+    assert route_disjoint_quanta(spec, *ends, np.ones((4, 4, 4))) == ones
+    with pytest.raises(ValueError, match=r"capacity\[0, 0, 0\] is -1, not a nonnegative"):
+        route_disjoint_quanta(spec, *ends, np.full((4, 4, 4), -1))
+    half = np.ones((4, 4, 4))
+    half[2, 1, 3] = 0.5
+    with pytest.raises(ValueError, match=r"capacity\[2, 1, 3\] is 0.5, not a nonnegative"):
+        route_disjoint_quanta(spec, *ends, half)
+
+
+def test_max_flow_rejects_negative_capacities():
+    with pytest.raises(ValueError, match="capacity -1.0 is negative"):
+        max_flow(TorusSpec(4, 4), {Node(0, 0)}, {Node(2, 2)}, np.full((4, 4, 4), -1.0))
