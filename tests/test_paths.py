@@ -268,7 +268,6 @@ def test_route_disjoint_quanta_against_brute_force_cut(network, data):
 POLICY_DIGESTS = [
     ("llb", (6, 6), (2,), "4312a43806019b60bc2e07a5e3fe8df8ab510ac1401deff37730a79058a88848"),
     ("llb", (10, 10), (3,), "1736673ddcaa620f660753a1062dd45079aa74ecb48637b33bbe40abaf3627c9"),
-    ("llb", (12, 12), (4,), "0d1dce0fcf7732f42e7f437033d30df7620fb0b63400cd1c3aee11a0a659e688"),
     ("gllb", (6, 8), (2, 2), "ca7433586195183360f02378e0907aa8dab5c09f6d419e67ed5cf59e04055f7c"),
     ("gllb", (8, 10), (3, 3), "5903954ca03ce7fcd119cede764519002faa5e671e3d35d848b75f6a7be06f6e"),
     ("gllb", (5, 9), (2, 3), "0acf654e2aad780305b3bcdccd7f1f94e1f06f76bacc017614fc12e6baeddb25"),
@@ -282,6 +281,7 @@ POLICY_DIGESTS = [
     ("ring", (9, 5), (), "888c7d1fd73cef542bcde01ecacbda80b2b218746e16687d3f840977f26a157f"),
     ("ring", (6, 6, 2.0, 1.0), (), "7f54c69a852d75ea52674704306e6cae00c27c23a608887c8c5881a7b6435acc"),
     ("ring", (6, 6, 1.0, 2.0), (), "81045abc83b65b037eb8e7e151c3f510edda10735838db643dc85b7b3860103b"),
+    ("llb", (12, 12), (4,), "0d1dce0fcf7732f42e7f437033d30df7620fb0b63400cd1c3aee11a0a659e688"),
 ]
 
 BUILDERS = {
