@@ -24,13 +24,11 @@ class Regime(Enum):
     DENSE = "dense"
 
 
-def cut_lower_bound(k: int, n: int | None = None) -> float:
+def cut_lower_bound(k: int) -> float:
     """Cut-based floor sqrt(k)/4, valid for any routing policy.  The minimum
     cut isolating k sources is about 4*sqrt(k) links."""
     if k < 1:
         raise OutOfRegime("k must be positive")
-    if n is not None and k > n * n / 4:
-        raise OutOfRegime(f"cut bound applies for k <= N^2/4, got k={k}, N={n}")
     return math.sqrt(k) / 4
 
 

@@ -15,7 +15,7 @@ capacities as one such slab, where 0 removes an edge; only
 ``DirectedEdge``s.
 
 ``_augment`` keeps one residual-capacity list and tests an edge as
-``res[e] > 0``; the flow is recovered at the end as ``max(cap - res, 0)``.
+``res[e] > 0``; the flow is ``max(cap - res, 0)``.
 It works in distance phases (Dinic, 1970): one reverse breadth-first search
 per phase labels nodes with their residual distance to the demanders, and
 walks down those levels, each taking the first usable edge in ``Direction``
@@ -24,7 +24,9 @@ one breadth-first search per augmenting path would find (shortest, then
 least by supplier and direction sequence), so flows, paths and cuts do not
 depend on the phases.  The head list, the reverse-edge ids and each node's
 out- and in-edges come from ``_shape_tables``, built once per ``(rows,
-cols)``.
+cols)``.  ``_decompose_flow`` reads the flow straight from ``cap`` and
+``res`` and splits it in one walk per quantum, which erases each loop as
+soon as it closes.
 """
 
 from __future__ import annotations
@@ -73,10 +75,21 @@ class Stem:
         return frozenset(self.members) | {self.center}
 
 
+def _node_id(spec: TorusSpec, u: Node) -> int:
+    """The flat index ``y * cols + x`` of one of the grid's nodes, or of a node
+    equal to one, such as ``Node(2.0, 0)``; ``ValueError`` for any other."""
+    x, y = u
+    if not (0 <= x < spec.cols and 0 <= y < spec.rows and x % 1 == 0 and y % 1 == 0):
+        raise ValueError(f"{u} is not a node of the {spec.rows}x{spec.cols} torus")
+    return int(y) * spec.cols + int(x)
+
+
 def stem(spec: TorusSpec, center: Node, r1: int, r2: int) -> Stem:
     """Nodes differing from ``center`` in exactly one coordinate, within r1
     hops vertically or r2 hops horizontally.  Leg order: +v, -v, +h, -h, each
-    by increasing hop."""
+    by increasing hop.  ``center`` must be one of the grid's nodes."""
+    y, x = divmod(_node_id(spec, center), spec.cols)
+    center = Node(x, y)
     if r1 < 0 or r2 < 0:
         raise RadiusTooLarge("radii must be nonnegative")
     if 2 * r1 > spec.rows or 2 * r2 > spec.cols:
@@ -259,8 +272,8 @@ def max_flow(
     capacities.  Rational values are scaled to integers so the value and cut
     agree exactly; a capacity that is negative, or not a fraction with
     denominator at most 10**6, raises ``ValueError`` instead of being
-    clamped or rounded.  The cut is
-    the one around the nodes reachable from the sources in the residual
+    clamped or rounded, and so does a source or sink off the grid.  The cut
+    is the one around the nodes reachable from the sources in the residual
     graph, the same for every maximum flow.
     """
     if sources & sinks:
@@ -282,8 +295,8 @@ def max_flow(
     cap = np.array([int(f * scale) for f in fracs])[inverse].tolist()
 
     big = sum(cap) + 1
-    supply = {u.y * spec.cols + u.x: big for u in sources}
-    demand = {u.y * spec.cols + u.x: big for u in sinks}
+    supply = {_node_id(spec, u): big for u in sources}
+    demand = {_node_id(spec, u): big for u in sinks}
     parent = _augment(spec.rows, spec.cols, list(cap), supply, demand)
     value = big * len(supply) - sum(supply.values())
     heads = _shape_tables(spec.rows, spec.cols)[0]
@@ -317,8 +330,9 @@ def route_disjoint_quanta(
     demanders, with the given per-node path counts.  ``capacity[dir, y, x]``
     is the number of quanta the edge leaving (x, y) in direction ``dir`` may
     carry; 0 forbids the edge, and all ones asks for pairwise edge-disjoint
-    paths.  A capacity that is not a nonnegative whole number (a float such
-    as 2.0 counts as 2) raises ``ValueError`` before any search.
+    paths.  A capacity or path count that is not a nonnegative whole number
+    (a float such as 2.0 counts as 2), or a node off the grid, raises
+    ``ValueError`` before any search.
 
     The quanta are routed by ``_augment``'s shortest augmenting paths,
     seeded with the suppliers in the given order, so a later path may undo
@@ -335,8 +349,11 @@ def route_disjoint_quanta(
         raise ValueError(
             f"capacity[{d}, {y}, {x}] is {flat[bad[0]].item()!r}, not a nonnegative whole number"
         )
-    sources = [(u.y * spec.cols + u.x, quota) for u, quota in suppliers]
-    sinks = [(v.y * spec.cols + v.x, quota) for v, quota in demanders]
+    for u, quota in (*suppliers, *demanders):
+        if not (quota >= 0 and quota % 1 == 0):
+            raise ValueError(f"quota {quota!r} at {u} is not a nonnegative whole number")
+    sources = [(_node_id(spec, u), int(quota)) for u, quota in suppliers]
+    sinks = [(_node_id(spec, v), int(quota)) for v, quota in demanders]
     supply: dict[int, int] = {}
     demand: dict[int, int] = {}
     for quotas, terminals in ((supply, sources), (demand, sinks)):
@@ -354,66 +371,48 @@ def route_disjoint_quanta(
     if unrouted:
         raise CutTooSmall(f"cut admits {total - unrouted} of {total} quanta")
     consumed = {u: wanted[u] - demand[u] for u in wanted}
-    flow = [c - r if c > r else 0 for c, r in zip(cap, res)]
-    return _decompose_flow(_shape_tables(spec.rows, spec.cols)[0], sources, consumed, flow)
+    return _decompose_flow(_shape_tables(spec.rows, spec.cols)[0], sources, consumed, cap, res)
 
 
 def _decompose_flow(
     heads: tuple[int, ...],
     suppliers: list[tuple[int, int]],
     consumed: dict[int, int],
-    flow: list[int],
+    cap: list[int],
+    res: list[int],
 ) -> list[list[int]]:
-    """Split an integer edge flow into one loop-free path of edge ids per
-    supplied quantum."""
+    """Split the integer flow ``max(cap - res, 0)`` into one loop-free path
+    of edge ids per supplied quantum.  Each quantum walks unused flow units,
+    each node's in edge-id order, to a demander with consumption left (flow
+    conservation leaves a unit to take at every other node), and erases a
+    loop as soon as it closes (chronological loop erasure, Lawler 1980)."""
     n = len(heads) // 4
     flow_out: list[list[int]] = [[] for _ in range(n)]
-    for e, units in enumerate(flow):
-        if units:
-            flow_out[e % n].extend([e] * units)
+    for e, (c, r) in enumerate(zip(cap, res)):
+        if c > r:
+            flow_out[e % n].extend([e] * (c - r))
     taken = [0] * n  # flow_out[u][:taken[u]] are used up
     terminal = dict(consumed)
     paths: list[list[int]] = []
-    limit = sum(flow) + 1
     for node, quota in suppliers:
         for _ in range(quota):
             path: list[int] = []
+            at = {node: 0}  # each node on the path: the number of edges before it
             u = node
-            for _step in range(limit):
-                if path and terminal.get(u, 0) > 0:
-                    terminal[u] -= 1
-                    break
+            while not terminal.get(u):
                 e = flow_out[u][taken[u]]
                 taken[u] += 1
-                path.append(e)
                 u = heads[e]
-            else:
-                raise PathError("flow decomposition failed to terminate")
-            paths.append(_trim_cycles(heads, node, path))
-    if any(terminal.values()):
-        raise PathError("terminals left unserved")
+                if u in at:
+                    for dropped in path[at[u] :]:
+                        del at[heads[dropped]]
+                    del path[at[u] :]
+                else:
+                    path.append(e)
+                    at[u] = len(path)
+            terminal[u] -= 1
+            paths.append(path)
     return paths
-
-
-def _trim_cycles(heads: tuple[int, ...], start: int, path: list[int]) -> list[int]:
-    """Loop-erase a walk of edge ids from node ``start`` so the result visits
-    each node at most once."""
-    nodes = [start]
-    index = {start: 0}
-    out: list[int] = []
-    for e in path:
-        head = heads[e]
-        if head in index:
-            k = index[head]
-            for dropped in nodes[k + 1 :]:
-                del index[dropped]
-            del nodes[k + 1 :]
-            del out[k:]
-        else:
-            out.append(e)
-            nodes.append(head)
-            index[head] = len(nodes) - 1
-    return out
 
 
 def find_disjoint_stem_paths(

@@ -126,10 +126,14 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> np.ndarray:
     other stem node ships its share on two crossing paths, and the crossing
     quanta may ride whatever leg-edge budget the trimming left unused.
 
-    Only the source stem is walked.  The destination stem, its aggregation
-    and its holds are the source stem reflected through t/2: node u maps to
+    Only the source stem is walked.  The destination stem and its
+    aggregation are the source stem reflected through t/2: node u maps to
     t - u with every edge reversed, so edge (d, u) reads edge
-    (d, t - u - delta_d).
+    (d, t - u - delta_d).  The crossing runs from the source-stem nodes
+    within each leg's trimmed length to their mirrors, less the nodes on
+    both lists, which hold the same share in both stems: such a node is its
+    own mirror (the midpoint of a trimmed leg) or lies on untrimmed legs,
+    which hold two quanta at every node.
 
     All accounting is in integer quanta of 1/(4*(r1+r2)), so the edge flows
     never exceed the leg profile on axis edges or one quantum elsewhere; that
@@ -148,7 +152,7 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> np.ndarray:
     cap = np.zeros(shape, dtype=int)
     spread = np.zeros(shape, dtype=int)
     q = np.zeros(shape, dtype=int)
-    keep0: dict[Node, int] = {}
+    held: list[Node] = []  # source-stem nodes that hold their share, leg by leg
     for direction, radius, along, across, extent in (
         (Direction.POS_VERT, r1, t.y, t.x, rows),
         (Direction.NEG_VERT, r1, -t.y, t.x, rows),
@@ -168,7 +172,7 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> np.ndarray:
                 q[direction, node.y, node.x] = profile
             node = spec.step(node, direction)
             if h < length:
-                keep0[node] = 2 if h < length - 1 else profile
+                held.append(node)
 
     # the destination stem: edge (d, u) reads edge (d, t - u - delta_d)
     dx, dy = np.array([d.delta for d in Direction]).T
@@ -183,22 +187,16 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> np.ndarray:
     # quantum is what keeps the stacked worst case unchanged.
     slot_cap = np.where((cap > 0) & (cap_dst > 0), cap + cap_dst - 1, np.maximum(cap, cap_dst))
 
-    keep_t = {node_sub(spec, t, u): hold for u, hold in keep0.items()}
-    shared = keep0.keys() & keep_t.keys()
-    for u in shared:
-        if keep0[u] != keep_t[u]:
-            raise PathError(
-                f"destination {t}: stems hold {keep0[u]} and {keep_t[u]} quanta at {u}"
-            )
-    suppliers = [(u, 2) for u in keep0 if u not in shared]
-    demanders = [(v, 2) for v in keep_t if v not in shared]
+    mirror = [node_sub(spec, t, u) for u in held]
+    shared = set(held) & set(mirror)
+    suppliers = [(u, 2) for u in held if u not in shared]
+    demanders = [(v, 2) for v in mirror if v not in shared]
     if suppliers:
         # Tight geometries (legs spanning nearly the whole extent) can leave
         # the crossing corridors short of one-quantum capacity; widening the
         # non-leg quantum keeps conservation and stays within the generalized
         # bound's additive slack.  The square acceptance grids never relax.
         # Only a cut too small widens; any other failure propagates.
-        paths = None
         for pool in (1, 2, 3, 4):
             capacity = np.where(slot_cap > 0, np.maximum(slot_cap - q, 0), pool)
             try:
@@ -206,7 +204,7 @@ def _stem_route(spec: TorusSpec, t: Node, r1: int, r2: int) -> np.ndarray:
                 break
             except CutTooSmall:
                 continue
-        if paths is None:
+        else:
             raise PathError(f"stem crossing infeasible for destination {t}")
         q += np.bincount([e for path in paths for e in path], minlength=q.size).reshape(shape)
     return q * unit

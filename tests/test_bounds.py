@@ -25,8 +25,6 @@ def test_cut_lower_bound():
     assert cut_lower_bound(18) == pytest.approx(1.0607, abs=1e-4)
     with pytest.raises(OutOfRegime):
         cut_lower_bound(0)
-    with pytest.raises(OutOfRegime):
-        cut_lower_bound(30, n=10)
 
 
 def test_oblivious_lower_bound_values():

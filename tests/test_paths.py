@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+import re
 from collections import Counter, deque
 
 import numpy as np
@@ -11,7 +13,7 @@ from toruslb import schemes
 from toruslb.paths import (
     CutTooSmall,
     _augment,
-    _trim_cycles,
+    _decompose_flow,
     RadiusTooLarge,
     StemsOverlap,
     find_disjoint_stem_paths,
@@ -344,6 +346,27 @@ def queue_bfs_augment(heads, cap, supply, demand):
         demand[end] -= amount
 
 
+def _trim_cycles(heads: tuple[int, ...], start: int, path: list[int]) -> list[int]:
+    """Loop-erase a walk of edge ids from node ``start`` so the result visits
+    each node at most once."""
+    nodes = [start]
+    index = {start: 0}
+    out: list[int] = []
+    for e in path:
+        head = heads[e]
+        if head in index:
+            k = index[head]
+            for dropped in nodes[k + 1 :]:
+                del index[dropped]
+            del nodes[k + 1 :]
+            del out[k:]
+        else:
+            out.append(e)
+            nodes.append(head)
+            index[head] = len(nodes) - 1
+    return out
+
+
 def pop_front_decompose(heads, suppliers, consumed, flow):
     n = len(heads) // 4
     flow_out = {}
@@ -427,6 +450,29 @@ def test_residual_augment_matches_queue_bfs_oracle(network):
     assert max_flow(spec, sources, sinks, capacity) == (value, cut)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 6), st.integers(3, 6), st.integers(0, 2**32 - 1))
+def test_decompose_flow_matches_walk_then_trim_on_random_walks(rows, cols, seed):
+    # flows summed from random walks close many loops, nested ones included
+    rng = random.Random(seed)
+    spec = TorusSpec(rows, cols)
+    heads, n = edge_heads(spec).ravel().tolist(), spec.num_nodes
+    picked = rng.sample(range(n), 4)
+    suppliers = [(u, rng.randint(1, 3)) for u in picked[:2]]
+    flow, consumed = [0] * (4 * n), Counter()
+    for start, quota in suppliers:
+        for _ in range(quota):
+            u = start
+            while u not in picked[2:]:
+                e = rng.randrange(4) * n + u
+                flow[e] += 1
+                u = heads[e]
+            consumed[u] += 1
+    expected = pop_front_decompose(heads, suppliers, dict(consumed), flow)
+    zero = [0] * len(flow)
+    assert _decompose_flow(tuple(heads), suppliers, dict(consumed), flow, zero) == expected
+
+
 def test_augment_matches_queue_bfs_oracle_on_every_stem_crossing(monkeypatch):
     # every crossing the stem schemes route, at every pool they try, with the
     # ones whose cut is too small: many phases, and many suppliers per level
@@ -440,18 +486,36 @@ def test_augment_matches_queue_bfs_oracle_on_every_stem_crossing(monkeypatch):
     monkeypatch.setattr(schemes, "route_disjoint_quanta", capture)
     build_llb(TorusSpec(12, 12), 4)
     build_gllb(TorusSpec(5, 9), 2, 3)
+
+    # count the oracle's walks that closed a loop
+    closed, trim_cycles = [], _trim_cycles
+
+    def trim(heads, start, path):
+        out = trim_cycles(heads, start, path)
+        closed.append(len(out) < len(path))
+        return out
+
+    monkeypatch.setitem(globals(), "_trim_cycles", trim)
     short = 0
     for spec, suppliers, demanders, capacity in instances:
+        heads = edge_heads(spec).ravel().tolist()
         cap = capacity.ravel().tolist()
-        supply = {u.y * spec.cols + u.x: q for u, q in suppliers}
-        demand = {v.y * spec.cols + v.x: q for v, q in demanders}
+        sources = [(u.y * spec.cols + u.x, q) for u, q in suppliers]
+        sinks = [(v.y * spec.cols + v.x, q) for v, q in demanders]
+        supply, demand = dict(sources), dict(sinks)
         new_supply, new_demand, res = dict(supply), dict(demand), list(cap)
-        flow, parent = queue_bfs_augment(edge_heads(spec).ravel().tolist(), cap, supply, demand)
+        flow, parent = queue_bfs_augment(heads, cap, supply, demand)
         new_parent = _augment(spec.rows, spec.cols, res, new_supply, new_demand)
         assert [max(c - r, 0) for c, r in zip(cap, res)] == flow
         assert (new_supply, new_demand, new_parent) == (supply, demand, parent)
-        short += any(supply.values())
-    assert len(instances) > 200 and short > 0
+        if any(supply.values()):
+            short += 1
+            continue
+        # the walks that erase loops as they close them against walk-then-trim
+        consumed = {v: q - demand[v] for v, q in sinks}
+        expected = pop_front_decompose(heads, sources, consumed, flow)
+        assert route_disjoint_quanta(spec, suppliers, demanders, capacity) == expected
+    assert len(instances) > 200 and short > 0 and any(closed)
 
 
 def test_route_disjoint_quanta_reads_whole_floats_and_rejects_the_rest():
@@ -470,3 +534,58 @@ def test_route_disjoint_quanta_reads_whole_floats_and_rejects_the_rest():
 def test_max_flow_rejects_negative_capacities():
     with pytest.raises(ValueError, match="capacity -1.0 is negative"):
         max_flow(TorusSpec(4, 4), {Node(0, 0)}, {Node(2, 2)}, np.full((4, 4, 4), -1.0))
+
+
+ONES = np.ones((4, 4, 4), dtype=int)
+
+
+def test_route_disjoint_quanta_rejects_nodes_off_the_grid():
+    # Node(5, 0) on 4x4 used to alias flat index 5, the node (1, 1)
+    for off in (Node(5, 0), Node(-1, 0), Node(0.5, 0)):
+        message = re.escape(f"{off!r} is not a node of the 4x4 torus")
+        with pytest.raises(ValueError, match=message):
+            route_disjoint_quanta(TorusSpec(4, 4), [(off, 1)], [(Node(2, 2), 1)], ONES)
+        with pytest.raises(ValueError, match=message):
+            route_disjoint_quanta(TorusSpec(4, 4), [(Node(2, 2), 1)], [(off, 1)], ONES)
+
+
+def test_max_flow_rejects_nodes_off_the_grid():
+    with pytest.raises(ValueError, match=r"Node\(x=5, y=0\) is not a node of the 4x4 torus"):
+        max_flow(TorusSpec(4, 4), {Node(5, 0)}, {Node(2, 2)})
+    with pytest.raises(ValueError, match=r"Node\(x=2, y=4\) is not a node of the 4x4 torus"):
+        max_flow(TorusSpec(4, 4), {Node(0, 0)}, {Node(2, 4)})
+
+
+def test_stem_rejects_a_center_off_the_grid():
+    spec = TorusSpec(8, 8)
+    with pytest.raises(ValueError, match=r"Node\(x=9, y=0\) is not a node of the 8x8 torus"):
+        stem(spec, Node(9, 0), 1, 1)
+    with pytest.raises(ValueError, match=r"Node\(x=9, y=0\) is not a node"):
+        min_cut_between_stems(spec, Node(9, 0), Node(4, 4), 1, 1)
+    with pytest.raises(ValueError, match=r"Node\(x=0, y=9\) is not a node"):
+        find_disjoint_stem_paths(spec, Node(0, 0), Node(0, 9), 1, 1)
+
+
+def test_route_disjoint_quanta_rejects_a_negative_quota():
+    # used to report CutTooSmall: cut admits 0 of -1 quanta
+    with pytest.raises(ValueError, match=r"quota -1 at Node\(x=0, y=0\) is not a nonnegative"):
+        route_disjoint_quanta(TorusSpec(4, 4), [(Node(0, 0), -1)], [(Node(2, 2), 1)], ONES)
+
+
+def test_route_disjoint_quanta_rejects_a_fractional_quota():
+    # used to end in a bare TypeError from the decomposition
+    for quota in (1.5, math.inf, math.nan):
+        message = re.escape(f"quota {quota!r} at Node(x=2, y=2) is not a nonnegative")
+        with pytest.raises(ValueError, match=message):
+            route_disjoint_quanta(TorusSpec(4, 4), [(Node(0, 0), 1)], [(Node(2, 2), quota)], ONES)
+
+
+def test_nodes_and_quotas_equal_to_integers_index_as_those_integers():
+    spec = TorusSpec(4, 4)
+    ends = [(Node(0, 0), 2)], [(Node(2, 2), 2)]
+    paths = route_disjoint_quanta(spec, *ends, ONES)
+    assert route_disjoint_quanta(spec, [(Node(0.0, 0), 2.0)], [(Node(2, 2.0), 2)], ONES) == paths
+    value_cut = max_flow(spec, {Node(0, 0)}, {Node(2, 2)})
+    assert max_flow(spec, {Node(0.0, 0)}, {Node(2, 2.0)}) == value_cut
+    assert stem(TorusSpec(8, 8), Node(2.0, 0), 1, 1) == stem(TorusSpec(8, 8), Node(2, 0), 1, 1)
+    assert stem(TorusSpec(8, 8), Node(2.0, 0), 1, 1).center == Node(2, 0)
