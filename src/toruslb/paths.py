@@ -12,7 +12,9 @@ y * cols + x``, its place in a flattened ``[dir, y, x]`` policy slab, and its
 head is read from :func:`toruslb.torus.edge_heads`.  Both take per-edge
 capacities as one such slab, where 0 removes an edge; only
 ``find_disjoint_stem_paths`` and ``max_flow``'s cut turn ids into
-``DirectedEdge``s.
+``DirectedEdge``s.  ``route_disjoint_quanta`` checks its input, then runs
+``_route_quanta``, the unchecked core that the stem builder in
+:mod:`toruslb.schemes` calls directly on input that holds by construction.
 
 ``_augment`` keeps one residual-capacity list and tests an edge as
 ``res[e] > 0``; the flow is ``max(cap - res, 0)``.
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from numbers import Real
 
 import numpy as np
 
@@ -84,10 +87,20 @@ def _node_id(spec: TorusSpec, u: Node) -> int:
     return int(y) * spec.cols + int(x)
 
 
+def _whole_radius(name: str, r: object) -> int:
+    """A stem radius as an int: a whole number such as 2 or 2.0 reads as 2;
+    anything else, a bool included, raises ``ValueError`` naming it."""
+    if isinstance(r, bool) or not isinstance(r, Real) or r % 1 != 0:
+        raise ValueError(f"radius {name}={r!r} is not a whole number")
+    return int(r)
+
+
 def stem(spec: TorusSpec, center: Node, r1: int, r2: int) -> Stem:
     """Nodes differing from ``center`` in exactly one coordinate, within r1
     hops vertically or r2 hops horizontally.  Leg order: +v, -v, +h, -h, each
-    by increasing hop.  ``center`` must be one of the grid's nodes."""
+    by increasing hop.  ``center`` must be one of the grid's nodes, and the
+    radii whole numbers (see :func:`_whole_radius`)."""
+    r1, r2 = _whole_radius("r1", r1), _whole_radius("r2", r2)
     y, x = divmod(_node_id(spec, center), spec.cols)
     center = Node(x, y)
     if r1 < 0 or r2 < 0:
@@ -354,24 +367,35 @@ def route_disjoint_quanta(
             raise ValueError(f"quota {quota!r} at {u} is not a nonnegative whole number")
     sources = [(_node_id(spec, u), int(quota)) for u, quota in suppliers]
     sinks = [(_node_id(spec, v), int(quota)) for v, quota in demanders]
+    if {u for u, _ in sources} & {v for v, _ in sinks}:
+        raise PathError("suppliers and demanders must be disjoint")
+    return _route_quanta(spec.rows, spec.cols, sources, sinks, flat.astype(int).tolist())
+
+
+def _route_quanta(
+    rows: int,
+    cols: int,
+    sources: list[tuple[int, int]],
+    sinks: list[tuple[int, int]],
+    cap: list[int],
+) -> list[list[int]]:
+    """``route_disjoint_quanta`` on input it has checked, or that holds by
+    construction: node ids of the grid, disjoint source and sink nodes, and
+    nonnegative int quotas and capacities.  Nothing is checked here."""
     supply: dict[int, int] = {}
     demand: dict[int, int] = {}
     for quotas, terminals in ((supply, sources), (demand, sinks)):
         for u, quota in terminals:
             quotas[u] = quotas.get(u, 0) + quota
-    if supply.keys() & demand.keys():
-        raise PathError("suppliers and demanders must be disjoint")
-
     wanted = dict(demand)
     total = sum(supply.values())
-    cap = flat.astype(int).tolist()
     res = list(cap)
-    _augment(spec.rows, spec.cols, res, supply, demand)
+    _augment(rows, cols, res, supply, demand)
     unrouted = sum(supply.values())
     if unrouted:
         raise CutTooSmall(f"cut admits {total - unrouted} of {total} quanta")
     consumed = {u: wanted[u] - demand[u] for u in wanted}
-    return _decompose_flow(_shape_tables(spec.rows, spec.cols)[0], sources, consumed, cap, res)
+    return _decompose_flow(_shape_tables(rows, cols)[0], sources, consumed, cap, res)
 
 
 def _decompose_flow(

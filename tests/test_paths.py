@@ -41,6 +41,19 @@ def test_stem_radius_validation():
     assert len(folded) == 2 * 2 + 2 * 2 - 1
 
 
+def test_stem_radii_must_be_whole_numbers():
+    # a fractional radius used to end in a bare TypeError from range, and a
+    # bool passed as radius 1
+    spec = TorusSpec(8, 8)
+    with pytest.raises(ValueError, match=r"radius r1=1\.5 is not a whole number"):
+        stem(spec, Node(0, 0), 1.5, 1)
+    with pytest.raises(ValueError, match="radius r1=True is not a whole number"):
+        stem(spec, Node(0, 0), True, 1)
+    with pytest.raises(ValueError, match="radius r2=nan is not a whole number"):
+        stem(spec, Node(0, 0), 1, math.nan)
+    assert stem(spec, Node(0, 0), 2.0, 1) == stem(spec, Node(0, 0), 2, 1)
+
+
 def test_min_cut_examples():
     assert min_cut_between_stems(TorusSpec(8, 8), Node(0, 0), Node(4, 4), 2, 2) == 20
     assert min_cut_between_stems(TorusSpec(8, 8), Node(0, 0), Node(4, 4), 3, 3) == 28
@@ -284,6 +297,7 @@ POLICY_DIGESTS = [
     ("ring", (6, 6, 2.0, 1.0), (), "7f54c69a852d75ea52674704306e6cae00c27c23a608887c8c5881a7b6435acc"),
     ("ring", (6, 6, 1.0, 2.0), (), "81045abc83b65b037eb8e7e151c3f510edda10735838db643dc85b7b3860103b"),
     ("llb", (12, 12), (4,), "0d1dce0fcf7732f42e7f437033d30df7620fb0b63400cd1c3aee11a0a659e688"),
+    ("gllb", (9, 15), (3, 5), "b713ed89d8a5a98818ff01dc52c22ed166b9489655ca9457592de5d3a1945866"),
 ]
 
 BUILDERS = {
@@ -477,13 +491,13 @@ def test_augment_matches_queue_bfs_oracle_on_every_stem_crossing(monkeypatch):
     # every crossing the stem schemes route, at every pool they try, with the
     # ones whose cut is too small: many phases, and many suppliers per level
     instances = []
-    route = schemes.route_disjoint_quanta
+    route = schemes._route_quanta
 
-    def capture(spec, suppliers, demanders, capacity):
-        instances.append((spec, suppliers, demanders, capacity.copy()))
-        return route(spec, suppliers, demanders, capacity)
+    def capture(rows, cols, sources, sinks, cap):
+        instances.append((TorusSpec(rows, cols), sources, sinks, list(cap)))
+        return route(rows, cols, sources, sinks, cap)
 
-    monkeypatch.setattr(schemes, "route_disjoint_quanta", capture)
+    monkeypatch.setattr(schemes, "_route_quanta", capture)
     build_llb(TorusSpec(12, 12), 4)
     build_gllb(TorusSpec(5, 9), 2, 3)
 
@@ -497,11 +511,8 @@ def test_augment_matches_queue_bfs_oracle_on_every_stem_crossing(monkeypatch):
 
     monkeypatch.setitem(globals(), "_trim_cycles", trim)
     short = 0
-    for spec, suppliers, demanders, capacity in instances:
+    for spec, sources, sinks, cap in instances:
         heads = edge_heads(spec).ravel().tolist()
-        cap = capacity.ravel().tolist()
-        sources = [(u.y * spec.cols + u.x, q) for u, q in suppliers]
-        sinks = [(v.y * spec.cols + v.x, q) for v, q in demanders]
         supply, demand = dict(sources), dict(sinks)
         new_supply, new_demand, res = dict(supply), dict(demand), list(cap)
         flow, parent = queue_bfs_augment(heads, cap, supply, demand)
@@ -514,6 +525,9 @@ def test_augment_matches_queue_bfs_oracle_on_every_stem_crossing(monkeypatch):
         # the walks that erase loops as they close them against walk-then-trim
         consumed = {v: q - demand[v] for v, q in sinks}
         expected = pop_front_decompose(heads, sources, consumed, flow)
+        suppliers = [(Node(u % spec.cols, u // spec.cols), q) for u, q in sources]
+        demanders = [(Node(v % spec.cols, v // spec.cols), q) for v, q in sinks]
+        capacity = np.array(cap).reshape(4, spec.rows, spec.cols)
         assert route_disjoint_quanta(spec, suppliers, demanders, capacity) == expected
     assert len(instances) > 200 and short > 0 and any(closed)
 

@@ -1,10 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from toruslb.evaluate import edge_loads, worst_case_load
-from toruslb import paths
+from toruslb import paths, schemes
 from toruslb.paths import PathError, RadiusTooLarge
 from toruslb.policy import check_reflection_invariance, edge_entries, expand, validate_policy
 from toruslb.schemes import (
@@ -14,7 +15,7 @@ from toruslb.schemes import (
     build_ring_lb,
     build_vlb,
     _probe_high_cut,
-    _stem_route,
+    _stem_flows,
     gllb_radii,
 )
 from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, hop_distance
@@ -117,10 +118,28 @@ def test_llb_radius_validation():
         build_llb(TorusSpec(4, 6), 1)
 
 
+def test_llb_radius_must_be_a_whole_number():
+    spec = TorusSpec(8, 8)
+    with pytest.raises(ValueError, match=r"radius r=1\.5 is not a whole number"):
+        build_llb(spec, 1.5)
+    with pytest.raises(ValueError, match="radius r=True is not a whole number"):
+        build_llb(spec, True)
+    assert np.array_equal(build_llb(spec, 2.0).flows, build_llb(spec, 2).flows)
+
+
+def test_gllb_radii_must_be_whole_numbers():
+    spec = TorusSpec(8, 10)
+    with pytest.raises(ValueError, match=r"radius r1=1\.5 is not a whole number"):
+        build_gllb(spec, 1.5, 2)
+    with pytest.raises(ValueError, match="radius r2=True is not a whole number"):
+        build_gllb(spec, 2, True)
+    assert np.array_equal(build_gllb(spec, 2.0, 2).flows, build_gllb(spec, 2, 2).flows)
+
+
 def test_stem_route_radius_guard():
     # a typed error that ``python -O`` keeps, not an assert
     with pytest.raises(RadiusTooLarge):
-        _stem_route(TorusSpec(6, 6), Node(3, 3), 3, 3)
+        _stem_flows(TorusSpec(6, 6), 3, 3)
 
 
 def test_llb_stem_edge_profile():
@@ -282,11 +301,35 @@ def test_stem_route_slabs_pinned():
             spec = TorusSpec(rows, cols)
             for r1 in range(1, (rows - 1) // 2 + 1):
                 for r2 in range(1, (cols - 1) // 2 + 1):
-                    for t in list(spec.nodes())[1:]:
-                        digest.update(_stem_route(spec, t, r1, r2).tobytes())
+                    for slab in _stem_flows(spec, r1, r2)[1:]:
+                        digest.update(slab.tobytes())
                         slabs += 1
     assert slabs == 5332
     assert (
         digest.hexdigest()
         == "3d9bfb64c23b5b436b1886d8c727a08c7c62ff140891e886aba88810588e654e"
     )
+
+
+@pytest.mark.parametrize("shape,radii", [((10, 10), (3, 3)), ((5, 9), (2, 3)), ((8, 10), (3, 3))])
+def test_stem_flows_do_not_depend_on_block_boundaries(monkeypatch, shape, radii):
+    # the default cap splits each of these into several blocks; 5x9 widens
+    # the crossing pool
+    spec = TorusSpec(*shape)
+    default = _stem_flows(spec, *radii)
+    assert schemes._BLOCK_ELEMENTS // (4 * spec.num_nodes) < spec.num_nodes - 1
+    for cap in (1, 4 * spec.num_nodes**2):  # one destination per block; all in one
+        monkeypatch.setattr(schemes, "_BLOCK_ELEMENTS", cap)
+        assert np.array_equal(_stem_flows(spec, *radii), default)
+
+
+def test_llb_build_peak_memory_stays_within_four_policies():
+    # blocks cap the builder's temporaries: it reads 3.50x, as the build one
+    # destination at a time did, and one block of every destination 8.5x
+    tracemalloc.start()
+    try:
+        policy = build_llb(TorusSpec(12, 12), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * policy.flows.nbytes
