@@ -14,9 +14,12 @@ matrices with per-source and per-sink multiplicity one and at most k entries,
 so maximizing load on that edge is a maximum-weight bipartite matching with a
 cardinality cap (Towles & Dally 2002).  :func:`worst_case_load` solves it on
 the dense ``W[s, t]`` of :meth:`on_edge` with :func:`k_matching_max`, a numpy
-shortest-augmenting-path solver.  Its final potentials also give the hose-model
-dual multipliers, which :func:`_k_matching_sparse` returns keyed by node for
-the LP export's feasibility checks.
+shortest-augmenting-path solver.  It keeps a column-major copy of the costs in
+which matched rows read inf, so each augmentation's cheapest free row per
+column is one contiguous argmin, with no copy, and matching a row is one row
+write.  Its final potentials also give the hose-model dual multipliers, which
+:func:`_k_matching_sparse` returns keyed by node for the LP export's
+feasibility checks.
 """
 
 from __future__ import annotations
@@ -163,9 +166,11 @@ def k_matching_max(
     are kept.  Successive shortest augmenting paths then run on the costs
     ``C = -W`` with row, column and sink potentials that keep every reduced
     cost nonnegative.  Each augmentation is one Dijkstra: every free row
-    relaxes all columns in one array operation, then matched columns are
-    scanned in label order (each reaches its row through the tight matched
-    edge, and that row relaxes all columns) until the sink's label is final.
+    relaxes all columns in one array operation, the first cheapest free row
+    of each column read by one ``argmin`` over a column-major copy of ``C``
+    whose matched rows are inf; then matched columns are scanned in label
+    order (each reaches its row through the tight matched edge, and that row
+    relaxes all columns) until the sink's label is final.
     It stops after ``min(k, rows, cols)`` augmentations or at the first one
     that gains nothing, so the duals of :func:`_k_matching` price exactly the
     optimum; a tolerance on the gain would leave up to ``k`` uncertified gains
@@ -199,14 +204,16 @@ def _k_matching(
     pt = pc.min()
     row_of = np.full(nc, -1)  # matched row of each column, -1 if free
     col_of = np.full(nr, -1)  # matched column of each row, -1 if free
+    # The costs column-major with matched rows at inf, so each column's first
+    # cheapest free row is one contiguous argmin.  Copied explicitly:
+    # np.asfortranarray returns a one-row matrix itself.
+    free_cost = cost.copy(order="F")
     for _ in range(min(k, nr, nc)):
         # One Dijkstra from every free row at once (their potential is 0).  A
         # matched column's key is its label and a free column's key is the
         # sink's label through it; a scanned column's key is inf, and its
         # base of -inf keeps later rows from relaxing it again.
-        free_rows = np.flatnonzero(col_of < 0)
-        best = cost[free_rows].argmin(axis=0)
-        pred = free_rows[best]
+        pred = free_cost.argmin(axis=0)
         gap = np.where(row_of < 0, pc - pt, 0.0)
         key = cost[pred, np.arange(nc)] - pc + gap
         base = pc - gap
@@ -237,6 +244,7 @@ def _k_matching(
             nxt = col_of[i]
             row_of[j], col_of[i] = i, j
             j = nxt
+        free_cost[i] = np.inf  # the path's free row, matched now
     pairs = sorted(
         (int(rows[i]), int(cols[j])) for j, i in enumerate(row_of) if i >= 0 and cost[i, j] < 0
     )

@@ -24,8 +24,10 @@ validation and CSV output skip it.  Translations are rolls and the point
 group acts by the index maps of :func:`~toruslb.torus.automorphism_index_maps`,
 so symmetrization and the reflection check are whole-array operations.
 Both classes make their flows read-only on construction, so a policy's
-reflection invariance is a fixed fact: :attr:`OriginPolicy.reflection_invariant`
-checks it once per policy.  Policies enter and leave only as these arrays:
+reflection invariance is a fixed fact, held by
+:attr:`OriginPolicy.reflection_invariant`: :func:`symmetrize_origin` records
+it for its output, which is invariant by construction, and any other policy
+is checked once, on first use.  Policies enter and leave only as these arrays:
 the scheme constructors write their routes into them, :func:`policy_to_csv`
 writes either class in one sorted walk, and :func:`origin_policy_from_csv`
 reads rows into ``G``, naming the line of a row with a wrong field count or
@@ -103,8 +105,11 @@ class OriginPolicy:
 
     @cached_property
     def reflection_invariant(self) -> bool:
-        """:func:`check_reflection_invariance` at its default tolerance, run
-        once: the flows are read-only, so the verdict cannot change."""
+        """Whether the reflection identities hold.  :func:`symmetrize_origin`
+        records True for its output, which is invariant by construction; any
+        other policy (ECMP, VLB, read from CSV or built from a user's array)
+        runs :func:`check_reflection_invariance` at its default tolerance
+        once, as the flows are read-only and the verdict cannot change."""
         return check_reflection_invariance(self)
 
     def gather(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -225,8 +230,16 @@ def symmetrize(f: FullPolicy, group: list[Automorphism]) -> FullPolicy:
 def symmetrize_origin(g: OriginPolicy) -> OriginPolicy:
     """Average an origin policy over the spec's point group, enforcing the
     reflection identities destination class by destination class.  Point-group
-    elements are involutions, so pulling back equals pushing forward."""
-    return OriginPolicy(spec=g.spec, flows=_average(g.spec, g.flows, point_group(g.spec)))
+    elements are involutions, so pulling back equals pushing forward.
+
+    The result is reflection invariant by construction, and its
+    :attr:`~OriginPolicy.reflection_invariant` is recorded as True without a
+    check: every point-group image of the average is the same sum of
+    ``len(group)`` terms in another order, so it differs from the average
+    only by rounding, about 1e-15 for flows in [0, 1]."""
+    out = OriginPolicy(spec=g.spec, flows=_average(g.spec, g.flows, point_group(g.spec)))
+    vars(out)["reflection_invariant"] = True  # fills the cached property
+    return out
 
 
 def check_reflection_invariance(g: OriginPolicy) -> bool:

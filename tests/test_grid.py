@@ -9,6 +9,37 @@ from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, bu
 from toruslb.torus import TorusSpec
 
 GRID = [(rows, cols) for rows in range(4, 11) for cols in range(4, 11)]
+VLB_DIMS = [(4, 4), (5, 5), (6, 6), (7, 7), (8, 8), (9, 9), (10, 10),
+            (4, 10), (5, 8), (6, 9), (7, 10)]
+LLB_SIZES = [5, 6, 7, 8, 9, 10]
+GLLB_DIMS = [(4, 6), (4, 10), (5, 9), (6, 8), (6, 10), (8, 10)]
+
+
+def llb_policies(n):
+    spec = TorusSpec(n, n)
+    return [build_llb(spec, r) for r in range(1, (n - 1) // 2 + 1)]
+
+
+def gllb_policies(dims):
+    spec = TorusSpec(*dims)
+    policies = []
+    for k in (2, 8):
+        r1, r2 = gllb_radii(spec, k)
+        policies.append(build_gllb(spec, min(r1, spec.rows // 2), min(r2, spec.cols // 2)))
+    return policies
+
+
+def grid_policies(dims):
+    """Every policy the tests below build on the rows x cols torus."""
+    spec = TorusSpec(*dims)
+    policies = [build_ecmp(spec), build_ring_lb(spec)]
+    if dims in VLB_DIMS:
+        policies.append(build_vlb(spec))
+    if dims[0] == dims[1] and dims[0] in LLB_SIZES:
+        policies += llb_policies(dims[0])
+    if dims in GLLB_DIMS:
+        policies += gllb_policies(dims)
+    return policies
 
 
 @pytest.mark.parametrize("dims", GRID, ids=lambda d: f"{d[0]}x{d[1]}")
@@ -20,11 +51,7 @@ def test_ecmp_and_ring_on_full_grid(dims):
         assert check_reflection_invariance(policy)
 
 
-@pytest.mark.parametrize(
-    "dims", [(4, 4), (5, 5), (6, 6), (7, 7), (8, 8), (9, 9), (10, 10),
-             (4, 10), (5, 8), (6, 9), (7, 10)],
-    ids=lambda d: f"{d[0]}x{d[1]}",
-)
+@pytest.mark.parametrize("dims", VLB_DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
 def test_vlb_on_grid_sample(dims):
     spec = TorusSpec(*dims)
     policy = build_vlb(spec)
@@ -32,23 +59,16 @@ def test_vlb_on_grid_sample(dims):
     assert check_reflection_invariance(policy)
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize("n", LLB_SIZES)
 def test_llb_all_radii_on_squares(n):
-    spec = TorusSpec(n, n)
-    for r in range(1, (n - 1) // 2 + 1):
-        policy = build_llb(spec, r)
+    for policy in llb_policies(n):
         assert validate_policy(policy) == []
         assert check_reflection_invariance(policy)
 
 
-@pytest.mark.parametrize("dims", [(4, 6), (4, 10), (5, 9), (6, 8), (6, 10), (8, 10)],
-                         ids=lambda d: f"{d[0]}x{d[1]}")
+@pytest.mark.parametrize("dims", GLLB_DIMS, ids=lambda d: f"{d[0]}x{d[1]}")
 def test_gllb_on_rectangles(dims):
-    spec = TorusSpec(*dims)
-    for k in (2, 8):
-        r1, r2 = gllb_radii(spec, k)
-        r1, r2 = min(r1, spec.rows // 2), min(r2, spec.cols // 2)
-        policy = build_gllb(spec, r1, r2)
+    for policy in gllb_policies(dims):
         assert validate_policy(policy) == []
         assert check_reflection_invariance(policy)
 

@@ -1,12 +1,15 @@
-"""Hypothesis properties for the k-cardinality matching solver."""
+"""Hypothesis properties for the k-cardinality matching solver, and its
+bit-identity with the copying reference solver."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toruslb.evaluate import _k_matching_sparse, k_matching_max
+from toruslb.evaluate import _k_matching, _k_matching_sparse, candidate_edges, k_matching_max
 
-from tests.matching_oracle import ssp_k_matching
+from tests.matching_oracle import copying_k_matching, ssp_k_matching
+from tests.test_grid import GRID, grid_policies
 
 
 @st.composite
@@ -99,3 +102,59 @@ def test_sparse_front_end_duals_certify_its_value(weights, k):
     )
     assert abs(dual_obj - result.value) <= 1e-9
     assert abs(result.value - ssp_k_matching(weights, k).value) <= 1e-12
+
+
+def assert_same_matching(weights, k):
+    """``_k_matching`` returns exactly what the copying reference returns:
+    the same value, pairs and duals to the bit."""
+    value, pairs, a, b, gamma = _k_matching(weights, k)
+    ref_value, ref_pairs, ref_a, ref_b, ref_gamma = copying_k_matching(weights, k)
+    assert value == ref_value
+    assert pairs == ref_pairs
+    assert a.tobytes() == ref_a.tobytes()
+    assert b.tobytes() == ref_b.tobytes()
+    assert gamma == ref_gamma
+
+
+@pytest.mark.parametrize("dims", GRID, ids=lambda d: f"{d[0]}x{d[1]}")
+def test_matching_bit_identical_to_copying_reference_on_grid_policies(dims):
+    """Every candidate edge of every policy the grid tests build, at k = 1..18,
+    32 and 50."""
+    for policy in grid_policies(dims):
+        for edge in candidate_edges(policy):
+            weights = policy.on_edge(edge)
+            for k in (*range(1, 19), 32, 50):
+                assert_same_matching(weights, k)
+
+
+@st.composite
+def tied_matrices_with_zero_lines(draw):
+    """1..7 x 1..7 matrices drawn mostly from a few values, so that many
+    entries tie, with some rows and columns zeroed."""
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0]),
+                st.floats(-1, 4, allow_nan=False, width=32),
+            ),
+            min_size=rows * cols,
+            max_size=rows * cols,
+        )
+    )
+    weights = np.array(values).reshape(rows, cols)
+    weights[draw(st.lists(st.integers(0, rows - 1), max_size=rows))] = 0.0
+    weights[:, draw(st.lists(st.integers(0, cols - 1), max_size=cols))] = 0.0
+    return weights
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_matrices_with_zero_lines(), st.integers(1, 9))
+@example(np.array([[0.5, 1.0, 1.0, 0.0]]), 1)  # one row: its free costs are a copy
+@example(np.array([[0.5, 1.0, 1.0, 0.0]]), 3)
+@example(np.array([[0.5], [1.0], [1.0], [0.0]]), 2)
+@example(np.ones((4, 4)), 4)
+@example(np.zeros((3, 2)), 2)
+def test_matching_bit_identical_to_copying_reference(weights, k):
+    assert_same_matching(weights, k)

@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toruslb.evaluate import candidate_edges, worst_case_load
+from toruslb.evaluate import candidate_edges, load_edge_classes, worst_case_load
 from toruslb.policy import (
     OriginPolicy,
     check_reflection_invariance,
@@ -139,18 +141,62 @@ def test_reflection_verdict_kept_until_flows_change(monkeypatch):
     g = build_llb(TorusSpec(6, 6), 2)
     for _ in range(3):
         assert candidate_edges(g) == [DirectedEdge(Node(0, 0), Direction.POS_VERT)]
-    assert len(checks) == 1
+    # symmetrize_origin recorded LLB's verdict, so nothing is checked
+    assert checks == []
     # the flows are read-only, so the verdict holds for the policy's life;
-    # edited flows make a new policy, which is checked exactly once more
+    # edited flows make a new policy, which is checked exactly once
     with pytest.raises(ValueError):
         g.flows[1] = np.roll(g.flows[1], 1, axis=-1)
     edited = g.flows.copy()
     edited[1] = np.roll(edited[1], 1, axis=-1)
     h = OriginPolicy(g.spec, edited)
     assert candidate_edges(h) == [DirectedEdge(Node(0, 0), d) for d in Direction]
-    assert len(checks) == 2
+    assert checks == [h]
     assert worst_case_load(h, 4).value == pytest.approx(worst_case_load(expand(h), 4).value)
-    assert len(checks) == 2
+    assert checks == [h]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_llb(TorusSpec(7, 7), 3),
+        lambda: build_gllb(TorusSpec(6, 10), 2, 2),  # stem routing
+        lambda: build_gllb(TorusSpec(4, 10), 2, 2),  # the ring fallback
+        lambda: build_gllb(TorusSpec(8, 8, cap_vertical=2.0, cap_horizontal=1.0), 2, 1),
+        lambda: build_ring_lb(TorusSpec(5, 8)),
+        lambda: build_ring_lb(TorusSpec(9, 4, cap_vertical=1.0, cap_horizontal=3.0)),
+    ],
+    ids=["llb", "gllb-stems", "gllb-ring", "gllb-unequal", "ring", "ring-horizontal"],
+)
+def test_symmetrized_schemes_record_invariance_without_a_check(monkeypatch, build):
+    def refuse(g):
+        raise AssertionError("reflection check ran on a symmetrized policy")
+
+    monkeypatch.setattr("toruslb.policy.check_reflection_invariance", refuse)
+    policy = build()
+    assert policy.reflection_invariant is True
+    assert candidate_edges(policy) == [edge for _, edge, _ in load_edge_classes(policy.spec)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(
+        [
+            TorusSpec(4, 4),
+            TorusSpec(5, 5),
+            TorusSpec(4, 6),
+            TorusSpec(5, 7),
+            TorusSpec(5, 5, cap_vertical=2.0, cap_horizontal=1.0),
+            TorusSpec(4, 6, cap_vertical=1.0, cap_horizontal=3.0),
+        ]
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_symmetrize_origin_output_passes_the_reflection_check(spec, seed):
+    """What symmetrize_origin records without a check, the check confirms."""
+    policy = symmetrize_origin(random_origin_policy(spec, np.random.default_rng(seed)))
+    assert check_reflection_invariance(policy)
+    assert policy.reflection_invariant
 
 
 def test_policy_flows_are_read_only():
