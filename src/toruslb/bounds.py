@@ -71,17 +71,10 @@ def best_llb_radius(k: int, max_r: int | None = None) -> int:
     return min(candidates, key=lambda r: (llb_load_upper(r, k), r))
 
 
-def bisection_bandwidth(spec: TorusSpec) -> float:
-    """Minimum capacity of the directed cut from one half of the torus to the
-    other: a cut between row halves severs two vertical links in every column
-    (2*M*c1), a cut between column halves two horizontal links in every row
-    (2*N*c2)."""
-    return min(2 * spec.cols * spec.cap_vertical, 2 * spec.rows * spec.cap_horizontal)
-
-
 def normalized_size(spec: TorusSpec) -> float:
-    """L = min(sqrt(c2/c1)*N, sqrt(c1/c2)*M), the bisection bandwidth over
-    twice the geometric capacity mean."""
+    """L = min(sqrt(c2/c1)*N, sqrt(c1/c2)*M): the bisection bandwidth
+    min(2*M*c1, 2*N*c2), which cuts two links in every column or every row,
+    over twice the geometric capacity mean."""
     c1, c2 = spec.cap_vertical, spec.cap_horizontal
     return min(math.sqrt(c2 / c1) * spec.rows, math.sqrt(c1 / c2) * spec.cols)
 

@@ -47,11 +47,6 @@ class LoadReport:
     max_load: float
     avg_hops: float
 
-    @property
-    def per_edge(self) -> dict[DirectedEdge, float]:
-        """Load of every loaded edge, in sorted edge order."""
-        return dict(edge_entries(self.load))
-
 
 @dataclass
 class WorstCaseResult:
@@ -191,13 +186,14 @@ def _k_matching(
     get 0."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    w = np.maximum(np.atleast_2d(np.asarray(weights, dtype=float)), 0.0)
+    w = np.atleast_2d(np.asarray(weights, dtype=float))
     a, b = np.zeros(w.shape[0]), np.zeros(w.shape[1])
     rows = np.flatnonzero((w > 0).any(axis=1))
     cols = np.flatnonzero((w > 0).any(axis=0))
     if not rows.size:
         return 0.0, [], a, b, 0.0
-    cost = -w[np.ix_(rows, cols)]
+    cost = w[np.ix_(rows, cols)]  # a copy, clipped at 0 and negated in place: C = -W
+    np.negative(np.maximum(cost, 0.0, out=cost), out=cost)
     nr, nc = cost.shape
     pr = np.zeros(nr)
     pc = cost.min(axis=0)
@@ -245,9 +241,8 @@ def _k_matching(
             row_of[j], col_of[i] = i, j
             j = nxt
         free_cost[i] = np.inf  # the path's free row, matched now
-    pairs = sorted(
-        (int(rows[i]), int(cols[j])) for j, i in enumerate(row_of) if i >= 0 and cost[i, j] < 0
-    )
+    matched = [(i, j) for j, i in enumerate(row_of.tolist()) if i >= 0 and cost[i, j] < 0]
+    pairs = sorted((int(rows[i]), int(cols[j])) for i, j in matched)
     # Clamp the sink's potential to one level: with k pairs matched the rows
     # pay from 0 and gamma = -level; with fewer, gamma = 0 and the rows pay
     # from the level, which is at least 0 while a row is left free.
@@ -260,7 +255,8 @@ def _k_matching(
         level = shift = max(pt, 0.0) if (col_of < 0).any() else pt
     a[rows] = np.maximum(pr - shift, 0.0)
     b[cols] = np.maximum(level - pc, 0.0)
-    return math.fsum(w[r, c] for r, c in pairs), pairs, a, b, gamma
+    # -cost is W exactly, and fsum does not depend on the order it adds in
+    return math.fsum(-cost[i, j] for i, j in matched), pairs, a, b, gamma
 
 
 def pair_weights_on_edge(p: Policy, edge: DirectedEdge) -> dict[tuple[Node, Node], float]:

@@ -41,7 +41,7 @@ from numbers import Real
 
 import numpy as np
 
-from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, edge_heads
+from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, edge_heads, node_index
 
 
 class PathError(ValueError):
@@ -69,22 +69,10 @@ class Stem:
     center: Node
     members: tuple[Node, ...]
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     @property
     def nodes(self) -> frozenset[Node]:
         """The members together with the center."""
         return frozenset(self.members) | {self.center}
-
-
-def _node_id(spec: TorusSpec, u: Node) -> int:
-    """The flat index ``y * cols + x`` of one of the grid's nodes, or of a node
-    equal to one, such as ``Node(2.0, 0)``; ``ValueError`` for any other."""
-    x, y = u
-    if not (0 <= x < spec.cols and 0 <= y < spec.rows and x % 1 == 0 and y % 1 == 0):
-        raise ValueError(f"{u} is not a node of the {spec.rows}x{spec.cols} torus")
-    return int(y) * spec.cols + int(x)
 
 
 def _whole_radius(name: str, r: object) -> int:
@@ -95,36 +83,38 @@ def _whole_radius(name: str, r: object) -> int:
     return int(r)
 
 
+def _stem_legs(rows: int, cols: int, r1: int, r2: int) -> tuple[np.ndarray, ...]:
+    """The leg edges of the origin's stem on a rows x cols torus, in leg
+    order +v, -v, +h, -h (leg index == ``Direction``), each by increasing
+    hop: every edge's leg, its hop (the tail's distance from the origin), its
+    slab id ``leg * rows * cols + y * cols + x`` and the (y, x) of the node it
+    enters.  Unchecked: :func:`stem` and the stem builder in
+    :mod:`toruslb.schemes` check the radii first."""
+    radius = np.array([r1, r1, r2, r2])
+    leg = np.repeat(np.arange(4), radius)
+    hop = np.concatenate([np.arange(r) for r in radius])
+    dx, dy = np.array([d.delta for d in Direction]).T[:, leg]
+    edge = leg * rows * cols + (hop * dy % rows) * cols + hop * dx % cols
+    return leg, hop, edge, (hop + 1) * dy % rows, (hop + 1) * dx % cols
+
+
 def stem(spec: TorusSpec, center: Node, r1: int, r2: int) -> Stem:
     """Nodes differing from ``center`` in exactly one coordinate, within r1
-    hops vertically or r2 hops horizontally.  Leg order: +v, -v, +h, -h, each
-    by increasing hop.  ``center`` must be one of the grid's nodes, and the
-    radii whole numbers (see :func:`_whole_radius`)."""
+    hops vertically or r2 hops horizontally: :func:`_stem_legs`'s heads
+    moved by ``center``, in its order.  ``center`` must be one of the grid's
+    nodes, and the radii whole numbers (see :func:`_whole_radius`)."""
     r1, r2 = _whole_radius("r1", r1), _whole_radius("r2", r2)
-    y, x = divmod(_node_id(spec, center), spec.cols)
-    center = Node(x, y)
+    y, x = divmod(node_index(spec, center), spec.cols)
     if r1 < 0 or r2 < 0:
         raise RadiusTooLarge("radii must be nonnegative")
     if 2 * r1 > spec.rows or 2 * r2 > spec.cols:
         raise RadiusTooLarge(
             f"legs overrun: need 2*r1 <= rows and 2*r2 <= cols, got r1={r1}, r2={r2}"
         )
-    members: list[Node] = []
-    seen: set[Node] = set()
-    for direction, radius in (
-        (Direction.POS_VERT, r1),
-        (Direction.NEG_VERT, r1),
-        (Direction.POS_HOR, r2),
-        (Direction.NEG_HOR, r2),
-    ):
-        node = center
-        for _ in range(radius):
-            node = spec.step(node, direction)
-            # opposite legs meet at the antipode when 2*r equals the extent
-            if node not in seen:
-                seen.add(node)
-                members.append(node)
-    return Stem(center=center, members=tuple(members))
+    *_, head_y, head_x = _stem_legs(spec.rows, spec.cols, r1, r2)
+    ys, xs = ((y + head_y) % spec.rows).tolist(), ((x + head_x) % spec.cols).tolist()
+    # opposite legs meet at the antipode when 2*r equals the extent; keep the first
+    return Stem(center=Node(x, y), members=tuple(dict.fromkeys(map(Node, xs, ys))))
 
 
 def _disjoint_stems(
@@ -308,8 +298,8 @@ def max_flow(
     cap = np.array([int(f * scale) for f in fracs])[inverse].tolist()
 
     big = sum(cap) + 1
-    supply = {_node_id(spec, u): big for u in sources}
-    demand = {_node_id(spec, u): big for u in sinks}
+    supply = {node_index(spec, u): big for u in sources}
+    demand = {node_index(spec, u): big for u in sinks}
     parent = _augment(spec.rows, spec.cols, list(cap), supply, demand)
     value = big * len(supply) - sum(supply.values())
     heads = _shape_tables(spec.rows, spec.cols)[0]
@@ -365,8 +355,8 @@ def route_disjoint_quanta(
     for u, quota in (*suppliers, *demanders):
         if not (quota >= 0 and quota % 1 == 0):
             raise ValueError(f"quota {quota!r} at {u} is not a nonnegative whole number")
-    sources = [(_node_id(spec, u), int(quota)) for u, quota in suppliers]
-    sinks = [(_node_id(spec, v), int(quota)) for v, quota in demanders]
+    sources = [(node_index(spec, u), int(quota)) for u, quota in suppliers]
+    sinks = [(node_index(spec, v), int(quota)) for v, quota in demanders]
     if {u for u, _ in sources} & {v for v, _ in sinks}:
         raise PathError("suppliers and demanders must be disjoint")
     return _route_quanta(spec.rows, spec.cols, sources, sinks, flat.astype(int).tolist())
@@ -457,7 +447,7 @@ def find_disjoint_stem_paths(
     # the source stem and leaving the destination stem, which also keeps the
     # paths off the stems' own leg edges and forces each path to leave
     # perpendicular to its leg.
-    s_nodes, t_nodes = ([u.y * spec.cols + u.x for u in st.nodes] for st in (s_stem, t_stem))
+    s_nodes, t_nodes = ([node_index(spec, u) for u in st.nodes] for st in (s_stem, t_stem))
     tails = np.arange(spec.num_nodes).reshape(spec.rows, spec.cols)
     capacity = np.where(np.isin(edge_heads(spec), s_nodes) | np.isin(tails, t_nodes), 0, 1)
     suppliers = [(node, 2) for node in s_stem.members]

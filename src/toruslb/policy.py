@@ -25,13 +25,14 @@ group acts by the index maps of :func:`~toruslb.torus.automorphism_index_maps`,
 so symmetrization and the reflection check are whole-array operations.
 Both classes make their flows read-only on construction, so a policy's
 reflection invariance is a fixed fact, held by
-:attr:`OriginPolicy.reflection_invariant`: :func:`symmetrize_origin` records
-it for its output, which is invariant by construction, and any other policy
-is checked once, on first use.  Policies enter and leave only as these arrays:
-the scheme constructors write their routes into them, :func:`policy_to_csv`
-writes either class in one sorted walk, and :func:`origin_policy_from_csv`
-reads rows into ``G``, naming the line of a row with a wrong field count or
-a non-number, a node off the grid, destination (0, 0) or an unknown direction.
+:attr:`OriginPolicy.reflection_invariant`: :func:`symmetrize_origin` and the
+ECMP and VLB constructors record it for their output, which is invariant by
+construction, and any other policy is checked once, on first use.  Policies
+enter and leave only as these arrays: the scheme constructors write their
+routes into them, :func:`policy_to_csv` writes either class in one sorted
+walk, and :func:`origin_policy_from_csv` reads rows into ``G``, naming the
+line of a row with a wrong field count or a non-number, a node off the grid,
+destination (0, 0) or an unknown direction.
 """
 
 from __future__ import annotations
@@ -51,15 +52,12 @@ from toruslb.torus import (
     Node,
     TorusSpec,
     automorphism_index_maps,
+    node_index,
     point_group,
 )
 
 CONSERVATION_TOL = 1e-9
 BOUND_TOL = 1e-12
-
-def _flat(spec: TorusSpec, u: Node) -> int:
-    return u.y * spec.cols + u.x
-
 
 @lru_cache(maxsize=16)
 def _differences(rows: int, cols: int) -> np.ndarray:
@@ -105,11 +103,11 @@ class OriginPolicy:
 
     @cached_property
     def reflection_invariant(self) -> bool:
-        """Whether the reflection identities hold.  :func:`symmetrize_origin`
-        records True for its output, which is invariant by construction; any
-        other policy (ECMP, VLB, read from CSV or built from a user's array)
-        runs :func:`check_reflection_invariance` at its default tolerance
-        once, as the flows are read-only and the verdict cannot change."""
+        """Whether the reflection identities hold.  The scheme constructors
+        record True for their output, which is invariant by construction; any
+        other policy (read from CSV or built from a user's array) runs
+        :func:`check_reflection_invariance` at its default tolerance once, as
+        the flows are read-only and the verdict cannot change."""
         return check_reflection_invariance(self)
 
     def gather(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -126,7 +124,7 @@ class OriginPolicy:
 
     def pair_flows(self, s: Node, t: Node) -> np.ndarray:
         """Edge flows ``[dir, y, x]`` for the pair s -> t."""
-        src, dst = np.array([[_flat(self.spec, s)], [_flat(self.spec, t)]])
+        src, dst = np.array([[node_index(self.spec, s)], [node_index(self.spec, t)]])
         return self.gather(src, dst)[0]
 
     def on_edge(self, edge: DirectedEdge) -> np.ndarray:
@@ -135,7 +133,7 @@ class OriginPolicy:
         spec = self.spec
         n = spec.num_nodes
         diff = _differences(spec.rows, spec.cols)
-        tail = _flat(spec, edge.tail)
+        tail = node_index(spec, edge.tail)
         return self.flows.reshape(n, 4, n)[diff, edge.dir, diff[:, tail, None]]
 
 
@@ -153,11 +151,12 @@ class FullPolicy:
         return self.flows[src, dst]
 
     def pair_flows(self, s: Node, t: Node) -> np.ndarray:
-        return self.flows[_flat(self.spec, s), _flat(self.spec, t)]
+        return self.flows[node_index(self.spec, s), node_index(self.spec, t)]
 
     def on_edge(self, edge: DirectedEdge) -> np.ndarray:
         """``W[s, t]``: the fraction of pair s -> t on ``edge``."""
-        return self.flows[:, :, edge.dir, edge.tail.y, edge.tail.x]
+        y, x = divmod(node_index(self.spec, edge.tail), self.spec.cols)
+        return self.flows[:, :, edge.dir, y, x]
 
 
 Policy = OriginPolicy | FullPolicy
@@ -237,9 +236,15 @@ def symmetrize_origin(g: OriginPolicy) -> OriginPolicy:
     check: every point-group image of the average is the same sum of
     ``len(group)`` terms in another order, so it differs from the average
     only by rounding, about 1e-15 for flows in [0, 1]."""
-    out = OriginPolicy(spec=g.spec, flows=_average(g.spec, g.flows, point_group(g.spec)))
-    vars(out)["reflection_invariant"] = True  # fills the cached property
-    return out
+    flows = _average(g.spec, g.flows, point_group(g.spec))
+    return _invariant_by_construction(OriginPolicy(spec=g.spec, flows=flows))
+
+
+def _invariant_by_construction(g: OriginPolicy) -> OriginPolicy:
+    """``g`` with :attr:`~OriginPolicy.reflection_invariant` recorded as True
+    without a check, for a policy reflection invariant by construction."""
+    vars(g)["reflection_invariant"] = True  # fills the cached property
+    return g
 
 
 def check_reflection_invariance(g: OriginPolicy) -> bool:

@@ -25,8 +25,9 @@ array ``G[t, dir, y, x]`` (see :mod:`toruslb.policy`).
   swapping the node axes and the vertical and horizontal directions.
 
 Every constructor returns an origin policy that is translation and
-reflection invariant by construction: ECMP and VLB as built, the stem and
-ring schemes by averaging over the spec's point group.
+reflection invariant by construction, and records that without a check
+(:attr:`~toruslb.policy.OriginPolicy.reflection_invariant`): ECMP and VLB as
+built, the stem and ring schemes by averaging over the spec's point group.
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ from toruslb.paths import (
     RadiusTooLarge,
     StemsOverlap,
     _route_quanta,
+    _stem_legs,
     _whole_radius,
     min_cut_between_stems,
 )
-from toruslb.policy import OriginPolicy, symmetrize_origin, translate
+from toruslb.policy import OriginPolicy, _invariant_by_construction, symmetrize_origin, translate
 from toruslb.torus import Direction, Node, TorusSpec, node_neg
 
 
@@ -85,7 +87,7 @@ def build_ecmp(spec: TorusSpec) -> OriginPolicy:
         flows[t, d, y, x] = (
             count[y, x] * count[wy[t, y, 0], wx[t, 0, x]] / count[ty[t], tx[t]]
         )
-    return OriginPolicy(spec=spec, flows=flows)
+    return _invariant_by_construction(OriginPolicy(spec=spec, flows=flows))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +113,7 @@ def build_vlb(spec: TorusSpec) -> OriginPolicy:
         collect += weight * translate(route, node_neg(spec, m))
     flows = np.stack([spread + translate(collect, t) for t in nodes])
     flows[0] = 0.0  # the origin's own slab
-    return OriginPolicy(spec=spec, flows=flows)
+    return _invariant_by_construction(OriginPolicy(spec=spec, flows=flows))
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +154,8 @@ def _stem_flows(spec: TorusSpec, r1: int, r2: int) -> np.ndarray:
     never exceed the leg profile on axis edges or one quantum elsewhere; that
     per-pair cap is what pins the scheme's exact worst-case load.
 
-    The leg tables (each leg edge's id, hop, profile 2*(radius - hop) and
-    the node it enters) and the source stem's capacities are built once.
+    The leg tables (``paths._stem_legs`` and each leg edge's profile
+    2*(radius - hop)) and the source stem's capacities are built once.
     Each block of destinations, capped at ``_BLOCK_ELEMENTS``, computes its
     trimmed spreads, handoffs, mirrored stems, slot capacities and first-pool
     capacities as ``[B, 4N]`` arrays and turns them into lists once; then
@@ -169,15 +171,10 @@ def _stem_flows(spec: TorusSpec, r1: int, r2: int) -> np.ndarray:
         )
     size = 4 * n
     unit = 1.0 / (4 * (r1 + r2))
-    # legs +v, -v, +h, -h (leg index == Direction), each hop by hop
     radius = np.array([r1, r1, r2, r2])
     extent = np.array([rows, rows, cols, cols])
-    leg = np.repeat(np.arange(4), radius)
-    hop = np.concatenate([np.arange(r) for r in radius])
+    leg, hop, edge, head_y, head_x = _stem_legs(rows, cols, r1, r2)
     profile = 2 * (radius[leg] - hop)
-    dx, dy = np.array([d.delta for d in Direction]).T[:, leg]
-    edge = leg * n + (hop * dy % rows) * cols + hop * dx % cols
-    head_y, head_x = (hop + 1) * dy % rows, (hop + 1) * dx % cols
     head = head_y * cols + head_x
     heads = head.tolist()
     cap = np.zeros(size, dtype=int)

@@ -51,10 +51,6 @@ class Direction(IntEnum):
         return _DELTAS[self]
 
     @property
-    def opposite(self) -> "Direction":
-        return Direction(self ^ 1)
-
-    @property
     def is_vertical(self) -> bool:
         return self < 2
 
@@ -124,9 +120,14 @@ class TorusSpec:
         dx, dy = edge.dir.delta
         return self.wrap(edge.tail.x + dx, edge.tail.y + dy)
 
-    def step(self, u: Node, direction: Direction) -> Node:
-        dx, dy = direction.delta
-        return self.wrap(u.x + dx, u.y + dy)
+
+def node_index(spec: TorusSpec, u: Node) -> int:
+    """The flat index ``y * cols + x`` of one of the grid's nodes, or of a node
+    equal to one, such as ``Node(2.0, 0)``; ``TorusError`` for any other."""
+    x, y = u
+    if not (0 <= x < spec.cols and 0 <= y < spec.rows and x % 1 == 0 and y % 1 == 0):
+        raise TorusError(f"{u} is not a node of the {spec.rows}x{spec.cols} torus")
+    return int(y) * spec.cols + int(x)
 
 
 def edge_heads(spec: TorusSpec) -> np.ndarray:
@@ -140,10 +141,6 @@ def edge_heads(spec: TorusSpec) -> np.ndarray:
 
 def node_add(spec: TorusSpec, u: Node, v: Node) -> Node:
     return spec.wrap(u.x + v.x, u.y + v.y)
-
-
-def node_sub(spec: TorusSpec, u: Node, v: Node) -> Node:
-    return spec.wrap(u.x - v.x, u.y - v.y)
 
 
 def node_neg(spec: TorusSpec, u: Node) -> Node:

@@ -6,7 +6,6 @@ from toruslb.bounds import (
     OutOfRegime,
     Regime,
     best_llb_radius,
-    bisection_bandwidth,
     cut_lower_bound,
     general_torus_bounds,
     llb_load_upper,
@@ -106,7 +105,9 @@ def test_bisection_bandwidth_matches_max_flow(spec):
     ):
         value, _ = paths.max_flow(spec, half, nodes - half)
         flows.append(value)
-    assert bisection_bandwidth(spec) == pytest.approx(min(flows), abs=1e-12)
+    c1, c2 = spec.cap_vertical, spec.cap_horizontal
+    bisection = 2 * math.sqrt(c1 * c2) * normalized_size(spec)
+    assert bisection == pytest.approx(min(flows), abs=1e-12)
 
 
 def test_general_bounds_run_no_max_flow(monkeypatch):

@@ -7,6 +7,7 @@ demand, before any scheme relies on them.
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,10 +25,10 @@ from toruslb.evaluate import (
     run_trials,
     worst_case_load,
 )
-from toruslb.policy import OriginPolicy, expand, validate_policy
+from toruslb.policy import OriginPolicy, edge_entries, expand, validate_policy
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_vlb, gllb_radii
 from toruslb.traffic import classify
-from toruslb.torus import Direction, Node, TorusSpec, hop_distance
+from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, hop_distance
 from toruslb.traffic import TrafficMatrix, gen_random_sparse
 
 from tests.matching_oracle import ssp_k_matching
@@ -125,6 +126,19 @@ def test_k_matching_agrees_with_sparse_ssp_and_brute_force(case, seed):
         assert sum(weights[i, j] for i, j in assignment) == pytest.approx(value, abs=1e-12)
 
 
+def test_k_matching_peak_memory_is_two_copies_of_the_costs():
+    # the compacted costs and their column-major copy; a clipped copy of the
+    # whole matrix beside them read 3.04x
+    weights = np.random.default_rng(7).random((400, 400))
+    tracemalloc.start()
+    try:
+        k_matching_max(weights, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * weights.nbytes
+
+
 def test_k_matching_rejects_k_below_one():
     for weights in ([[1.0, 2.0]], [[0.0]], []):
         with pytest.raises(ValueError):
@@ -176,7 +190,7 @@ def random_origin_policy(spec: TorusSpec, rng: np.random.Generator) -> OriginPol
             moves = list(rng.permutation(moves))
             for d in moves:
                 g[t.y * spec.cols + t.x, d, node.y, node.x] += float(frac)
-                node = spec.step(node, Direction(int(d)))
+                node = spec.edge_head(DirectedEdge(node, Direction(int(d))))
     return OriginPolicy(spec, g)
 
 
@@ -244,7 +258,7 @@ def test_edge_loads_zero_traffic():
     spec = TorusSpec(4, 4)
     policy = random_origin_policy(spec, np.random.default_rng(0))
     report = edge_loads(policy, TrafficMatrix(spec=spec, entries={}))
-    assert report.max_load == 0.0 and report.per_edge == {}
+    assert report.max_load == 0.0 and dict(edge_entries(report.load)) == {}
 
 
 def roll_loop_loads(g: OriginPolicy, d: TrafficMatrix) -> tuple[np.ndarray, float, float]:
@@ -459,7 +473,7 @@ def test_report_csv_serializers():
     report = edge_loads(policy, gen_random_sparse(spec, 2, 1))
     text = load_report_to_csv(report)
     assert text.splitlines()[0] == "edge_tail_x,edge_tail_y,dir,load"
-    assert len(text.splitlines()) == len(report.per_edge) + 1
+    assert len(text.splitlines()) == len(dict(edge_entries(report.load))) + 1
 
 
 def test_worst_case_witness_is_k_sparse():

@@ -28,9 +28,9 @@ from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, edge_heads
 
 
 def test_stem_sizes():
-    assert len(stem(TorusSpec(7, 7), Node(0, 0), 2, 2)) == 8
-    assert len(stem(TorusSpec(6, 10), Node(0, 0), 1, 2)) == 6
-    assert len(stem(TorusSpec(5, 5), Node(3, 3), 0, 0)) == 0
+    assert len(stem(TorusSpec(7, 7), Node(0, 0), 2, 2).members) == 8
+    assert len(stem(TorusSpec(6, 10), Node(0, 0), 1, 2).members) == 6
+    assert len(stem(TorusSpec(5, 5), Node(3, 3), 0, 0).members) == 0
 
 
 def test_stem_radius_validation():
@@ -38,7 +38,7 @@ def test_stem_radius_validation():
         stem(TorusSpec(6, 6), Node(0, 0), 4, 1)
     # radius exactly half the extent folds the two legs at the antipode
     folded = stem(TorusSpec(4, 10), Node(0, 0), 2, 2)
-    assert len(folded) == 2 * 2 + 2 * 2 - 1
+    assert len(folded.members) == 2 * 2 + 2 * 2 - 1
 
 
 def test_stem_radii_must_be_whole_numbers():

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toruslb.evaluate import candidate_edges, load_edge_classes, worst_case_load
+from toruslb.evaluate import (
+    candidate_edges,
+    load_edge_classes,
+    pair_weights_on_edge,
+    worst_case_load,
+)
 from toruslb.policy import (
     OriginPolicy,
     check_reflection_invariance,
@@ -128,7 +133,7 @@ def test_reflection_invariance_checks():
         for d, steps in ((Direction.POS_HOR, t.x), (Direction.POS_VERT, t.y)):
             for _ in range(steps):
                 g[t.y * 5 + t.x, d, node.y, node.x] = 1.0
-                node = spec.step(node, d)
+                node = spec.edge_head(DirectedEdge(node, d))
     assert not check_reflection_invariance(OriginPolicy(spec, g))
 
 
@@ -156,6 +161,29 @@ def test_reflection_verdict_kept_until_flows_change(monkeypatch):
     assert checks == [h]
 
 
+@pytest.mark.parametrize("full", [False, True], ids=["origin", "full"])
+def test_policies_reject_nodes_off_the_grid(full):
+    # on 4x4, Node(5, 0) used to alias flat index 5, the node (1, 1), and
+    # Node(-1, 0) to read (3, 0)
+    policy = build_ecmp(TorusSpec(4, 4))
+    policy = expand(policy) if full else policy
+    for off in (Node(5, 0), Node(-1, 0)):
+        edge = DirectedEdge(off, Direction.POS_VERT)
+        for call in (
+            lambda: policy.on_edge(edge),
+            lambda: pair_weights_on_edge(policy, edge),
+            lambda: policy.pair_flows(off, Node(0, 0)),
+            lambda: policy.pair_flows(Node(0, 0), off),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"{off!r} is not a node of the 4x4")):
+                call()
+    # a node equal to a grid node reads as that node, as in toruslb.paths
+    edges = [DirectedEdge(u, Direction.POS_HOR) for u in (Node(2.0, 0), Node(2, 0))]
+    assert np.array_equal(*(policy.on_edge(e) for e in edges))
+    pairs = [(Node(2.0, 0), Node(0, 1.0)), (Node(2, 0), Node(0, 1))]
+    assert np.array_equal(*(policy.pair_flows(*pair) for pair in pairs))
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -165,8 +193,10 @@ def test_reflection_verdict_kept_until_flows_change(monkeypatch):
         lambda: build_gllb(TorusSpec(8, 8, cap_vertical=2.0, cap_horizontal=1.0), 2, 1),
         lambda: build_ring_lb(TorusSpec(5, 8)),
         lambda: build_ring_lb(TorusSpec(9, 4, cap_vertical=1.0, cap_horizontal=3.0)),
+        lambda: build_ecmp(TorusSpec(5, 7, cap_vertical=2.0, cap_horizontal=1.0)),
+        lambda: build_vlb(TorusSpec(6, 6)),
     ],
-    ids=["llb", "gllb-stems", "gllb-ring", "gllb-unequal", "ring", "ring-horizontal"],
+    ids=["llb", "gllb-stems", "gllb-ring", "gllb-unequal", "ring", "ring-horizontal", "ecmp", "vlb"],
 )
 def test_symmetrized_schemes_record_invariance_without_a_check(monkeypatch, build):
     def refuse(g):

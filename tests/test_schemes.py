@@ -40,7 +40,7 @@ def brute_force_shortest_paths(spec, t):
         if len(trail) >= dist:
             return
         for d in Direction:
-            nxt = spec.step(node, d)
+            nxt = spec.edge_head(DirectedEdge(node, d))
             if hop_distance(spec, origin, nxt) == len(trail) + 1 and hop_distance(
                 spec, nxt, t
             ) == dist - len(trail) - 1:

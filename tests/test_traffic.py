@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from toruslb.torus import Node, TorusSpec, hop_distance, node_sub
+from toruslb.torus import Node, TorusSpec, hop_distance
 from toruslb.traffic import (
     DoesNotFit,
     NotSquare,
@@ -24,7 +24,7 @@ def test_split_diamond_8_3():
     spec = TorusSpec(8, 8)
     d = gen_split_diamond(spec, 3)
     assert d.total() == 18
-    assert {node_sub(spec, t, s) for (s, t) in d.entries} == {Node(4, 4)}
+    assert {spec.wrap(t.x - s.x, t.y - s.y) for (s, t) in d.entries} == {Node(4, 4)}
     report = classify(d, 18)
     assert report.is_k_limited and report.is_k_sparse
     assert report.total == 18
@@ -143,7 +143,7 @@ def test_generalized_split_instance():
     assert d1.total() <= bound and d2.total() <= bound
     assert d1.total() == 16.0
     assert d2.total() == 16.0
-    assert {node_sub(spec, t, s) for (s, t) in d1.entries} == {Node(5, 2)}
+    assert {spec.wrap(t.x - s.x, t.y - s.y) for (s, t) in d1.entries} == {Node(5, 2)}
     assert classify(d1, 16).is_k_sparse
 
 
