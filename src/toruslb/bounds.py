@@ -25,8 +25,10 @@ class Regime(Enum):
 
 
 def cut_lower_bound(k: int) -> float:
-    """Cut-based floor sqrt(k)/4, valid for any routing policy.  The minimum
-    cut isolating k sources is about 4*sqrt(k) links."""
+    """Cut estimate sqrt(k)/4: k sources have about 4*sqrt(k) boundary links,
+    so k/P(k), with P(k) = 2*ceil(2*sqrt(k)) the grid's minimum edge boundary,
+    approaches it as k grows.  Not a proven floor at every k: at k=18 it is
+    1.0607, while the best demand found reaches k/P(k) = 1.0."""
     if k < 1:
         raise OutOfRegime("k must be positive")
     return math.sqrt(k) / 4

@@ -3,32 +3,28 @@
 A stem is the 4-legged cross of nodes within a per-axis radius of a center
 (center excluded).  The local load-balancing schemes spread traffic over the
 source stem, cross between stems on pairwise edge-disjoint paths, and
-aggregate at the destination stem; ``route_disjoint_quanta`` provides that
-crossing with two paths per stem node on each side, and ``max_flow`` the
-min cuts that decide whether it exists.  Both run one integer max-flow
-routine, ``_augment`` (shortest augmenting paths), on edge ids that are slab
+aggregate at the destination stem; ``_route_quanta`` routes that crossing
+with two paths per stem node on each side, and ``max_flow`` finds the min
+cuts that decide whether it exists.  Both run one integer max-flow routine,
+``_augment`` (shortest augmenting paths), on edge ids that are slab
 indices: the edge leaving (x, y) in direction ``dir`` is ``dir * num_nodes +
 y * cols + x``, its place in a flattened ``[dir, y, x]`` policy slab, and its
 head is read from :func:`toruslb.torus.edge_heads`.  Both take per-edge
 capacities as one such slab, where 0 removes an edge; only
 ``find_disjoint_stem_paths`` and ``max_flow``'s cut turn ids into
-``DirectedEdge``s.  ``route_disjoint_quanta`` checks its input, then runs
-``_route_quanta``, the unchecked core that the stem builder in
-:mod:`toruslb.schemes` calls directly on input that holds by construction.
+``DirectedEdge``s.
 
-``_augment`` keeps one residual-capacity list and tests an edge as
-``res[e] > 0``; the flow is ``max(cap - res, 0)``.
-It works in distance phases (Dinic, 1970): one reverse breadth-first search
-per phase labels nodes with their residual distance to the demanders, and
-walks down those levels, each taking the first usable edge in ``Direction``
-order, find every augmenting path of that length.  Each walk finds the path
-one breadth-first search per augmenting path would find (shortest, then
-least by supplier and direction sequence), so flows, paths and cuts do not
-depend on the phases.  The head list, the reverse-edge ids and each node's
-out- and in-edges come from ``_shape_tables``, built once per ``(rows,
-cols)``.  ``_decompose_flow`` reads the flow straight from ``cap`` and
-``res`` and splits it in one walk per quantum, which erases each loop as
-soon as it closes.
+``_augment`` works on one residual-capacity list in distance phases (Dinic,
+1970): one reverse breadth-first search per phase labels nodes with their
+residual distance to the demanders, and walks down those levels, each taking
+the first usable edge in ``Direction`` order, find every augmenting path of
+that length.  Each walk finds the path one breadth-first search per
+augmenting path would find (shortest, then least by supplier and direction
+sequence), so flows, paths and cuts do not depend on the phases.  The head
+list, the reverse-edge ids and each node's out- and in-edges come from
+``_shape_tables``, built once per ``(rows, cols)``.  ``_decompose_flow``
+reads the flow straight from ``cap`` and ``res`` and splits it in one walk
+per quantum, which erases each loop as soon as it closes.
 """
 
 from __future__ import annotations
@@ -323,45 +319,6 @@ def min_cut_between_stems(
     return value
 
 
-def route_disjoint_quanta(
-    spec: TorusSpec,
-    suppliers: list[tuple[Node, int]],
-    demanders: list[tuple[Node, int]],
-    capacity: np.ndarray,
-) -> list[list[int]]:
-    """Paths of edge ids carrying one quantum each from suppliers to
-    demanders, with the given per-node path counts.  ``capacity[dir, y, x]``
-    is the number of quanta the edge leaving (x, y) in direction ``dir`` may
-    carry; 0 forbids the edge, and all ones asks for pairwise edge-disjoint
-    paths.  A capacity or path count that is not a nonnegative whole number
-    (a float such as 2.0 counts as 2), or a node off the grid, raises
-    ``ValueError`` before any search.
-
-    The quanta are routed by ``_augment``'s shortest augmenting paths,
-    seeded with the suppliers in the given order, so a later path may undo
-    an earlier path's edge instead of dead-ending; the integer flow is then
-    split into loop-free paths.  The result is deterministic, and
-    ``CutTooSmall`` is raised exactly when no routing of all quanta exists.
-    """
-    if capacity.shape != (4, spec.rows, spec.cols):
-        raise ValueError(f"capacity has shape {capacity.shape}, expected (4, rows, cols)")
-    flat = capacity.ravel()
-    bad = np.flatnonzero(~(np.isfinite(flat) & (flat >= 0) & (flat == np.round(flat))))
-    if bad.size:
-        d, y, x = np.unravel_index(bad[0], capacity.shape)
-        raise ValueError(
-            f"capacity[{d}, {y}, {x}] is {flat[bad[0]].item()!r}, not a nonnegative whole number"
-        )
-    for u, quota in (*suppliers, *demanders):
-        if not (quota >= 0 and quota % 1 == 0):
-            raise ValueError(f"quota {quota!r} at {u} is not a nonnegative whole number")
-    sources = [(node_index(spec, u), int(quota)) for u, quota in suppliers]
-    sinks = [(node_index(spec, v), int(quota)) for v, quota in demanders]
-    if {u for u, _ in sources} & {v for v, _ in sinks}:
-        raise PathError("suppliers and demanders must be disjoint")
-    return _route_quanta(spec.rows, spec.cols, sources, sinks, flat.astype(int).tolist())
-
-
 def _route_quanta(
     rows: int,
     cols: int,
@@ -369,9 +326,14 @@ def _route_quanta(
     sinks: list[tuple[int, int]],
     cap: list[int],
 ) -> list[list[int]]:
-    """``route_disjoint_quanta`` on input it has checked, or that holds by
-    construction: node ids of the grid, disjoint source and sink nodes, and
-    nonnegative int quotas and capacities.  Nothing is checked here."""
+    """One path of edge ids per quantum from ``sources`` to ``sinks``, given
+    as (node id, path count) pairs, where edge e carries at most ``cap[e]``
+    quanta (all ones: pairwise edge-disjoint paths).  ``_augment`` routes
+    them, seeded with the sources in order, and ``_decompose_flow`` splits
+    the flow into loop-free paths in that order; ``CutTooSmall`` is raised
+    exactly when no routing of all quanta exists.  Unchecked: callers pass
+    node ids of the grid, disjoint sources and sinks, and nonnegative int
+    quotas and capacities."""
     supply: dict[int, int] = {}
     demand: dict[int, int] = {}
     for quotas, terminals in ((supply, sources), (demand, sinks)):
@@ -434,7 +396,7 @@ def find_disjoint_stem_paths(
 ) -> list[EdgePath]:
     """2*(2r1+2r2) pairwise edge-disjoint paths between the stems of ``src``
     and ``dst``: two leaving each source-stem node, two arriving at each
-    destination-stem node, found by ``route_disjoint_quanta``, which raises
+    destination-stem node, found by ``_route_quanta``, which raises
     ``CutTooSmall`` when the cut between the stems admits fewer.
 
     The search never rides the stems' own distribution or aggregation edges,
@@ -450,8 +412,8 @@ def find_disjoint_stem_paths(
     s_nodes, t_nodes = ([node_index(spec, u) for u in st.nodes] for st in (s_stem, t_stem))
     tails = np.arange(spec.num_nodes).reshape(spec.rows, spec.cols)
     capacity = np.where(np.isin(edge_heads(spec), s_nodes) | np.isin(tails, t_nodes), 0, 1)
-    suppliers = [(node, 2) for node in s_stem.members]
-    demanders = [(node, 2) for node in t_stem.members]
-    paths = route_disjoint_quanta(spec, suppliers, demanders, capacity)
+    suppliers = [(node_index(spec, u), 2) for u in s_stem.members]
+    demanders = [(node_index(spec, v), 2) for v in t_stem.members]
+    paths = _route_quanta(spec.rows, spec.cols, suppliers, demanders, capacity.ravel().tolist())
     nodes, n = list(spec.nodes()), spec.num_nodes
     return [[DirectedEdge(nodes[e % n], Direction(e // n)) for e in path] for path in paths]

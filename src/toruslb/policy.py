@@ -129,12 +129,13 @@ class OriginPolicy:
 
     def on_edge(self, edge: DirectedEdge) -> np.ndarray:
         """``W[s, t]``: the fraction of pair s -> t on ``edge``, which is
-        ``G[t - s]`` read at the edge's tail translated by -s."""
+        ``G[t - s]`` read at the edge's tail translated by -s; an off-grid
+        tail or a value that is no ``Direction`` raises ``ValueError``."""
         spec = self.spec
         n = spec.num_nodes
         diff = _differences(spec.rows, spec.cols)
         tail = node_index(spec, edge.tail)
-        return self.flows.reshape(n, 4, n)[diff, edge.dir, diff[:, tail, None]]
+        return self.flows.reshape(n, 4, n)[diff, Direction(edge.dir), diff[:, tail, None]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +157,7 @@ class FullPolicy:
     def on_edge(self, edge: DirectedEdge) -> np.ndarray:
         """``W[s, t]``: the fraction of pair s -> t on ``edge``."""
         y, x = divmod(node_index(self.spec, edge.tail), self.spec.cols)
-        return self.flows[:, :, edge.dir, y, x]
+        return self.flows[:, :, Direction(edge.dir), y, x]
 
 
 Policy = OriginPolicy | FullPolicy
@@ -252,10 +253,13 @@ def check_reflection_invariance(g: OriginPolicy) -> bool:
     always, the x=y reflection additionally on square symmetric specs."""
     spec = g.spec
     flat = g.flows.reshape(spec.num_nodes, 4, spec.num_nodes)
-    return all(
-        np.abs(_pull_back(spec, flat, phi) - flat).max() <= CONSERVATION_TOL
-        for phi in point_group(spec)[1:]
-    )
+    for phi in point_group(spec)[1:]:
+        image = _pull_back(spec, flat, phi)  # the one copy of the flows held
+        image -= flat
+        if not np.abs(image, out=image).max() <= CONSERVATION_TOL:  # NaN fails too
+            return False
+        del image  # before the next element's copy is made
+    return True
 
 
 ORIGIN_CSV_HEADER = ["dst_x", "dst_y", "tail_x", "tail_y", "dir", "fraction"]

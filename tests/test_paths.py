@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-import re
 from collections import Counter, deque
 
 import numpy as np
@@ -14,17 +13,17 @@ from toruslb.paths import (
     CutTooSmall,
     _augment,
     _decompose_flow,
+    _route_quanta,
     RadiusTooLarge,
     StemsOverlap,
     find_disjoint_stem_paths,
     max_flow,
     min_cut_between_stems,
-    route_disjoint_quanta,
     stem,
 )
 from toruslb.policy import origin_policy_from_csv, policy_to_csv
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
-from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, edge_heads
+from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, edge_heads, node_index
 
 
 def test_stem_sizes():
@@ -118,6 +117,31 @@ def test_disjoint_paths_deterministic():
     a = find_disjoint_stem_paths(spec, Node(0, 0), Node(4, 4), 2, 2)
     b = find_disjoint_stem_paths(spec, Node(0, 0), Node(4, 4), 2, 2)
     assert a == b
+
+
+# sha256 of find_disjoint_stem_paths on acceptance criterion 7's instances (6x6,
+# 8x8 and 10x10, every r < n/2, every t whose stem is disjoint from the
+# origin's), one update per instance with the repr of its paths as (tail.x,
+# tail.y, dir) tuples.  Criterion 7 only counts the paths; this pins them, and
+# was recorded while they still went through a checked public entry.
+STEM_PATHS_DIGEST = "357e95626ad9ba02be64473e9855924a31ff3cbe9a9d1b50a2637576d385cce7"
+
+
+def test_stem_paths_pinned():
+    digest, count = hashlib.sha256(), 0
+    for n in (6, 8, 10):
+        spec, origin = TorusSpec(n, n), Node(0, 0)
+        for r in range(1, (n + 1) // 2):
+            home = stem(spec, origin, r, r).nodes
+            for t in spec.nodes():
+                if not home.isdisjoint(stem(spec, t, r, r).nodes):
+                    continue
+                paths = find_disjoint_stem_paths(spec, origin, t, r, r)
+                tuples = [[(e.tail.x, e.tail.y, int(e.dir)) for e in p] for p in paths]
+                digest.update(repr(tuples).encode())
+                count += 1
+    assert count == 345
+    assert digest.hexdigest() == STEM_PATHS_DIGEST
 
 
 def test_disjoint_paths_cut_too_small():
@@ -232,7 +256,7 @@ def test_max_flow_equals_brute_force_min_cut(network):
 
 @settings(max_examples=60, deadline=None)
 @given(tiny_networks(), st.data())
-def test_route_disjoint_quanta_against_brute_force_cut(network, data):
+def test_route_quanta_against_brute_force_cut(network, data):
     spec, cap, src_nodes, dst_nodes = network
     supply = {u: data.draw(st.integers(1, 3)) for u in src_nodes}
     demand = {v: data.draw(st.integers(1, 3)) for v in dst_nodes}
@@ -253,15 +277,18 @@ def test_route_disjoint_quanta_against_brute_force_cut(network, data):
     capacity = np.zeros((4, spec.rows, spec.cols), dtype=int)
     for e, c in effective.items():
         capacity[e.dir, e.tail.y, e.tail.x] = c
-    args = (spec, list(supply.items()), list(demand.items()), capacity)
+    sources, sinks = (
+        [(node_index(spec, u), q) for u, q in quotas.items()] for quotas in (supply, demand)
+    )
+    args = (spec.rows, spec.cols, sources, sinks, capacity.ravel().tolist())
     if cut < total:
         with pytest.raises(CutTooSmall):
-            route_disjoint_quanta(*args)
+            _route_quanta(*args)
         return
     n = spec.num_nodes
     paths = [
         [DirectedEdge(Node(e % n % spec.cols, e % n // spec.cols), Direction(e // n)) for e in ids]
-        for ids in route_disjoint_quanta(*args)
+        for ids in _route_quanta(*args)
     ]
     assert len(paths) == total
     for path in paths:
@@ -433,20 +460,15 @@ def test_residual_augment_matches_queue_bfs_oracle(network):
     assert [max(c - r, 0) for c, r in zip(cap, res)] == flow
     assert (new_supply, new_demand, new_parent) == (supply, demand, parent)
 
-    # route_disjoint_quanta: the same CutTooSmall outcome, the same paths
-    args = (
-        spec,
-        [(node(u), q) for u, q in suppliers],
-        [(node(v), q) for v, q in demanders],
-        capacity,
-    )
+    # _route_quanta: the same CutTooSmall outcome, the same paths
+    args = (spec.rows, spec.cols, suppliers, demanders, cap)
     if any(supply.values()):
         with pytest.raises(CutTooSmall):
-            route_disjoint_quanta(*args)
+            _route_quanta(*args)
     else:
         consumed = {v: q - demand[v] for v, q in demanders}
         expected = pop_front_decompose(heads, suppliers, consumed, flow)
-        assert route_disjoint_quanta(*args) == expected
+        assert _route_quanta(*args) == expected
 
     # max_flow: the same value and min cut
     sources, sinks = {node(u) for u, _ in suppliers}, {node(v) for v, _ in demanders}
@@ -525,42 +547,13 @@ def test_augment_matches_queue_bfs_oracle_on_every_stem_crossing(monkeypatch):
         # the walks that erase loops as they close them against walk-then-trim
         consumed = {v: q - demand[v] for v, q in sinks}
         expected = pop_front_decompose(heads, sources, consumed, flow)
-        suppliers = [(Node(u % spec.cols, u // spec.cols), q) for u, q in sources]
-        demanders = [(Node(v % spec.cols, v // spec.cols), q) for v, q in sinks]
-        capacity = np.array(cap).reshape(4, spec.rows, spec.cols)
-        assert route_disjoint_quanta(spec, suppliers, demanders, capacity) == expected
+        assert _route_quanta(spec.rows, spec.cols, sources, sinks, cap) == expected
     assert len(instances) > 200 and short > 0 and any(closed)
-
-
-def test_route_disjoint_quanta_reads_whole_floats_and_rejects_the_rest():
-    spec = TorusSpec(4, 4)
-    ends = ([(Node(0, 0), 2)], [(Node(2, 2), 2)])
-    ones = route_disjoint_quanta(spec, *ends, np.ones((4, 4, 4), dtype=int))
-    assert route_disjoint_quanta(spec, *ends, np.ones((4, 4, 4))) == ones
-    with pytest.raises(ValueError, match=r"capacity\[0, 0, 0\] is -1, not a nonnegative"):
-        route_disjoint_quanta(spec, *ends, np.full((4, 4, 4), -1))
-    half = np.ones((4, 4, 4))
-    half[2, 1, 3] = 0.5
-    with pytest.raises(ValueError, match=r"capacity\[2, 1, 3\] is 0.5, not a nonnegative"):
-        route_disjoint_quanta(spec, *ends, half)
 
 
 def test_max_flow_rejects_negative_capacities():
     with pytest.raises(ValueError, match="capacity -1.0 is negative"):
         max_flow(TorusSpec(4, 4), {Node(0, 0)}, {Node(2, 2)}, np.full((4, 4, 4), -1.0))
-
-
-ONES = np.ones((4, 4, 4), dtype=int)
-
-
-def test_route_disjoint_quanta_rejects_nodes_off_the_grid():
-    # Node(5, 0) on 4x4 used to alias flat index 5, the node (1, 1)
-    for off in (Node(5, 0), Node(-1, 0), Node(0.5, 0)):
-        message = re.escape(f"{off!r} is not a node of the 4x4 torus")
-        with pytest.raises(ValueError, match=message):
-            route_disjoint_quanta(TorusSpec(4, 4), [(off, 1)], [(Node(2, 2), 1)], ONES)
-        with pytest.raises(ValueError, match=message):
-            route_disjoint_quanta(TorusSpec(4, 4), [(Node(2, 2), 1)], [(off, 1)], ONES)
 
 
 def test_max_flow_rejects_nodes_off_the_grid():
@@ -580,25 +573,8 @@ def test_stem_rejects_a_center_off_the_grid():
         find_disjoint_stem_paths(spec, Node(0, 0), Node(0, 9), 1, 1)
 
 
-def test_route_disjoint_quanta_rejects_a_negative_quota():
-    # used to report CutTooSmall: cut admits 0 of -1 quanta
-    with pytest.raises(ValueError, match=r"quota -1 at Node\(x=0, y=0\) is not a nonnegative"):
-        route_disjoint_quanta(TorusSpec(4, 4), [(Node(0, 0), -1)], [(Node(2, 2), 1)], ONES)
-
-
-def test_route_disjoint_quanta_rejects_a_fractional_quota():
-    # used to end in a bare TypeError from the decomposition
-    for quota in (1.5, math.inf, math.nan):
-        message = re.escape(f"quota {quota!r} at Node(x=2, y=2) is not a nonnegative")
-        with pytest.raises(ValueError, match=message):
-            route_disjoint_quanta(TorusSpec(4, 4), [(Node(0, 0), 1)], [(Node(2, 2), quota)], ONES)
-
-
 def test_nodes_and_quotas_equal_to_integers_index_as_those_integers():
     spec = TorusSpec(4, 4)
-    ends = [(Node(0, 0), 2)], [(Node(2, 2), 2)]
-    paths = route_disjoint_quanta(spec, *ends, ONES)
-    assert route_disjoint_quanta(spec, [(Node(0.0, 0), 2.0)], [(Node(2, 2.0), 2)], ONES) == paths
     value_cut = max_flow(spec, {Node(0, 0)}, {Node(2, 2)})
     assert max_flow(spec, {Node(0.0, 0)}, {Node(2, 2.0)}) == value_cut
     assert stem(TorusSpec(8, 8), Node(2.0, 0), 1, 1) == stem(TorusSpec(8, 8), Node(2, 0), 1, 1)

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,37 @@ def test_policies_reject_nodes_off_the_grid(full):
     assert np.array_equal(*(policy.on_edge(e) for e in edges))
     pairs = [(Node(2.0, 0), Node(0, 1.0)), (Node(2, 0), Node(0, 1))]
     assert np.array_equal(*(policy.pair_flows(*pair) for pair in pairs))
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["origin", "full"])
+def test_policies_read_the_edge_direction_as_a_direction(full):
+    # -1 used to read the NEG_HOR weights, 4 and 2.0 to raise a bare IndexError
+    policy = build_ecmp(TorusSpec(4, 4))
+    policy = expand(policy) if full else policy
+    tail = Node(1, 0)
+    for bad in (-1, 4, 1.5):
+        edge = DirectedEdge(tail, bad)
+        for call in (lambda: policy.on_edge(edge), lambda: pair_weights_on_edge(policy, edge)):
+            with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not a valid Direction")):
+                call()
+    # a whole float reads as its direction, as Node(2.0, 0) reads as (2, 0)
+    edges = [DirectedEdge(tail, d) for d in (2.0, Direction.POS_HOR)]
+    assert np.array_equal(*(policy.on_edge(e) for e in edges))
+    assert pair_weights_on_edge(policy, edges[0]) == pair_weights_on_edge(policy, edges[1])
+
+
+def test_reflection_check_holds_one_copy_of_the_flows():
+    # a user copy of VLB's flows is checked, not recorded invariant; the check
+    # used to hold the pulled-back flows and their difference at once (2x)
+    vlb = build_vlb(TorusSpec(20, 20))
+    g = OriginPolicy(vlb.spec, vlb.flows.copy())
+    tracemalloc.start()
+    try:
+        assert check_reflection_invariance(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * g.flows.nbytes
 
 
 @pytest.mark.parametrize(
