@@ -3,7 +3,7 @@ worst-case evaluation, analytic bounds, and LP export."""
 
 __version__ = "0.1.0"
 
-from toruslb.evaluate import edge_loads, k_matching_max, run_trials, worst_case_load
+from toruslb.evaluate import edge_loads, k_matching_max, run_trials, worst_case_load, worst_case_profile
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
 from toruslb.torus import (
     Automorphism,
@@ -46,4 +46,5 @@ __all__ = [
     "run_trials",
     "weighted_distance",
     "worst_case_load",
+    "worst_case_profile",
 ]

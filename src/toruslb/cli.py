@@ -16,7 +16,7 @@ from typing import Callable, Iterator, TextIO
 
 from toruslb import __version__ as VERSION
 from toruslb import bounds as bounds_mod
-from toruslb.evaluate import edge_loads, load_report_to_csv, run_trials, worst_case_load
+from toruslb.evaluate import edge_loads, load_report_to_csv, run_trials, worst_case_load, worst_case_profile
 from toruslb.lpexport import export_opt_lp, export_reduced_oblivious_lp
 from toruslb.policy import OriginPolicy
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb, gllb_radii
@@ -168,17 +168,16 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     spec = _spec(args)
     if args.k > spec.rows * spec.cols // 2:
         raise ValueError("k range must stay within N^2/2")
+    radius = {k: _best_radius(spec.rows, k) for k in range(2, args.k + 1)}
+    # one build and one matching run per radius, to the largest k it serves
+    kmax = {r: k for k, r in radius.items()}
+    measured = {r: worst_case_profile(build_llb(spec, r), kmax[r]).tolist() for r in kmax}
     with _output(args.out) as sink:
         sink.write("k,cut_lb,oblivious_lb,measured_llb,llb_ub\n")
-        policies: dict[int, OriginPolicy] = {}
-        for k in range(2, args.k + 1):
-            r = _best_radius(spec.rows, k)
-            if r not in policies:
-                policies[r] = build_llb(spec, r)
-            measured = worst_case_load(policies[r], k).value
+        for k, r in radius.items():
             sink.write(
                 f"{k},{bounds_mod.cut_lower_bound(k)!r},"
-                f"{bounds_mod.oblivious_lower_bound(k)!r},{measured!r},"
+                f"{bounds_mod.oblivious_lower_bound(k)!r},{measured[r][k - 1]!r},"
                 f"{bounds_mod.llb_load_upper(r, k)!r}\n"
             )
         _footer(sink, args)

@@ -17,7 +17,13 @@ the dense ``W[s, t]`` of :meth:`on_edge` with :func:`k_matching_max`, a numpy
 shortest-augmenting-path solver.  It keeps a column-major copy of the costs in
 which matched rows read inf, so each augmentation's cheapest free row per
 column is one contiguous argmin, with no copy, and matching a row is one row
-write.  Its final potentials also give the hose-model dual multipliers, which
+write.  Each Dijkstra scan is one argmin and four array calls into buffers
+allocated once per solve: the scanned row's offers go into a row of a table,
+and only the augmenting path's columns look up which offer set their label.
+Successive shortest paths pass through a maximum matching of every size on
+the way to k (Ahuja, Magnanti & Orlin 1993), so :func:`worst_case_profile`
+reads the worst case at every k up to a bound from one run per edge.  The
+final potentials also give the hose-model dual multipliers, which
 :func:`_k_matching_sparse` returns keyed by node for the LP export's
 feasibility checks.
 """
@@ -177,13 +183,17 @@ def k_matching_max(
 
 
 def _k_matching(
-    weights: Sequence[Sequence[float]] | np.ndarray, k: int
+    weights: Sequence[Sequence[float]] | np.ndarray, k: int, values: list[float] | None = None
 ) -> tuple[float, list[tuple[int, int]], np.ndarray, np.ndarray, float]:
     """:func:`k_matching_max`'s value and pairs, plus the duals its final
     potentials hold: per-row a >= 0, per-column b >= 0 and gamma >= 0 with
     ``a[i] + b[j] + gamma >= W[i, j]`` everywhere and ``sum(a) + sum(b) + k *
     gamma`` equal to the value.  Rows and columns without a positive weight
-    get 0."""
+    get 0.
+
+    A run to k passes through the run to every smaller k: after its t-th
+    augmentation it holds what the run to t ends with.  If ``values`` is a
+    list, the value after each augmentation is appended to it."""
     if k < 1:
         raise ValueError("k must be at least 1")
     w = np.atleast_2d(np.asarray(weights, dtype=float))
@@ -197,66 +207,98 @@ def _k_matching(
     nr, nc = cost.shape
     pr = np.zeros(nr)
     pc = cost.min(axis=0)
-    pt = pc.min()
-    row_of = np.full(nc, -1)  # matched row of each column, -1 if free
-    col_of = np.full(nr, -1)  # matched column of each row, -1 if free
+    pt = float(pc.min())
+    row_of = [-1] * nc  # matched row of each column, -1 if free
+    col_of = [-1] * nr  # matched column of each row, -1 if free
+    matched_col = np.zeros(nc, dtype=bool)
+    row_start = np.zeros(nr)  # a row's label before a search: 0 if free, inf if matched
     # The costs column-major with matched rows at inf, so each column's first
     # cheapest free row is one contiguous argmin.  Copied explicitly:
     # np.asfortranarray returns a one-row matrix itself.
     free_cost = cost.copy(order="F")
-    for _ in range(min(k, nr, nc)):
+    # Row 0 holds the free rows' offers to each column, row s the s-th
+    # scanned row's; a search scans at most the matched rows, fewer than m.
+    m = min(k, nr, nc)
+    offers = np.empty((m, nc))
+    offer_rows, cost_rows = list(offers), list(cost)
+    key, better = np.empty(nc), np.empty(nc, dtype=bool)
+    lift = np.empty(())  # d + pr[i], a 0-d array that numpy adds without conversion
+
+    def matched_value() -> float:
+        # -cost is W exactly, and fsum does not depend on the order it adds in
+        return math.fsum(-cost[i, j] for j, i in enumerate(row_of) if i >= 0 and cost[i, j] < 0)
+
+    for _ in range(m):
         # One Dijkstra from every free row at once (their potential is 0).  A
         # matched column's key is its label and a free column's key is the
         # sink's label through it; a scanned column's key is inf, and its
         # base of -inf keeps later rows from relaxing it again.
-        pred = free_cost.argmin(axis=0)
-        gap = np.where(row_of < 0, pc - pt, 0.0)
-        key = cost[pred, np.arange(nc)] - pc + gap
+        first = free_cost.argmin(axis=0)
+        gap = np.where(matched_col, 0.0, pc - pt)
+        offers[0] = cost[first, np.arange(nc)] - pc + gap
+        key[:] = offers[0]
         base = pc - gap
-        dist_row = np.where(col_of < 0, 0.0, np.inf)
-        dist_col = np.full(nc, np.inf)
+        pr_at = pr.tolist()
+        scan_rows: list[int] = []
+        scan_cols: list[int] = []
+        labels: list[float] = []
         while True:
-            j = int(key.argmin())
+            j = key.argmin()
             i = row_of[j]
             if i < 0:
                 break
-            d = key[j]
-            dist_row[i] = dist_col[j] = d
+            d = key.item(j)
+            scan_rows.append(i)
+            scan_cols.append(j)
+            labels.append(d)
             key[j], base[j] = np.inf, -np.inf
-            cand = cost[i] - base + (d + pr[i])
-            better = cand < key
-            np.copyto(key, cand, where=better)
-            np.copyto(pred, i, where=better)
-        d_sink = key[j]
+            offer = offer_rows[len(labels)]
+            np.subtract(cost_rows[i], base, out=offer)
+            lift[()] = d + pr_at[i]
+            np.add(offer, lift, out=offer)
+            np.less(offer, key, out=better)
+            np.putmask(key, better, offer)
+        d_sink = key.item(j)
         # updated before the stop test, so the duals below see the last search
+        dist_row = row_start.copy()
+        dist_row[scan_rows] = labels
         pr += np.minimum(dist_row, d_sink)
         # unscanned columns' labels are key - gap; every label caps at d_sink
-        pc += np.minimum(np.minimum(dist_col, key - gap), d_sink)
+        dist_col = key - gap
+        dist_col[scan_cols] = labels
+        pc += np.minimum(dist_col, d_sink)
         pt += d_sink
         if pt >= 0.0:
             break
-        while j >= 0:
-            i = pred[j]
-            nxt = col_of[i]
+        # Each path column's predecessor is the first source whose offer set
+        # its final label, as strict < updates leave it: the row of that
+        # scan, which reached it through the column it holds, or the free
+        # rows' first cheapest row.
+        matched_col[j] = True
+        d, sources = d_sink, offers[: len(labels) + 1]
+        while s := int((sources[:, j] == d).argmax()):
+            i = scan_rows[s - 1]
             row_of[j], col_of[i] = i, j
-            j = nxt
-        free_cost[i] = np.inf  # the path's free row, matched now
-    matched = [(i, j) for j, i in enumerate(row_of.tolist()) if i >= 0 and cost[i, j] < 0]
+            j, d = scan_cols[s - 1], labels[s - 1]
+        i = int(first[j])
+        row_of[j], col_of[i] = i, j
+        free_cost[i] = row_start[i] = np.inf  # the path's free row, matched now
+        if values is not None:
+            values.append(matched_value())
+    matched = [(i, j) for j, i in enumerate(row_of) if i >= 0 and cost[i, j] < 0]
     pairs = sorted((int(rows[i]), int(cols[j])) for i, j in matched)
     # Clamp the sink's potential to one level: with k pairs matched the rows
     # pay from 0 and gamma = -level; with fewer, gamma = 0 and the rows pay
     # from the level, which is at least 0 while a row is left free.
-    pt = float(pt)
-    if (row_of >= 0).sum() == k:
+    if nc - row_of.count(-1) == k:
         gamma = max(-pt, 0.0)
         level, shift = -gamma, 0.0
     else:
         gamma = 0.0
-        level = shift = max(pt, 0.0) if (col_of < 0).any() else pt
+        level = shift = max(pt, 0.0) if -1 in col_of else pt
     a[rows] = np.maximum(pr - shift, 0.0)
     b[cols] = np.maximum(level - pc, 0.0)
-    # -cost is W exactly, and fsum does not depend on the order it adds in
-    return math.fsum(-cost[i, j] for i, j in matched), pairs, a, b, gamma
+    return matched_value(), pairs, a, b, gamma
 
 
 def pair_weights_on_edge(p: Policy, edge: DirectedEdge) -> dict[tuple[Node, Node], float]:
@@ -319,6 +361,27 @@ def worst_case_load(p: Policy, k: int) -> WorstCaseResult:
             value=0.0, witness=TrafficMatrix(spec=spec, entries={}), edge=empty_edge
         )
     return best
+
+
+def worst_case_profile(p: Policy, kmax: int) -> np.ndarray:
+    """``worst_case_load(p, k).value`` at entry k - 1 for every 1 <= k <=
+    ``kmax``, to the bit, from one matching run to ``kmax`` per candidate
+    edge: the run passes through the optimum for every smaller k.  Across
+    edges each k keeps :func:`worst_case_load`'s rule, so a later edge wins
+    only by more than ``VALUE_TOL``."""
+    if kmax < 1:
+        raise ValueError("k must be at least 1")
+    best = np.full(kmax, -np.inf)  # until an edge's matching has a pair
+    for edge in candidate_edges(p):
+        values = [0.0]
+        _k_matching(p.on_edge(edge), kmax, values)
+        # the run to k stops where the run to kmax stopped, if that is sooner
+        value = np.array(values)[np.minimum(np.arange(1, kmax + 1), len(values) - 1)]
+        load = value / p.spec.capacity(edge.dir)
+        # a matching has a pair of positive weight iff its value is positive
+        take = (value > 0) & (load > best + VALUE_TOL)
+        best[take] = load[take]
+    return np.maximum(best, 0.0)
 
 
 @dataclass

@@ -59,6 +59,8 @@ from toruslb.traffic import TrafficMatrix
 
 _DIRS = ("pv", "nv", "ph", "nh")  # names of the directions, in Direction order
 MAX_LINE = 255
+# rows, or bounds, that _write_lp formats and writes at a time
+_WRITE_BLOCK = 256
 ROW_TOL = 1e-7  # slack a feasibility check allows on each row and bound
 # row names, terms per row, column ids, coefficients, sense, right-hand sides
 Block = tuple[list[str], np.ndarray, np.ndarray, np.ndarray, str, np.ndarray]
@@ -190,35 +192,52 @@ def _conservation(
     return names, counts, ids[first[keep]], coef[keep], "=", rhs
 
 
-def _formatted(values: np.ndarray, fmt: Callable[[float], str]) -> list[str]:
-    """``fmt`` of every value, each distinct value formatted once."""
-    distinct, which = np.unique(values, return_inverse=True)
-    return list(map([fmt(v) for v in distinct.tolist()].__getitem__, which.tolist()))
+def _formatted(values: np.ndarray, fmt: Callable[[float], str]) -> Callable[[int, int], list[str]]:
+    """``fmt`` of ``values[a:b]`` for the ``a, b`` it is called with, each
+    distinct value formatted once per ``_formatted`` call."""
+    distinct = np.unique(values)
+    strings = [fmt(v) for v in distinct.tolist()]
+    return lambda a, b: list(map(strings.__getitem__, distinct.searchsorted(values[a:b]).tolist()))
 
 
 def _write_lp(sink: IO[str], title: str, model: LpModel) -> None:
-    """Write ``model`` as CPLEX LP text in one write.  Every term string is
-    built in one pass over the nonzeros, each row's line joins its slice
+    """Write ``model`` as CPLEX LP text, ``_WRITE_BLOCK`` rows or bounds to
+    a write, so that only one block's text is held at a time.  Each
+    distinct coefficient is formatted once, a block's term strings are
+    built in one pass over its nonzeros, each row's line joins its slice
     without the leading ``+ ``, and a line longer than ``MAX_LINE`` breaks
     at a space.  An objective coefficient of magnitude 1 is not written."""
     cols = model.columns
-    signed = _formatted(model.vals, lambda v: f"{'-' if v < 0 else '+'} {abs(v):.17g} ")
-    terms = list(map(add, signed, map(cols.__getitem__, model.ids.tolist())))
     obj = " ".join(f"{'-' if v < 0 else '+'} {'' if abs(v) == 1 else f'{abs(v):.17g} '}{name}"
                    for name, v in model.objective.items())
-    lines = [f"\\ {title}", "Minimize" if model.sense == "min" else "Maximize",
-             f" obj: {obj.removeprefix('+ ')}", "Subject To"]
-    ptr, rhs = model.indptr.tolist(), _formatted(model.rhs, "{:.17g}".format)
-    for name, lo, hi, sense, value in zip(model.constraints, ptr, ptr[1:], model.senses.tolist(), rhs):
-        line = f" {name}: {' '.join(terms[lo:hi]).removeprefix('+ ')} {sense} {value}"
-        while len(line) > MAX_LINE and (cut := line.rfind(" ", 0, MAX_LINE)) > 0:
-            lines.append(line[:cut])
-            line = " " + line[cut + 1 :]
-        lines.append(line)
+    sink.write(f"\\ {title}\n{'Minimize' if model.sense == 'min' else 'Maximize'}\n"
+               f" obj: {obj.removeprefix('+ ')}\nSubject To\n")
+    signed = _formatted(model.vals, lambda v: f"{'-' if v < 0 else '+'} {abs(v):.17g} ")
+    rhs = _formatted(model.rhs, "{:.17g}".format)
+    for a in range(0, len(model.constraints), _WRITE_BLOCK):
+        b = a + _WRITE_BLOCK
+        ptr = model.indptr[a : b + 1].tolist()
+        lo = ptr[0]
+        terms = list(map(add, signed(lo, ptr[-1]), map(cols.__getitem__, model.ids[lo : ptr[-1]].tolist())))
+        lines = []
+        for name, start, stop, sense, value in zip(
+            model.constraints[a:b], ptr, ptr[1:], model.senses[a:b].tolist(), rhs(a, b)
+        ):
+            line = f" {name}: {' '.join(terms[start - lo : stop - lo]).removeprefix('+ ')} {sense} {value}"
+            while len(line) > MAX_LINE and (cut := line.rfind(" ", 0, MAX_LINE)) > 0:
+                lines.append(line[:cut])
+                line = " " + line[cut + 1 :]
+            lines.append(line)
+        lines.append("")
+        sink.write("\n".join(lines))
+    sink.write("Bounds\n")
     lower = _formatted(model.lower, " {:.17g} <= ".format)
     upper = _formatted(model.upper, lambda v: "" if v == np.inf else f" <= {v:.17g}")
-    bounds = map(add, map(add, lower, map(cols.__getitem__, model.bound_ids.tolist())), upper)
-    sink.write("\n".join([*lines, "Bounds", *bounds, "End\n"]))
+    for a in range(0, len(model.bound_ids), _WRITE_BLOCK):
+        b = a + _WRITE_BLOCK
+        names = map(cols.__getitem__, model.bound_ids[a:b].tolist())
+        sink.write("\n".join(map(add, map(add, lower(a, b), names), upper(a, b))) + "\n")
+    sink.write("End\n")
 
 
 def _export(sink: IO[str], title: str, model: LpModel) -> LpCounts:

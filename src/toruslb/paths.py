@@ -24,7 +24,8 @@ sequence), so flows, paths and cuts do not depend on the phases.  The head
 list, the reverse-edge ids and each node's out- and in-edges come from
 ``_shape_tables``, built once per ``(rows, cols)``.  ``_decompose_flow``
 reads the flow straight from ``cap`` and ``res`` and splits it in one walk
-per quantum, which erases each loop as soon as it closes.
+per quantum, which erases each loop as soon as it closes.  Only ``max_flow``
+searches the residual graph once more, with ``_reached``, for its cut.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def _shape_tables(
 
 def _augment(
     rows: int, cols: int, res: list[int], supply: dict[int, int], demand: dict[int, int]
-) -> list[int]:
+) -> None:
     """Integer max flow from supplier quotas to demander quotas by shortest
     augmenting paths (Edmonds and Karp), found in distance phases (Dinic),
     over slab-index edge ids, between disjoint supplier and demander sets.
@@ -181,10 +182,6 @@ def _augment(
     whose walk failed, never regains such a path in the phase; and a
     depth-first walk in ``Direction`` order that skips dead ends meets the
     lexicographically least path first.
-
-    Returns, from a last forward search from the suppliers with quota left,
-    the edge that reached each node (-1 for seeds, -2 unreached): once no
-    path is left, the reached nodes are the source side of a min cut.
     """
     _, back, adj, into = _shape_tables(rows, cols)
     n = rows * cols
@@ -245,8 +242,16 @@ def _augment(
                 u = path[cut] % n
                 del path[cut:]
 
-    parent = [-2] * n
-    queue = [u for u in supply if live[u]]
+
+def _reached(rows: int, cols: int, res: list[int], supply: dict[int, int]) -> list[int]:
+    """The edge by which a forward breadth-first search over residual edges
+    from the suppliers with quota left, in ``supply`` order, first reaches
+    each node (-1 for those suppliers, -2 unreached).  After ``_augment``
+    no path is left, and the reached nodes are the source side of a min
+    cut."""
+    adj = _shape_tables(rows, cols)[2]
+    parent = [-2] * (rows * cols)
+    queue = [u for u, quota in supply.items() if quota > 0]
     for u in queue:
         parent[u] = -1
     for u in queue:
@@ -296,7 +301,9 @@ def max_flow(
     big = sum(cap) + 1
     supply = {node_index(spec, u): big for u in sources}
     demand = {node_index(spec, u): big for u in sinks}
-    parent = _augment(spec.rows, spec.cols, list(cap), supply, demand)
+    res = list(cap)
+    _augment(spec.rows, spec.cols, res, supply, demand)
+    parent = _reached(spec.rows, spec.cols, res, supply)
     value = big * len(supply) - sum(supply.values())
     heads = _shape_tables(spec.rows, spec.cols)[0]
     n = spec.num_nodes

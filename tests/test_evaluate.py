@@ -24,6 +24,7 @@ from toruslb.evaluate import (
     pair_weights_on_edge,
     run_trials,
     worst_case_load,
+    worst_case_profile,
 )
 from toruslb.policy import OriginPolicy, edge_entries, expand, validate_policy
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_vlb, gllb_radii
@@ -32,6 +33,7 @@ from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, hop_distance
 from toruslb.traffic import TrafficMatrix, gen_random_sparse
 
 from tests.matching_oracle import ssp_k_matching
+from tests.test_grid import GRID, grid_policies
 
 
 def brute_force_k_matching(weights: np.ndarray, k: int) -> float:
@@ -566,3 +568,23 @@ def test_worst_case_equals_sparse_ssp_oracle(build, ks):
         assert edge_loads(policy, result.witness).max_load == pytest.approx(
             result.value, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("dims", GRID, ids=lambda d: f"{d[0]}x{d[1]}")
+def test_worst_case_profile_is_worst_case_load_at_every_k(dims):
+    """One run to k = 50 per candidate edge gives, to the bit, the value that
+    a run to each k gives, for every policy the grid tests build."""
+    ks = (*range(1, 19), 32, 50)
+    for policy in grid_policies(dims):
+        profile = worst_case_profile(policy, 50)
+        assert profile.shape == (50,)
+        assert all(profile[k - 1] == worst_case_load(policy, k).value for k in ks)
+        assert (np.diff(profile) >= 0).all()
+
+
+def test_worst_case_profile_of_an_empty_policy_and_k_below_one():
+    spec = TorusSpec(4, 4)
+    empty = OriginPolicy(spec=spec, flows=np.zeros((spec.num_nodes, 4, 4, 4)))
+    assert worst_case_profile(empty, 3).tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        worst_case_profile(empty, 0)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,30 @@ def test_opt_lp_bytes_pinned(spec, make, digest):
     buf = io.StringIO()
     export_opt_lp(spec, make(spec), buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+class _CountingSink:
+    """A text sink that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_lp_writer_holds_a_fraction_of_the_text():
+    # 12x12 at k=32 writes 3.2 MB of text; formatting it whole before one
+    # write peaked at 6.95x the text, blocks of rows peak at 0.40x
+    model = reduced_oblivious_program(TorusSpec(12, 12), 32)
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        _write_lp(sink, "reduced oblivious routing program", model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 3_000_000
+    assert peak <= 1.0 * sink.chars
 
 
 def _g_name(t, edge):

@@ -1,12 +1,23 @@
 """Hypothesis properties for the k-cardinality matching solver, and its
 bit-identity with the copying reference solver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toruslb.evaluate import _k_matching, _k_matching_sparse, candidate_edges, k_matching_max
+from toruslb.evaluate import (
+    _k_matching,
+    _k_matching_sparse,
+    candidate_edges,
+    k_matching_max,
+    worst_case_load,
+)
+from toruslb.schemes import build_llb
+from toruslb.torus import TorusSpec
+from toruslb.traffic import traffic_to_csv
 
 from tests.matching_oracle import copying_k_matching, ssp_k_matching
 from tests.test_grid import GRID, grid_policies
@@ -158,3 +169,38 @@ def tied_matrices_with_zero_lines(draw):
 @example(np.zeros((3, 2)), 2)
 def test_matching_bit_identical_to_copying_reference(weights, k):
     assert_same_matching(weights, k)
+
+
+# worst_case_load on LLB(4) 12x12, whose one candidate edge carries the
+# largest matchings the benchmark times: the value and the sha256 of the
+# witness CSV at each k, recorded before the scan kept a table of offers
+LLB4_12X12 = {
+    18: (1.5625, "b38d04acd44e0b0da9008d7318347ab56210e1344956c97972340cbd2da60ffd"),
+    32: (2.0, "cd8bd4e70bd57770acd20a3371729940ff85a4d80c8c3003cb16ccee39e6f938"),
+    50: (2.5625, "7aa0dcb18bd06aca67f4ea3f1a73d5327673dfdd3c82a943a7c61b5ed87610ed"),
+}
+
+
+def test_matching_bit_identical_to_copying_reference_on_llb4_12x12():
+    policy = build_llb(TorusSpec(12, 12), 4)
+    (edge,) = candidate_edges(policy)
+    weights = policy.on_edge(edge)
+    for k, (value, digest) in LLB4_12X12.items():
+        assert_same_matching(weights, k)
+        result = worst_case_load(policy, k)
+        assert (result.value, result.edge) == (value, edge)
+        assert hashlib.sha256(traffic_to_csv(result.witness).encode()).hexdigest() == digest
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_matrices_with_zero_lines(), st.integers(1, 9))
+@example(np.ones((4, 4)), 9)
+@example(np.zeros((3, 2)), 2)
+def test_matching_values_after_each_augmentation_are_the_runs_to_each_k(weights, kmax):
+    """The run to kmax reports after its t-th augmentation the value the
+    run to t ends with, and it stops where every longer run stops."""
+    values = [0.0]
+    assert _k_matching(weights, kmax, values)[0] == values[-1]
+    for k in range(1, kmax + 1):
+        assert values[min(k, len(values) - 1)] == copying_k_matching(weights, k)[0]
+    assert values == sorted(values)

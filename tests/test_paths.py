@@ -13,6 +13,7 @@ from toruslb.paths import (
     CutTooSmall,
     _augment,
     _decompose_flow,
+    _reached,
     _route_quanta,
     RadiusTooLarge,
     StemsOverlap,
@@ -456,7 +457,8 @@ def test_residual_augment_matches_queue_bfs_oracle(network):
     supply, demand = dict(suppliers), dict(demanders)
     flow, parent = queue_bfs_augment(heads, cap, supply, demand)
     new_supply, new_demand, res = dict(suppliers), dict(demanders), list(cap)
-    new_parent = _augment(spec.rows, spec.cols, res, new_supply, new_demand)
+    _augment(spec.rows, spec.cols, res, new_supply, new_demand)
+    new_parent = _reached(spec.rows, spec.cols, res, new_supply)
     assert [max(c - r, 0) for c, r in zip(cap, res)] == flow
     assert (new_supply, new_demand, new_parent) == (supply, demand, parent)
 
@@ -538,7 +540,8 @@ def test_augment_matches_queue_bfs_oracle_on_every_stem_crossing(monkeypatch):
         supply, demand = dict(sources), dict(sinks)
         new_supply, new_demand, res = dict(supply), dict(demand), list(cap)
         flow, parent = queue_bfs_augment(heads, cap, supply, demand)
-        new_parent = _augment(spec.rows, spec.cols, res, new_supply, new_demand)
+        _augment(spec.rows, spec.cols, res, new_supply, new_demand)
+        new_parent = _reached(spec.rows, spec.cols, res, new_supply)
         assert [max(c - r, 0) for c, r in zip(cap, res)] == flow
         assert (new_supply, new_demand, new_parent) == (supply, demand, parent)
         if any(supply.values()):
