@@ -1,8 +1,10 @@
 """Command-line driver: reproduce the benchmark tables, sweep bounds, and
 export LP files, all with fixed seeds and CSV output.
 
-Every CSV ends with a ``# seed=...,version=...`` provenance comment, and
-identical configuration plus seed yields byte-identical output.
+Each CSV command builds its rows and hands them to one writer, ``_emit``,
+which ends every CSV with a ``# seed=...,version=...`` provenance comment;
+the LP exports stream into the same output.  Identical configuration plus
+seed yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -10,15 +12,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Iterator, TextIO
 
 from toruslb import __version__ as VERSION
 from toruslb import bounds as bounds_mod
-from toruslb.evaluate import edge_loads, load_report_to_csv, run_trials, worst_case_load, worst_case_profile
-from toruslb.lpexport import export_opt_lp, export_reduced_oblivious_lp
-from toruslb.policy import OriginPolicy
+from toruslb.evaluate import edge_loads, run_trials, worst_case_load, worst_case_profile
+from toruslb.lpexport import LpCounts, export_opt_lp, export_reduced_oblivious_lp
+from toruslb.policy import OriginPolicy, edge_entries
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb, gllb_radii
 from toruslb.torus import TorusSpec
 from toruslb.traffic import (
@@ -98,12 +101,15 @@ def _output(out: str | None) -> Iterator[TextIO]:
         yield sys.stdout
         return
     target = os.path.abspath(out)
-    tmp = os.path.join(
-        os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp"
+    # a unique name, as a killed run leaves its temporary file behind
+    fd, tmp = tempfile.mkstemp(
+        suffix=".tmp", prefix=f".{os.path.basename(target)}.", dir=os.path.dirname(target)
     )
-    sink = open(tmp, "x")
     try:
-        with sink:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode open(target, "w") gives, not 0600
+        with open(fd, "w") as sink:
             yield sink
         os.replace(tmp, target)
     except BaseException:
@@ -111,60 +117,43 @@ def _output(out: str | None) -> Iterator[TextIO]:
         raise
 
 
-def _footer(sink: TextIO, args: argparse.Namespace) -> None:
-    sink.write(f"# seed={args.seed},version={VERSION}\n")
-
-
-def _table_rows(args: argparse.Namespace, metric: Callable[[OriginPolicy, TrafficMatrix], float]):
-    schemes = [(name, _build_scheme(name, args)) for name in ("ecmp", "vlb", "llb")]
-    rows = []
-    for traffic_name in ("split-diamond", "hotspot"):
-        d = _build_traffic(traffic_name, args)
-        rows.append((traffic_name, [metric(p, d) for _, p in schemes]))
-    spec = _spec(args)
-    means = []
-    for _, p in schemes:
-        summary = run_trials(
-            p,
-            partial(gen_random_sparse, spec, args.k),
-            trials=args.trials,
-            base_seed=args.seed,
-        )
-        means.append(summary)
-    return rows, means
-
-
-def cmd_table1(args: argparse.Namespace) -> int:
-    rows, means = _table_rows(args, lambda p, d: edge_loads(p, d).max_load)
+def _emit(args: argparse.Namespace, *lines: list | str) -> None:
+    """Write each list as one comma-joined row of ``str`` values (``repr``
+    for floats) and each string as it is, then the provenance footer."""
     with _output(args.out) as sink:
-        sink.write("traffic,ecmp,vlb,llb,o_opt,opt\n")
-        for name, vals in rows:
-            sink.write(
-                f"{name},{vals[0]!r},{vals[1]!r},{vals[2]!r},external,external\n"
-            )
-        sink.write(
-            "random,"
-            + ",".join(repr(s.max_load_mean) for s in means)
-            + ",external,external\n"
-        )
-        sink.write("# o_opt/opt columns require an external LP solve;"
-                   " see export-lp and export-opt\n")
-        _footer(sink, args)
-    return 0
+        for line in lines:
+            sink.write(line if isinstance(line, str) else ",".join(map(str, line)) + "\n")
+        sink.write(f"# seed={args.seed},version={VERSION}\n")
 
 
-def cmd_table2(args: argparse.Namespace) -> int:
-    rows, means = _table_rows(args, lambda p, d: edge_loads(p, d).avg_hops)
-    with _output(args.out) as sink:
-        sink.write("traffic,ecmp,vlb,llb\n")
-        for name, vals in rows:
-            sink.write(f"{name},{vals[0]!r},{vals[1]!r},{vals[2]!r}\n")
-        sink.write("random," + ",".join(repr(s.avg_hops_mean) for s in means) + "\n")
-        _footer(sink, args)
-    return 0
+def _table(args: argparse.Namespace, metric: str, external: list[str], *notes: str) -> None:
+    """ECMP, VLB and LLB's ``metric`` on split-diamond, hotspot and, as the
+    mean over ``--trials`` random demands, on random traffic; each
+    ``external`` column names an LP value that needs a solver."""
+    schemes = [_build_scheme(name, args) for name in ("ecmp", "vlb", "llb")]
+    unsolved = ["external"] * len(external)
+    rows = [["traffic", "ecmp", "vlb", "llb", *external]]
+    for traffic in ("split-diamond", "hotspot"):
+        d = _build_traffic(traffic, args)
+        rows.append([traffic, *(getattr(edge_loads(p, d), metric) for p in schemes), *unsolved])
+    demands = partial(gen_random_sparse, _spec(args), args.k)
+    summaries = [run_trials(p, demands, trials=args.trials, base_seed=args.seed) for p in schemes]
+    rows.append(["random", *(getattr(s, f"{metric}_mean") for s in summaries), *unsolved])
+    _emit(args, *rows, *notes)
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
+def cmd_table1(args: argparse.Namespace) -> None:
+    _table(
+        args, "max_load", ["o_opt", "opt"],
+        "# o_opt/opt columns require an external LP solve; see export-lp and export-opt\n",
+    )
+
+
+def cmd_table2(args: argparse.Namespace) -> None:
+    _table(args, "avg_hops", [])
+
+
+def cmd_bounds(args: argparse.Namespace) -> None:
     spec = _spec(args)
     if args.k > spec.rows * spec.cols // 2:
         raise ValueError("k range must stay within N^2/2")
@@ -172,65 +161,49 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     # one build and one matching run per radius, to the largest k it serves
     kmax = {r: k for k, r in radius.items()}
     measured = {r: worst_case_profile(build_llb(spec, r), kmax[r]).tolist() for r in kmax}
-    with _output(args.out) as sink:
-        sink.write("k,cut_lb,oblivious_lb,measured_llb,llb_ub\n")
-        for k, r in radius.items():
-            sink.write(
-                f"{k},{bounds_mod.cut_lower_bound(k)!r},"
-                f"{bounds_mod.oblivious_lower_bound(k)!r},{measured[r][k - 1]!r},"
-                f"{bounds_mod.llb_load_upper(r, k)!r}\n"
-            )
-        _footer(sink, args)
-    return 0
+    rows = [
+        [k, bounds_mod.cut_lower_bound(k), bounds_mod.oblivious_lower_bound(k),
+         measured[r][k - 1], bounds_mod.llb_load_upper(r, k)]
+        for k, r in radius.items()
+    ]
+    _emit(args, ["k", "cut_lb", "oblivious_lb", "measured_llb", "llb_ub"], *rows)
 
 
-def cmd_worst_case(args: argparse.Namespace) -> int:
+def cmd_worst_case(args: argparse.Namespace) -> None:
+    result = worst_case_load(_build_scheme(args.scheme, args), args.k)
+    tail, direction = result.edge
+    header = ["scheme", "k", "value", "edge_tail_x", "edge_tail_y", "dir"]
+    row = [args.scheme, args.k, result.value, tail.x, tail.y, direction.token]
+    _emit(args, header, row, "# witness follows\n", traffic_to_csv(result.witness))
+
+
+def cmd_evaluate(args: argparse.Namespace) -> None:
     policy = _build_scheme(args.scheme, args)
-    result = worst_case_load(policy, args.k)
-    e = result.edge
-    with _output(args.out) as sink:
-        sink.write("scheme,k,value,edge_tail_x,edge_tail_y,dir\n")
-        sink.write(
-            f"{args.scheme},{args.k},{result.value!r},{e.tail.x},{e.tail.y},{e.dir.token}\n"
-        )
-        sink.write("# witness follows\n")
-        sink.write(traffic_to_csv(result.witness))
-        _footer(sink, args)
-    return 0
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    policy = _build_scheme(args.scheme, args)
-    demand = _build_traffic(args.traffic, args)
-    report = edge_loads(policy, demand)
-    with _output(args.out) as sink:
-        sink.write(f"# scheme={args.scheme},traffic={args.traffic}\n")
-        sink.write(f"# max_load={report.max_load!r},avg_hops={report.avg_hops!r}\n")
-        sink.write(load_report_to_csv(report))
-        _footer(sink, args)
-    return 0
-
-
-def cmd_export_lp(args: argparse.Namespace) -> int:
-    with _output(args.out) as sink:
-        counts = export_reduced_oblivious_lp(_spec(args), args.k, sink)
-    print(
-        f"variables={counts.variables} constraints={counts.constraints} "
-        f"flow_variables={counts.flow_variables}",
-        file=sys.stderr,
+    report = edge_loads(policy, _build_traffic(args.traffic, args))
+    _emit(
+        args,
+        f"# scheme={args.scheme},traffic={args.traffic}\n",
+        f"# max_load={report.max_load!r},avg_hops={report.avg_hops!r}\n",
+        ["edge_tail_x", "edge_tail_y", "dir", "load"],
+        *([e.tail.x, e.tail.y, e.dir.token, load] for e, load in edge_entries(report.load)),
     )
-    return 0
 
 
-def cmd_export_opt(args: argparse.Namespace) -> int:
-    demand = _build_traffic(args.traffic, args)
+def _export(args: argparse.Namespace, export: Callable[[TextIO], LpCounts], *keys: str) -> None:
+    """Stream an LP into the output, then print the named counts to stderr."""
     with _output(args.out) as sink:
-        counts = export_opt_lp(_spec(args), demand, sink)
-    print(
-        f"variables={counts.variables} constraints={counts.constraints}",
-        file=sys.stderr,
-    )
-    return 0
+        counts = export(sink)
+    print(" ".join(f"{key}={getattr(counts, key)}" for key in keys), file=sys.stderr)
+
+
+def cmd_export_lp(args: argparse.Namespace) -> None:
+    export = partial(export_reduced_oblivious_lp, _spec(args), args.k)
+    _export(args, export, "variables", "constraints", "flow_variables")
+
+
+def cmd_export_opt(args: argparse.Namespace) -> None:
+    export = partial(export_opt_lp, _spec(args), _build_traffic(args.traffic, args))
+    _export(args, export, "variables", "constraints")
 
 
 # every command reads --n and --out, plus these; table1, table2 and bounds
@@ -284,10 +257,11 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, flag, None) == value:
                 parser.error(f"--{flag} {value} needs --m equal to --n and --c1 equal to --c2")
     try:
-        return args.func(args)
+        args.func(args)
     except Exception as exc:  # runtime failures exit 1, usage errors exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -36,7 +36,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from toruslb.policy import FullPolicy, Policy, edge_entries
+from toruslb.policy import FullPolicy, Policy
 from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec
 from toruslb.traffic import TrafficMatrix
 
@@ -420,8 +420,3 @@ def run_trials(
         avg_hops_mean=float(hops.mean()),
     )
 
-
-def load_report_to_csv(report: LoadReport) -> str:
-    lines = ["edge_tail_x,edge_tail_y,dir,load"]
-    lines += [f"{e.tail.x},{e.tail.y},{e.dir.token},{load!r}" for e, load in edge_entries(report.load)]
-    return "\n".join(lines) + "\n"

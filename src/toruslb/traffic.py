@@ -233,6 +233,9 @@ def traffic_to_csv(d: TrafficMatrix) -> str:
 
 
 def traffic_from_csv(spec: TorusSpec, text: str) -> TrafficMatrix:
+    """:func:`traffic_to_csv`'s rows as a matrix on ``spec``; a row that
+    does not parse, that :class:`TrafficMatrix` rejects, or that repeats an
+    earlier row's pair raises ``TrafficError`` naming its line."""
     reader = csv.reader(StringIO(text))
     header = next(reader)
     if header != CSV_HEADER:
@@ -243,7 +246,10 @@ def traffic_from_csv(spec: TorusSpec, text: str) -> TrafficMatrix:
             continue
         try:
             sx, sy, tx, ty, v = row
-            entries[(Node(int(sx), int(sy)), Node(int(tx), int(ty)))] = float(v)
+            pair = (Node(int(sx), int(sy)), Node(int(tx), int(ty)))
+            if pair in entries:
+                raise TrafficError(f"pair {pair[0]}->{pair[1]} repeats an earlier row")
+            entries |= TrafficMatrix(spec=spec, entries={pair: float(v)}).entries
         except ValueError as exc:
             raise TrafficError(f"line {reader.line_num}: {','.join(row)}: {exc}") from None
     return TrafficMatrix(spec=spec, entries=entries)

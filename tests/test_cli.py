@@ -1,4 +1,5 @@
 import hashlib
+import os
 import pathlib
 import subprocess
 import sys
@@ -7,10 +8,12 @@ import pytest
 
 from toruslb import __version__ as VERSION
 from toruslb.cli import main
-from toruslb.evaluate import worst_case_load
+from toruslb.evaluate import edge_loads, worst_case_load
 from toruslb.lpexport import parse_lp
-from toruslb.schemes import build_ring_lb
+from toruslb.policy import edge_entries
+from toruslb.schemes import build_ecmp, build_ring_lb
 from toruslb.torus import TorusSpec
+from toruslb.traffic import gen_hotspot
 
 
 def run_cli(args, tmp_path, name):
@@ -72,6 +75,36 @@ def test_evaluate_stdout_pinned(capsys):
     )
 
 
+# sha256 of the --out file and the stderr line of one run of each command
+# that no other pin covers, recorded before the commands shared one writer
+COMMAND_DIGESTS = {
+    "bounds": (["bounds", "--n", "8", "--k", "18"],
+               "4c78304f3be19fad66d90e6549e4f5aa1a09d8e47458e13f70c2b99cfd2b005d", ""),
+    "worst-case-llb": (["worst-case", "--n", "10", "--scheme", "llb", "--r", "3", "--k", "18"],
+                       "4a2208d72481ffb44712478b5e868f8680771a13e93c060bc51fe48f399760d7", ""),
+    "worst-case-gllb": (["worst-case", "--n", "8", "--m", "10", "--c1", "2", "--scheme", "gllb", "--k", "8"],
+                        "ac41e477c486751fe4ff088af90e1ed50c48615931640b31dcc2073f14d3152d", ""),
+    "evaluate": (["evaluate", "--n", "8", "--scheme", "vlb", "--traffic", "random", "--k", "5", "--seed", "3"],
+                 "2d16aeb36489033b550edeaec16f6b4a2ea99ee872e0f64ab907a96b338e3c59", ""),
+    "export-lp": (["export-lp", "--n", "5", "--k", "3"],
+                  "858c7abafa15064a86f79bf55dedc7915ab98ae5ef6247a1ed543c62f9c38b8d",
+                  "variables=652 constraints=801 flow_variables=600\n"),
+    "export-opt": (["export-opt", "--n", "6", "--traffic", "split-diamond", "--r", "2"],
+                   "02c0bccf22342734b084b3a075bba86be365c655b27d6d15cf3d623a8ad936c8",
+                   "variables=1153 constraints=432\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_DIGESTS))
+def test_command_bytes_pinned(tmp_path, capsys, name):
+    argv, digest, stderr = COMMAND_DIGESTS[name]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr)
+
+
 def test_worst_case_ring(tmp_path):
     rc, text = run_cli(["worst-case", "--n", "6", "--scheme", "ring", "--k", "2"], tmp_path, "r.csv")
     assert rc == 0
@@ -118,6 +151,10 @@ def test_worst_case_and_evaluate(tmp_path):
     )
     assert rc == 0
     assert "max_load=" in text
+    rows = [line for line in text.splitlines() if not line.startswith("#")]
+    assert rows[0] == "edge_tail_x,edge_tail_y,dir,load"
+    report = edge_loads(build_ecmp(TorusSpec(6, 6)), gen_hotspot(TorusSpec(6, 6), 4))
+    assert len(rows) == len(edge_entries(report.load)) + 1
 
 
 def test_export_lp_roundtrips(tmp_path):
@@ -246,6 +283,27 @@ def test_failed_run_leaves_no_output_file(tmp_path, monkeypatch):
     out = tmp_path / "r.lp"
     assert main(["export-lp", "--n", "4", "--k", "1", "--out", str(out)]) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_stale_temp_file_does_not_block_out(tmp_path, capsys):
+    """A killed run leaves its temporary file behind; a later run with the
+    same pid still writes --out, with the mode a plain open gives a new file,
+    and a failed run still leaves neither an output nor a temporary file."""
+    stale = tmp_path / f".t.csv.{os.getpid()}.tmp"
+    stale.write_text("partial")
+    argv = ["bounds", "--n", "6", "--k", "4"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    out = tmp_path / "t.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    with open(tmp_path / "plain", "w"):
+        pass
+    assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    os.remove(out)
+    os.remove(tmp_path / "plain")
+    assert main(["bounds", "--n", "6", "--k", "30", "--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == [stale]
 
 
 def test_non_finite_capacity_exits_1_without_output(tmp_path):

@@ -467,17 +467,6 @@ def test_spec_mismatch_rejected():
         edge_loads(policy, demand)
 
 
-def test_report_csv_serializers():
-    from toruslb.evaluate import load_report_to_csv
-
-    spec = TorusSpec(4, 4)
-    policy = random_origin_policy(spec, np.random.default_rng(6))
-    report = edge_loads(policy, gen_random_sparse(spec, 2, 1))
-    text = load_report_to_csv(report)
-    assert text.splitlines()[0] == "edge_tail_x,edge_tail_y,dir,load"
-    assert len(text.splitlines()) == len(dict(edge_entries(report.load))) + 1
-
-
 def test_worst_case_witness_is_k_sparse():
     from toruslb.schemes import build_llb
     from toruslb.traffic import classify

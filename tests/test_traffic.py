@@ -175,7 +175,13 @@ def test_traffic_csv_reads_its_own_output_for_any_node_type():
         assert back.entries == d.entries
         assert all(type(c) is int for pair in back.entries for u in pair for c in u)
     header = "src_x,src_y,dst_x,dst_y,demand\n"
-    for line, row in ((2, "0,0,1,1"), (3, "2.0,0,1,1,1.0"), (2, "0,0,1,1,lots")):
+    # three rows that do not parse, then rows that name an off-grid node, a
+    # self-demand, a demand that is not positive and finite, or a pair that
+    # an earlier row named
+    for line, row in (
+        (2, "0,0,1,1"), (3, "2.0,0,1,1,1.0"), (2, "0,0,1,1,lots"), (3, "9,0,1,1,1.0"),
+        (2, "1,1,1,1,1.0"), (3, "0,0,1,1,-1"), (2, "0,0,1,1,inf"), (3, "3,3,2,2,2.0"),
+    ):
         text = header + "3,3,2,2,1.0\n" * (line - 2) + row + "\n"
         with pytest.raises(TrafficError, match=f"^line {line}: {row}:"):
             traffic_from_csv(spec, text)
