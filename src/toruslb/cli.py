@@ -74,8 +74,7 @@ def _build_scheme(name: str, args: argparse.Namespace) -> OriginPolicy:
     if name == "llb":
         return build_llb(spec, _radius(args))
     if name == "gllb":
-        r1, r2 = gllb_radii(spec, args.k)
-        return build_gllb(spec, min(r1, spec.rows // 2), min(r2, spec.cols // 2))
+        return build_gllb(spec, *gllb_radii(spec, args.k))
     if name == "ring":
         return build_ring_lb(spec)
     raise ValueError(f"unknown scheme {name!r}")
@@ -174,7 +173,9 @@ def cmd_worst_case(args: argparse.Namespace) -> None:
     tail, direction = result.edge
     header = ["scheme", "k", "value", "edge_tail_x", "edge_tail_y", "dir"]
     row = [args.scheme, args.k, result.value, tail.x, tail.y, direction.token]
-    _emit(args, header, row, "# witness follows\n", traffic_to_csv(result.witness))
+    # traffic_to_csv ends its rows in the csv module's \r\n; the CLI's in \n
+    witness = traffic_to_csv(result.witness).replace("\r\n", "\n")
+    _emit(args, header, row, "# witness follows\n", witness)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> None:

@@ -17,12 +17,12 @@ conservation rows from one COO block, +1 at every edge's tail and -1 at its
 head, merged by column; ``_write_lp`` only formats it, each distinct
 coefficient once; :func:`parse_lp` reads the text back into one by array
 operations on its bytes, so every ``.17g`` coefficient, exponent forms
-included, round-trips exactly; and the feasibility checks compute every
-row's left-hand side with one ``np.bincount``.  No solver is embedded.
+included, round-trips exactly; and the oblivious feasibility check computes
+every row's left-hand side with one ``np.bincount``.  No solver is embedded.
 
 Variable naming (bit-exact; ``tests/test_lpexport.py`` pins both writers'
-text by sha256 and checks every name against orbits computed by
-``apply_automorphism`` in ``test_orbit_names_match_automorphism_orbits``):
+text by sha256 and checks every name against orbits computed node by node
+in ``test_orbit_names_match_automorphism_orbits``):
 
 * ``g_t{tx}_{ty}_e{ex}_{ey}_{dir}`` - flow toward destination offset (tx, ty)
   on the edge with tail (ex, ey); dir is pv/nv/ph/nh.  The name used is the
@@ -31,7 +31,7 @@ text by sha256 and checks every name against orbits computed by
   that sorts like the pair; one table per call, built with one
   ``np.minimum`` per point-group element, holds every pair's smallest image
   key, and the distinct keys are named from their digits
-  (``_OrbitIndex.table``), which the feasibility check shares.
+  (``_OrbitIndex.names``).
 * ``th`` - the load bound being minimized.
 * ``a_{cls}_s{x}_{y}``, ``b_{cls}_t{x}_{y}``, ``gam_{cls}`` - per-source,
   per-sink, and total-demand hose multipliers for load-edge class ``cls``
@@ -53,7 +53,7 @@ import numpy as np
 
 from toruslb.evaluate import SpecMismatch, load_edge_classes
 from toruslb.policy import OriginPolicy
-from toruslb.torus import Direction, Node, TorusSpec, edge_heads
+from toruslb.torus import Direction, TorusSpec, edge_heads
 from toruslb.torus import automorphism_index_maps, point_group
 from toruslb.traffic import TrafficMatrix
 
@@ -129,12 +129,6 @@ class _OrbitIndex:
         parts = (repeat("g_t"), map(xy.__getitem__, dest.tolist()), repeat("_e"),
                  map(xy.__getitem__, tail.tolist()), map([f"_{n}" for n in _DIRS].__getitem__, d.tolist()))
         return list(map("".join, zip(*parts)))
-
-    def table(self) -> tuple[np.ndarray, list[str]]:
-        """The sorted distinct orbit keys of every destination but the
-        origin, which names no variable, and their names."""
-        keys = np.unique(self.rep[1:])
-        return keys, self.names(keys)
 
 
 def _program(columns: list[str], blocks: list[Block], boxed, nonnegative) -> LpModel:
@@ -258,9 +252,9 @@ def reduced_oblivious_program(spec: TorusSpec, k: int) -> LpModel:
     origin-rooted flow conservation for every destination, reflection ties
     (every pair reads its orbit head's variable), box bounds, and one
     dualized hose constraint block per load-edge class."""
-    index = _OrbitIndex(spec)
-    n = spec.num_nodes
-    keys, cols = index.table()
+    index, n = _OrbitIndex(spec), spec.num_nodes
+    keys = np.unique(index.rep[1:])  # the origin's own slab names no variable
+    cols = index.names(keys)
     flows = len(cols)
     # every pair's column; the origin's own slab is never read
     var = np.searchsorted(keys, index.rep)
@@ -535,23 +529,6 @@ def _violations(model: LpModel, values: dict[str, float]) -> list[str]:
     return failures
 
 
-def check_opt_feasibility(
-    spec: TorusSpec, demand: TrafficMatrix, model: LpModel,
-    pair_flows: dict[tuple[Node, Node], np.ndarray], theta: float,
-) -> list[str]:
-    """Substitute per-pair flows (``[dir, y, x]`` slabs, as
-    ``Policy.pair_flows`` returns them) and a load bound into a parsed
-    fixed-demand model and report every violated constraint."""
-    values: dict[str, float] = {"th": theta}
-    pairs = sorted(demand.entries)
-    names, m = _f_names(spec, len(pairs)), 4 * spec.num_nodes
-    for p, pair in enumerate(pairs):
-        flows = pair_flows.get(pair)
-        if flows is not None:
-            values.update(zip(names[p * m : (p + 1) * m], np.ravel(flows).tolist()))
-    return _violations(model, values)
-
-
 def check_oblivious_feasibility(
     spec: TorusSpec, k: int, model: LpModel, policy: OriginPolicy,
     theta: float, duals: dict[str, float],
@@ -573,14 +550,12 @@ def check_oblivious_feasibility(
         weight = dict(weights).get(gam)
         if weight != k:
             raise ValueError(f"{name} weighs {gam} by {weight}, not k={k}")
-    index = _OrbitIndex(spec)
-    _, names = index.table()
     # each orbit's value is its member first in nodes() x edges() order, that
     # is [t, u, dir]; the origin's own slab names no variable
-    n = spec.num_nodes
-    _, first = np.unique(index.rep[1:].transpose(0, 2, 1), return_index=True)
+    index, n = _OrbitIndex(spec), spec.num_nodes
+    keys, first = np.unique(index.rep[1:].transpose(0, 2, 1), return_index=True)
     flows = policy.flows.reshape(n, 4, n)[1:].transpose(0, 2, 1).ravel()[first]
-    values = dict(zip(names, flows.tolist()))
+    values = dict(zip(index.names(keys), flows.tolist()))
     values["th"] = theta
     values.update(duals)
     return _violations(model, values)

@@ -314,11 +314,12 @@ def build_ring_lb(spec: TorusSpec) -> OriginPolicy:
 
 
 def gllb_radii(spec: TorusSpec, k: int) -> tuple[int, int]:
-    """Stem radii minimizing the worst-case bound for k-limited traffic."""
+    """Stem radii minimizing the worst-case bound for k-limited traffic,
+    capped at half of each extent so that :func:`build_gllb` accepts them."""
     c1, c2 = spec.cap_vertical, spec.cap_horizontal
     r1 = max(1, math.ceil(math.sqrt(c1 * k / (2 * c2))))
     r2 = max(1, math.ceil(math.sqrt(c2 * k / (2 * c1))))
-    return r1, r2
+    return min(r1, spec.rows // 2), min(r2, spec.cols // 2)
 
 
 def _probe_high_cut(spec: TorusSpec, r1: int, r2: int) -> bool:

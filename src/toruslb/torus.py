@@ -8,8 +8,7 @@ worst-case evaluator's representative edge points in ``POS_VERT``.
 
 Symmetries are arithmetic.  A :class:`Direction` is two bits, so the point
 group acts on directions by xor, and :func:`automorphism_index_maps` gives a
-symmetry's action on node arrays from the coordinate grids in one pass;
-:func:`apply_automorphism` is the same map for one node.
+symmetry's action on node arrays from the coordinate grids in one pass.
 """
 
 from __future__ import annotations
@@ -179,43 +178,15 @@ class Automorphism:
     reflect_origin: bool = False
 
 
-def _check_valid(spec: TorusSpec, phi: Automorphism) -> None:
-    if phi.reflect_xy and not spec.is_square_symmetric():
-        raise InvalidAutomorphism(
-            "reflection about x=y requires a square torus with equal capacities"
-        )
-
-
-def apply_automorphism(spec: TorusSpec, phi: Automorphism, u: Node) -> Node:
-    _check_valid(spec, phi)
-    x, y = u.x, u.y
-    if phi.reflect_xy:
-        x, y = y, x
-    if phi.reflect_origin:
-        x, y = -x, -y
-    return spec.wrap(x + phi.translation.x, y + phi.translation.y)
-
-
-def apply_to_direction(phi: Automorphism, d: Direction) -> Direction:
-    """x=y swaps the axis bit and the origin reflection flips the sign bit."""
-    return Direction(d ^ 2 * phi.reflect_xy ^ phi.reflect_origin)
-
-
-def apply_to_edge(spec: TorusSpec, phi: Automorphism, edge: DirectedEdge) -> DirectedEdge:
-    return DirectedEdge(
-        apply_automorphism(spec, phi, edge.tail), apply_to_direction(phi, edge.dir)
-    )
-
-
 def automorphism_index_maps(
     spec: TorusSpec, phi: Automorphism
 ) -> tuple[np.ndarray, np.ndarray]:
     """phi as index permutations for arrays over nodes and directions: the
     flat index ``y * cols + x`` of each node's image, in :meth:`TorusSpec.nodes`
-    order, and each direction's image, in :class:`Direction` order.  The node
-    images are :func:`apply_automorphism` on the coordinate grids: swap,
-    negate, translate, wrap."""
-    _check_valid(spec, phi)
+    order, and each direction's image, in :class:`Direction` order: the
+    coordinate grids swapped, negated, translated and wrapped."""
+    if phi.reflect_xy and not spec.is_square_symmetric():
+        raise InvalidAutomorphism("reflection about x=y requires a square torus with equal capacities")
     y, x = np.divmod(np.arange(spec.num_nodes), spec.cols)
     if phi.reflect_xy:
         x, y = y, x

@@ -1,6 +1,8 @@
 """The per-row dict parser and dict-walk feasibility check that
 :mod:`toruslb.lpexport` used before its model became CSR arrays, kept as the
-reference for ``parse_lp``, ``_violations`` and both ``check_*`` functions.
+reference for ``parse_lp``, ``_violations`` and
+``check_oblivious_feasibility``; its ``check_opt_feasibility`` is the one
+check of the fixed-demand program.
 
 Each constraint here is a ``{name: coefficient}`` dict read by a per-token
 Python loop, and each row's left-hand side is a running sum over that dict;
@@ -162,9 +164,10 @@ def violations(model: LpModel, values: dict[str, float]) -> list[str]:
     return failures
 
 
-def check_opt_feasibility(spec, demand, model: LpModel, pair_flows, theta) -> list[str]:
-    """The fixed-demand check on a dict model: per-pair flows and a load
-    bound substituted by name."""
+def opt_values(spec, demand, pair_flows, theta) -> dict[str, float]:
+    """The fixed-demand program's variables by name: per-pair flows
+    (``[dir, y, x]`` slabs, as ``Policy.pair_flows`` returns them) and the
+    load bound."""
     values: dict[str, float] = {"th": theta}
     pairs = sorted(demand.entries)
     names, m = _f_names(spec, len(pairs)), 4 * spec.num_nodes
@@ -172,18 +175,23 @@ def check_opt_feasibility(spec, demand, model: LpModel, pair_flows, theta) -> li
         flows = pair_flows.get(pair)
         if flows is not None:
             values.update(zip(names[p * m : (p + 1) * m], np.ravel(flows).tolist()))
-    return violations(model, values)
+    return values
+
+
+def check_opt_feasibility(spec, demand, model: LpModel, pair_flows, theta) -> list[str]:
+    """The fixed-demand check on a dict model: per-pair flows and a load
+    bound substituted by name."""
+    return violations(model, opt_values(spec, demand, pair_flows, theta))
 
 
 def check_oblivious_feasibility(spec, model: LpModel, policy, theta, duals) -> list[str]:
     """The reduced-program check on a dict model: each orbit variable reads
     its member first in ``[t, u, dir]`` order, then the duals and theta."""
     index = _OrbitIndex(spec)
-    _, names = index.table()
     n = spec.num_nodes
-    _, first = np.unique(index.rep[1:].transpose(0, 2, 1), return_index=True)
+    keys, first = np.unique(index.rep[1:].transpose(0, 2, 1), return_index=True)
     flows = policy.flows.reshape(n, 4, n)[1:].transpose(0, 2, 1).ravel()[first]
-    values = dict(zip(names, flows.tolist()))
+    values = dict(zip(index.names(keys), flows.tolist()))
     values["th"] = theta
     values.update(duals)
     return violations(model, values)

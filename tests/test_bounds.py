@@ -165,10 +165,7 @@ def test_gllb_within_general_bounds(dims):
     for k in (2, 8, 18):
         if k > spec.num_nodes // 2:
             continue
-        r1, r2 = gllb_radii(spec, k)
-        r1 = min(r1, spec.rows // 2)
-        r2 = min(r2, spec.cols // 2)
-        policy = build_gllb(spec, r1, r2)
+        policy = build_gllb(spec, *gllb_radii(spec, k))
         bs = general_torus_bounds(spec, k)
         value = worst_case_load(policy, k).value
         assert bs.general_lb - 1e-9 <= value, (dims, k, value)

@@ -76,14 +76,15 @@ def test_evaluate_stdout_pinned(capsys):
 
 
 # sha256 of the --out file and the stderr line of one run of each command
-# that no other pin covers, recorded before the commands shared one writer
+# that no other pin covers, recorded before the commands shared one writer;
+# the worst-case pins again once the witness block ended its lines in \n
 COMMAND_DIGESTS = {
     "bounds": (["bounds", "--n", "8", "--k", "18"],
                "4c78304f3be19fad66d90e6549e4f5aa1a09d8e47458e13f70c2b99cfd2b005d", ""),
     "worst-case-llb": (["worst-case", "--n", "10", "--scheme", "llb", "--r", "3", "--k", "18"],
-                       "4a2208d72481ffb44712478b5e868f8680771a13e93c060bc51fe48f399760d7", ""),
+                       "c4612080d3a6f32ed58614fbc760ca728263ff0fcb28ad6b915b9a2a86e67030", ""),
     "worst-case-gllb": (["worst-case", "--n", "8", "--m", "10", "--c1", "2", "--scheme", "gllb", "--k", "8"],
-                        "ac41e477c486751fe4ff088af90e1ed50c48615931640b31dcc2073f14d3152d", ""),
+                        "6435a2d7096ad753c2b95e321e67945ea0e03de4e2e6ac36ae512856d6ad692a", ""),
     "evaluate": (["evaluate", "--n", "8", "--scheme", "vlb", "--traffic", "random", "--k", "5", "--seed", "3"],
                  "2d16aeb36489033b550edeaec16f6b4a2ea99ee872e0f64ab907a96b338e3c59", ""),
     "export-lp": (["export-lp", "--n", "5", "--k", "3"],
@@ -262,7 +263,7 @@ def test_table1_with_k8_diamond_row_at_least_one(tmp_path):
 
 
 def test_worst_case_gllb_caps_radii_at_half_extent(tmp_path):
-    # gllb_radii gives (4, 4) on 4x10 at k=20; the CLI caps them at (2, 5)
+    # gllb_radii caps its (4, 4) on 4x10 at k=20 at half of each extent, (2, 4),
     # and the bisection-limited geometry routes by ring load balancing
     rc, text = run_cli(
         ["worst-case", "--scheme", "gllb", "--n", "4", "--m", "10", "--k", "20"],

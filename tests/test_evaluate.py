@@ -524,15 +524,13 @@ def grid_instances():
 
             def build(dims=dims, k=k):
                 spec = TorusSpec(*dims)
-                r1, r2 = gllb_radii(spec, k)
-                return build_gllb(spec, min(r1, spec.rows // 2), min(r2, spec.cols // 2))
+                return build_gllb(spec, *gllb_radii(spec, k))
 
             yield f"gllb-{dims[0]}x{dims[1]}-k{k}", build, {k}
 
     def build_asymmetric():
         spec = TorusSpec(6, 6, cap_vertical=2.0, cap_horizontal=1.0)
-        r1, r2 = gllb_radii(spec, 4)
-        return build_gllb(spec, min(r1, 2), max(1, min(r2, 2)))
+        return build_gllb(spec, *gllb_radii(spec, 4))
 
     yield "gllb-6x6-caps2x1", build_asymmetric, {4}
     yield "ecmp-8x8", lambda: build_ecmp(TorusSpec(8, 8)), {18}

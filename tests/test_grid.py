@@ -22,11 +22,7 @@ def llb_policies(n):
 
 def gllb_policies(dims):
     spec = TorusSpec(*dims)
-    policies = []
-    for k in (2, 8):
-        r1, r2 = gllb_radii(spec, k)
-        policies.append(build_gllb(spec, min(r1, spec.rows // 2), min(r2, spec.cols // 2)))
-    return policies
+    return [build_gllb(spec, *gllb_radii(spec, k)) for k in (2, 8)]
 
 
 def grid_policies(dims):
@@ -75,8 +71,7 @@ def test_gllb_on_rectangles(dims):
 
 def test_gllb_asymmetric_capacities():
     spec = TorusSpec(6, 6, cap_vertical=2.0, cap_horizontal=1.0)
-    r1, r2 = gllb_radii(spec, 4)
-    policy = build_gllb(spec, min(r1, 2), max(1, min(r2, 2)))
+    policy = build_gllb(spec, *gllb_radii(spec, 4))
     assert validate_policy(policy) == []
     # unequal capacities break the x=y symmetry, so only the origin
     # reflection is checked; it must still hold

@@ -17,8 +17,8 @@ from toruslb.evaluate import (
 from toruslb.lpexport import (
     _OrbitIndex,
     _write_lp,
+    _violations,
     check_oblivious_feasibility,
-    check_opt_feasibility,
     export_opt_lp,
     export_reduced_oblivious_lp,
     load_edge_classes,
@@ -28,18 +28,12 @@ from toruslb.lpexport import (
 )
 from toruslb.policy import OriginPolicy
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
-from toruslb.torus import (
-    Direction,
-    Node,
-    TorusSpec,
-    apply_automorphism,
-    apply_to_edge,
-    point_group,
-)
+from toruslb.torus import Direction, Node, TorusSpec, point_group
 from toruslb.traffic import TrafficMatrix, gen_hotspot, gen_split_diamond
 
 from tests import lp_oracle
-from tests.lp_oracle import LpConstraint, LpModel, dict_view
+from tests.lp_oracle import dict_view
+from tests.symmetry_oracle import apply_automorphism, apply_to_edge
 
 
 def export_text(spec, k):
@@ -150,32 +144,30 @@ def test_infeasible_theta_is_caught():
 
 def test_opt_lp_accepts_real_routing():
     from toruslb.evaluate import edge_loads
-    from toruslb.lpexport import check_opt_feasibility
     from toruslb.schemes import build_ecmp
 
     spec = TorusSpec(6, 6)
     demand = gen_split_diamond(spec, 2)
     buf = io.StringIO()
     export_opt_lp(spec, demand, buf)
-    model = parse_lp(buf.getvalue())
+    model = dict_view(parse_lp(buf.getvalue()))
     policy = build_ecmp(spec)
     flows = {pair: policy.pair_flows(*pair) for pair in demand.entries}
     theta = edge_loads(policy, demand).max_load
-    assert check_opt_feasibility(spec, demand, model, flows, theta) == []
+    assert lp_oracle.check_opt_feasibility(spec, demand, model, flows, theta) == []
     # an understated bound must violate some load constraint
-    assert check_opt_feasibility(spec, demand, model, flows, theta / 2)
+    assert lp_oracle.check_opt_feasibility(spec, demand, model, flows, theta / 2)
 
 
 def test_opt_feasibility_reports_bound_violations():
     from toruslb.evaluate import edge_loads
-    from toruslb.lpexport import check_opt_feasibility
     from toruslb.traffic import gen_hotspot
 
     spec = TorusSpec(6, 6)
     demand = gen_hotspot(spec, 4)
     buf = io.StringIO()
     export_opt_lp(spec, demand, buf)
-    model = parse_lp(buf.getvalue())
+    model = dict_view(parse_lp(buf.getvalue()))
     policy = build_ecmp(spec)
     flows = {pair: policy.pair_flows(*pair).copy() for pair in demand.entries}
     theta = edge_loads(policy, demand).max_load
@@ -186,7 +178,7 @@ def test_opt_feasibility_reports_bound_violations():
     for d, x, y in ((Direction.POS_HOR, 3, 3), (Direction.POS_VERT, 4, 3),
                     (Direction.NEG_HOR, 4, 4), (Direction.NEG_VERT, 3, 4)):
         first[d, y, x] -= 0.5
-    assert check_opt_feasibility(spec, demand, model, flows, theta) == [
+    assert lp_oracle.check_opt_feasibility(spec, demand, model, flows, theta) == [
         "bound f_p0_e3_3_ph: -0.5 < 0.0",
         "bound f_p0_e3_4_nv: -0.5 < 0.0",
         "bound f_p0_e4_3_pv: -0.5 < 0.0",
@@ -401,94 +393,10 @@ def test_exponent_coefficients_roundtrip():
     assert loads["load_e0_0_ph"] == {"f_p0_e0_0_ph": 1e-5, "f_p1_e0_0_ph": 2.5e20, "th": -1.0}
 
 
-# The regex parser parse_lp had before it read by tokens, kept as the
-# reference.  Its term pattern splits an exponent such as ``1e-05`` into a
-# variable ``e`` and a coefficient, so it is compared only on programs whose
-# coefficients print without one.
-_ORACLE_TERM_RE = re.compile(r"([+-])\s*([0-9.eE+-]*?)\s*([A-Za-z_][A-Za-z0-9_]*)")
-_ORACLE_ENTRY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*\s*:")
-
-
-def _oracle_expression(text):
-    terms = {}
-    if not text.lstrip().startswith(("+", "-")):
-        text = "+ " + text
-    for sign, mag, name in _ORACLE_TERM_RE.findall(text):
-        coef = float(mag) if mag not in ("", "+", "-") else 1.0
-        if sign == "-":
-            coef = -coef
-        terms[name] = terms.get(name, 0.0) + coef
-    return terms
-
-
-def oracle_parse_lp(text):
-    sections = {"minimize", "maximize", "subject to", "bounds", "end"}
-    entries = []
-    mode = None
-    sense = "min"
-    for raw in text.splitlines():
-        ln = raw.strip()
-        if not ln or ln.startswith("\\"):
-            continue
-        low = ln.lower()
-        if low in sections:
-            if low == "minimize":
-                sense, mode = "min", "obj"
-            elif low == "maximize":
-                sense, mode = "max", "obj"
-            elif low == "subject to":
-                mode = "cons"
-            elif low == "bounds":
-                mode = "bounds"
-            else:
-                mode = "end"
-            continue
-        if mode == "end":
-            break
-        if mode == "bounds" or _ORACLE_ENTRY_RE.match(ln) or not entries:
-            entries.append((mode, ln))
-        else:
-            prev_mode, prev = entries[-1]
-            entries[-1] = (prev_mode, prev + " " + ln)
-
-    objective = {}
-    constraints = []
-    bounds = {}
-    for entry_mode, ln in entries:
-        if entry_mode == "obj":
-            body = ln.split(":", 1)[1] if ":" in ln else ln
-            objective.update(_oracle_expression(body))
-        elif entry_mode == "cons":
-            name, body = ln.split(":", 1)
-            m = re.search(r"(<=|>=|=)\s*([0-9.eE+-]+)\s*$", body)
-            if not m:
-                raise ValueError(f"cannot parse constraint: {ln!r}")
-            constraints.append(
-                LpConstraint(
-                    name=name.strip(),
-                    terms=_oracle_expression(body[: m.start()]),
-                    sense=m.group(1),
-                    rhs=float(m.group(2)),
-                )
-            )
-        elif entry_mode == "bounds":
-            two = re.match(
-                r"([0-9.eE+-]+)\s*<=\s*([A-Za-z_][A-Za-z0-9_]*)\s*<=\s*([0-9.eE+-]+)", ln
-            )
-            one = re.match(r"([0-9.eE+-]+)\s*<=\s*([A-Za-z_][A-Za-z0-9_]*)\s*$", ln)
-            if two:
-                bounds[two.group(2)] = (float(two.group(1)), float(two.group(3)))
-            elif one:
-                bounds[one.group(2)] = (float(one.group(1)), None)
-            else:
-                raise ValueError(f"cannot parse bound: {ln!r}")
-    return LpModel(sense=sense, objective=objective, constraints=constraints, bounds=bounds)
-
-
 @st.composite
 def small_programs(draw):
     """A torus of 3-7 x 3-7 with capacities in {1, 2}, k in 1-4, and a demand
-    of one to four pairs whose amounts print without an exponent."""
+    of one to four pairs, some of whose amounts print with an exponent."""
     spec = TorusSpec(
         draw(st.integers(3, 7)),
         draw(st.integers(3, 7)),
@@ -497,20 +405,20 @@ def small_programs(draw):
     )
     nodes = list(spec.nodes())
     pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(lambda p: p[0] != p[1])
-    amount = st.floats(1e-3, 1e3)
+    amount = st.floats(1e-3, 1e3) | st.floats(1e-12, 1e-5) | st.floats(1e17, 1e20)
     entries = draw(st.dictionaries(pair, amount, min_size=1, max_size=4))
     return spec, draw(st.integers(1, 4)), TrafficMatrix(spec, entries)
 
 
 @settings(max_examples=30, deadline=None)
 @given(small_programs())
-def test_parse_lp_matches_regex_oracle(program):
+def test_parse_lp_matches_dict_oracle(program):
     spec, k, demand = program
     reduced, _ = export_text(spec, k)
     buf = io.StringIO()
     export_opt_lp(spec, demand, buf)
     for text in (reduced, buf.getvalue()):
-        assert dict_view(parse_lp(text)) == oracle_parse_lp(text)
+        assert dict_view(parse_lp(text)) == lp_oracle.parse_lp(text)
 
 
 def test_parse_lp_joins_a_break_between_coefficient_and_name():
@@ -529,7 +437,7 @@ def test_parse_lp_joins_a_break_between_coefficient_and_name():
         "End",
     ])
     model = dict_view(parse_lp(text))
-    assert model == oracle_parse_lp(text)
+    assert model == lp_oracle.parse_lp(text)
     assert [c.terms for c in model.constraints] == [
         {"x": 2.0, "y": 1.0, "th": -0.5}, {"x": -1.0, "y": 1.0}
     ]
@@ -543,7 +451,7 @@ def test_parse_lp_adds_a_name_repeated_in_a_row():
         "End",
     ])
     model = dict_view(parse_lp(text))
-    assert model == oracle_parse_lp(text)
+    assert model == lp_oracle.parse_lp(text)
     assert [c.terms for c in model.constraints] == [
         {"y": 1.0, "th": 1.0}, {"x": 0.0, "y": 1.0}, {"y": 3.0, "th": -1.0}
     ]
@@ -608,8 +516,9 @@ def test_parse_lp_reads_back_the_built_program_exactly(build, export):
 @given(small_programs(), st.sampled_from([build_ecmp, build_vlb]), st.integers(0, 2**32 - 1),
        st.sampled_from([0.0, 1e-9, 1e-3, 0.2]), st.floats(0.0, 3.0))
 def test_feasibility_checks_match_dict_oracle(program, build, seed, noise, theta):
-    """Perturbed flows, random duals and any theta: the array checks report
-    exactly the oracle's failure strings, in the same order."""
+    """Perturbed flows, random duals and any theta: the oblivious check, and
+    the row check on the fixed-demand program, report exactly the oracle's
+    failure strings, in the same order."""
     spec, k, demand = program
     rng = np.random.default_rng(seed)
     policy = build(spec)
@@ -626,8 +535,9 @@ def test_feasibility_checks_match_dict_oracle(program, build, seed, noise, theta
     export_opt_lp(spec, demand, buf)
     pairs = sorted(demand.entries)[: rng.integers(len(demand.entries) + 1)]
     pair_flows = {pair: perturbed.pair_flows(*pair) for pair in pairs}
-    assert check_opt_feasibility(spec, demand, parse_lp(buf.getvalue()), pair_flows, theta) == (
-        lp_oracle.check_opt_feasibility(spec, demand, lp_oracle.parse_lp(buf.getvalue()), pair_flows, theta)
+    values = lp_oracle.opt_values(spec, demand, pair_flows, theta)
+    assert _violations(parse_lp(buf.getvalue()), values) == (
+        lp_oracle.violations(lp_oracle.parse_lp(buf.getvalue()), values)
     )
 
 

@@ -197,8 +197,28 @@ def test_vlb_equals_two_phase_ecmp_average(dims):
 def test_gllb_radii_formula():
     assert gllb_radii(TorusSpec(10, 10), 18) == (3, 3)
     assert gllb_radii(TorusSpec(4, 10), 8) == (2, 2)
-    r1, r2 = gllb_radii(TorusSpec(6, 8, cap_vertical=4.0, cap_horizontal=1.0), 8)
-    assert (r1, r2) == (4, 1)
+    # the formula's (4, 1) capped at half of the 6 rows
+    assert gllb_radii(TorusSpec(6, 8, cap_vertical=4.0, cap_horizontal=1.0), 8) == (3, 1)
+
+
+def test_gllb_radii_stay_in_build_gllb_domain():
+    """Every k up to NM/2 on 3..12 x 3..12 with three capacity pairs gives
+    radii that build_gllb accepts; the uncapped formula left 4,742 of these
+    8,400 cases outside.  GLLB is built once per torus and radii at a cap."""
+    cases, at_cap = 0, set()
+    for rows in range(3, 13):
+        for cols in range(3, 13):
+            for caps in ((1.0, 1.0), (2.0, 1.0), (1.0, 4.0)):
+                spec = TorusSpec(rows, cols, *caps)
+                for k in range(1, rows * cols // 2 + 1):
+                    r1, r2 = gllb_radii(spec, k)
+                    assert 1 <= r1 <= rows // 2 and 1 <= r2 <= cols // 2, (spec, k, r1, r2)
+                    if r1 == rows // 2 or r2 == cols // 2:
+                        at_cap.add((spec, r1, r2))
+                    cases += 1
+    assert cases == 8400
+    for spec, r1, r2 in at_cap:
+        assert build_gllb(spec, r1, r2).spec == spec
 
 
 def test_gllb_matches_llb_on_square():
