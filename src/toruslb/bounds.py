@@ -67,10 +67,9 @@ def llb_load_upper(r: int, k: int) -> float:
     return r / 4 + k / (8 * r)
 
 
-def best_llb_radius(k: int, max_r: int | None = None) -> int:
-    """Integer radius minimizing llb_load_upper."""
-    candidates = range(1, (max_r or max(1, k)) + 1)
-    return min(candidates, key=lambda r: (llb_load_upper(r, k), r))
+def best_llb_radius(k: int, max_r: int) -> int:
+    """Integer radius in [1, max_r] minimizing llb_load_upper, the lowest on ties."""
+    return min(range(1, max_r + 1), key=lambda r: (llb_load_upper(r, k), r))
 
 
 def normalized_size(spec: TorusSpec) -> float:

@@ -22,7 +22,7 @@ from toruslb import bounds as bounds_mod
 from toruslb.evaluate import edge_loads, run_trials, worst_case_load, worst_case_profile
 from toruslb.lpexport import LpCounts, export_opt_lp, export_reduced_oblivious_lp
 from toruslb.policy import OriginPolicy, edge_entries
-from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb, gllb_radii
+from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb, gllb_radii, llb_radius
 from toruslb.torus import TorusSpec
 from toruslb.traffic import (
     TrafficMatrix,
@@ -55,14 +55,8 @@ def _spec(args: argparse.Namespace) -> TorusSpec:
     return TorusSpec(args.n, args.m if args.m is not None else args.n, args.c1, args.c2)
 
 
-def _best_radius(n: int, k: int) -> int:
-    """The radius minimizing ``llb_load_upper`` for k among those that LLB
-    allows on an n x n torus, 1 <= r < n/2."""
-    return bounds_mod.best_llb_radius(k, max_r=max(1, (n - 1) // 2))
-
-
 def _radius(args: argparse.Namespace) -> int:
-    return args.r if args.r is not None else _best_radius(args.n, args.k)
+    return args.r if args.r is not None else llb_radius(_spec(args), args.k)
 
 
 def _build_scheme(name: str, args: argparse.Namespace) -> OriginPolicy:
@@ -156,7 +150,7 @@ def cmd_bounds(args: argparse.Namespace) -> None:
     spec = _spec(args)
     if args.k > spec.rows * spec.cols // 2:
         raise ValueError("k range must stay within N^2/2")
-    radius = {k: _best_radius(spec.rows, k) for k in range(2, args.k + 1)}
+    radius = {k: llb_radius(spec, k) for k in range(2, args.k + 1)}
     # one build and one matching run per radius, to the largest k it serves
     kmax = {r: k for k, r in radius.items()}
     measured = {r: worst_case_profile(build_llb(spec, r), kmax[r]).tolist() for r in kmax}

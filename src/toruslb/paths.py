@@ -274,11 +274,11 @@ def max_flow(
     ``capacity[dir, y, x]`` is the capacity of the edge leaving (x, y) in
     direction ``dir``, 0 removing it; it defaults to the spec's link
     capacities.  Rational values are scaled to integers so the value and cut
-    agree exactly; a capacity that is negative, or not a fraction with
-    denominator at most 10**6, raises ``ValueError`` instead of being
-    clamped or rounded, and so does a source or sink off the grid.  The cut
-    is the one around the nodes reachable from the sources in the residual
-    graph, the same for every maximum flow.
+    agree exactly; a capacity that is negative, not finite, or not a
+    fraction with denominator at most 10**6, raises ``ValueError`` instead of
+    being clamped or rounded, and so does a source or sink off the grid.
+    The cut is the one around the nodes reachable from the sources in the
+    residual graph, the same for every maximum flow.
     """
     if sources & sinks:
         raise PathError("sources and sinks must be disjoint")
@@ -291,6 +291,8 @@ def max_flow(
     values, inverse = np.unique(capacity.ravel(), return_inverse=True)
     if values[0] < 0:
         raise ValueError(f"capacity {values[0].item()!r} is negative")
+    if not np.isfinite(values[-1]):  # np.unique sorts inf and then NaN last
+        raise ValueError(f"capacity {values[-1].item()!r} is not finite")
     fracs = [Fraction(c).limit_denominator(10**6) for c in values.tolist()]
     for c, frac in zip(values.tolist(), fracs):
         if float(frac) != c:

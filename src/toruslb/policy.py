@@ -13,11 +13,11 @@ value).
 * :class:`FullPolicy` stores ``flows = F[s, t, dir, y, x]`` per pair and is
   used for symmetrization experiments and arbitrary-policy evaluation.
 
-Both classes read the slabs of many pairs at once with one array gather,
-:meth:`~OriginPolicy.gather` (``G[t - s]`` at every cell shifted by its
-source, or ``F[s, t]``); :meth:`~OriginPolicy.pair_flows` is its one-pair
-case, :func:`expand` its all-pairs case, and the load evaluator gathers a
-block of demands' pairs in one call.
+Both classes are read only through :meth:`~OriginPolicy.gather`, the slabs
+of many pairs in one array gather (``G[t - s]`` at every cell shifted by
+its source, or ``F[s, t]``), and :meth:`~OriginPolicy.on_edge`, every
+pair's flow on one edge.  :func:`expand` is gather's all-pairs case, and
+the load evaluator gathers a block of demands' pairs in one call.
 
 A zero slab means the policy routes nothing for that destination or pair;
 validation and CSV output skip it.  Translations are rolls and the point
@@ -122,11 +122,6 @@ class OriginPolicy:
         cell = slab * n + diff[src][:, None, :]
         return np.take(self.flows, cell).reshape(-1, 4, spec.rows, spec.cols)
 
-    def pair_flows(self, s: Node, t: Node) -> np.ndarray:
-        """Edge flows ``[dir, y, x]`` for the pair s -> t."""
-        src, dst = np.array([[node_index(self.spec, s)], [node_index(self.spec, t)]])
-        return self.gather(src, dst)[0]
-
     def on_edge(self, edge: DirectedEdge) -> np.ndarray:
         """``W[s, t]``: the fraction of pair s -> t on ``edge``, which is
         ``G[t - s]`` read at the edge's tail translated by -s; an off-grid
@@ -151,9 +146,6 @@ class FullPolicy:
         """Edge flows ``[k, dir, y, x]`` of the k pairs src[i] -> dst[i]."""
         return self.flows[src, dst]
 
-    def pair_flows(self, s: Node, t: Node) -> np.ndarray:
-        return self.flows[node_index(self.spec, s), node_index(self.spec, t)]
-
     def on_edge(self, edge: DirectedEdge) -> np.ndarray:
         """``W[s, t]``: the fraction of pair s -> t on ``edge``."""
         y, x = divmod(node_index(self.spec, edge.tail), self.spec.cols)
@@ -165,7 +157,7 @@ Policy = OriginPolicy | FullPolicy
 
 def validate_policy(p: Policy) -> list[str]:
     """Flow-conservation and box-bound check of every routed destination
-    (or pair); empty list means valid."""
+    (or pair), which a NaN flow fails; an empty list means valid."""
     spec = p.spec
     n = spec.num_nodes
     slabs = p.flows.reshape(-1, 4, spec.rows, spec.cols)  # origin: source 0 throughout
@@ -177,17 +169,17 @@ def validate_policy(p: Policy) -> list[str]:
     ys, xs = np.divmod(np.arange(n), spec.cols)
     balance[np.arange(len(routed)), ys[src], xs[src]] -= 1.0
     balance[np.arange(len(routed)), ys[dst], xs[dst]] += 1.0
-    out_of_box = ((slabs < -BOUND_TOL) | (slabs > 1.0 + BOUND_TOL)).any(axis=(1, 2, 3))
-    unbalanced = (np.abs(balance) > CONSERVATION_TOL).any(axis=(1, 2))
+    out_of_box = ~((slabs >= -BOUND_TOL) & (slabs <= 1.0 + BOUND_TOL)).all(axis=(1, 2, 3))
+    unbalanced = ~(np.abs(balance) <= CONSERVATION_TOL).all(axis=(1, 2))
     nodes = list(spec.nodes())
     violations: list[str] = []
     for i in np.flatnonzero(out_of_box | unbalanced):
         s, t = nodes[src[i]], nodes[dst[i]]
         label = f"dest {t}" if isinstance(p, OriginPolicy) else f"pair {s}->{t}"
         for edge, v in edge_entries(slabs[i]):
-            if v < -BOUND_TOL or v > 1.0 + BOUND_TOL:
+            if not -BOUND_TOL <= v <= 1.0 + BOUND_TOL:
                 violations.append(f"{label}: flow {v!r} on {edge} outside [0, 1]")
-        for y, x in zip(*np.nonzero(np.abs(balance[i]) > CONSERVATION_TOL)):
+        for y, x in zip(*np.nonzero(~(np.abs(balance[i]) <= CONSERVATION_TOL))):
             node = Node(int(x), int(y))
             violations.append(f"{label}: node {node} residual {balance[i, y, x]:.3e}")
     return violations

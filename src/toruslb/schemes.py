@@ -36,6 +36,7 @@ import math
 
 import numpy as np
 
+from toruslb.bounds import best_llb_radius
 from toruslb.paths import (
     CutTooSmall,
     PathError,
@@ -310,7 +311,13 @@ def build_ring_lb(spec: TorusSpec) -> OriginPolicy:
 
 
 # ---------------------------------------------------------------------------
-# GLLB
+# Radii for k-limited traffic, and GLLB
+
+
+def llb_radius(spec: TorusSpec, k: int) -> int:
+    """The radius minimizing ``llb_load_upper`` for k among those that
+    :func:`build_llb` accepts on ``spec``, 1 <= r < rows/2 (1 when none is)."""
+    return best_llb_radius(k, max(1, (spec.rows - 1) // 2))
 
 
 def gllb_radii(spec: TorusSpec, k: int) -> tuple[int, int]:

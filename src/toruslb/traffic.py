@@ -86,42 +86,28 @@ _RATE_TOL = 1e-9
 def classify(d: TrafficMatrix, k: int) -> TrafficClassReport:
     """Check hose, k-limited, and k-sparse membership, reporting every
     violation found rather than stopping at the first."""
-    violations: list[str] = []
     out_rate: dict[Node, float] = {}
     in_rate: dict[Node, float] = {}
     for (s, t), demand in d.entries.items():
         out_rate[s] = out_rate.get(s, 0.0) + demand
         in_rate[t] = in_rate.get(t, 0.0) + demand
-
-    is_hose = True
-    for s, rate in sorted(out_rate.items()):
-        if rate > 1.0 + _RATE_TOL:
-            is_hose = False
-            violations.append(f"source {s} rate {rate:.6g} exceeds 1")
-    for t, rate in sorted(in_rate.items()):
-        if rate > 1.0 + _RATE_TOL:
-            is_hose = False
-            violations.append(f"sink {t} rate {rate:.6g} exceeds 1")
-
+    sides = (("source", out_rate), ("sink", in_rate))
+    violations = [
+        f"{side} {u} rate {rate:.6g} exceeds 1"
+        for side, rates in sides
+        for u, rate in sorted(rates.items())
+        if rate > 1.0 + _RATE_TOL
+    ]
+    is_hose = not violations
     total = d.total()
-    is_k_limited = is_hose
     if total > k + _RATE_TOL:
-        is_k_limited = False
         violations.append(f"total demand {total:.6g} exceeds k={k}")
-
-    is_k_sparse = is_hose
-    num_sources, num_sinks = len(out_rate), len(in_rate)
-    if num_sources > k:
-        is_k_sparse = False
-        violations.append(f"{num_sources} sources exceed k={k}")
-    if num_sinks > k:
-        is_k_sparse = False
-        violations.append(f"{num_sinks} sinks exceed k={k}")
-
+    crowded = [f"{len(rates)} {side}s exceed k={k}" for side, rates in sides if len(rates) > k]
+    violations += crowded
     return TrafficClassReport(
         is_hose=is_hose,
-        is_k_limited=is_k_limited,
-        is_k_sparse=is_k_sparse,
+        is_k_limited=is_hose and total <= k + _RATE_TOL,
+        is_k_sparse=is_hose and not crowded,
         total=total,
         violations=violations,
     )

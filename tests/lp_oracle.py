@@ -8,7 +8,8 @@ Each constraint here is a ``{name: coefficient}`` dict read by a per-token
 Python loop, and each row's left-hand side is a running sum over that dict;
 it shares no parsing or arithmetic with the array code.  :func:`dict_view`
 turns an array ``LpModel`` into this form, for tests that read one row's
-terms by name.
+terms by name.  The oblivious check names its flow variables from orbits
+built here, node by node, with :mod:`tests.symmetry_oracle`'s scalar maps.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from operator import add, mul
 
 import numpy as np
 
-from toruslb.lpexport import ROW_TOL, LpModel as ArrayModel, _f_names, _OrbitIndex
+from toruslb.lpexport import ROW_TOL, LpModel as ArrayModel, _f_names
+from toruslb.torus import DirectedEdge, Direction, point_group
+
+from tests.symmetry_oracle import apply_automorphism, apply_to_direction
 
 
 @dataclass
@@ -166,8 +170,8 @@ def violations(model: LpModel, values: dict[str, float]) -> list[str]:
 
 def opt_values(spec, demand, pair_flows, theta) -> dict[str, float]:
     """The fixed-demand program's variables by name: per-pair flows
-    (``[dir, y, x]`` slabs, as ``Policy.pair_flows`` returns them) and the
-    load bound."""
+    (``[dir, y, x]`` slabs, one row of a policy's ``gather``) and the load
+    bound."""
     values: dict[str, float] = {"th": theta}
     pairs = sorted(demand.entries)
     names, m = _f_names(spec, len(pairs)), 4 * spec.num_nodes
@@ -184,14 +188,28 @@ def check_opt_feasibility(spec, demand, model: LpModel, pair_flows, theta) -> li
     return violations(model, opt_values(spec, demand, pair_flows, theta))
 
 
+def g_name(t, edge) -> str:
+    """The oracle's own spelling of one pair's flow variable."""
+    d = ("pv", "nv", "ph", "nh")[edge.dir]
+    return f"g_t{t.x}_{t.y}_e{edge.tail.x}_{edge.tail.y}_{d}"
+
+
 def check_oblivious_feasibility(spec, model: LpModel, policy, theta, duals) -> list[str]:
-    """The reduced-program check on a dict model: each orbit variable reads
-    its member first in ``[t, u, dir]`` order, then the duals and theta."""
-    index = _OrbitIndex(spec)
-    n = spec.num_nodes
-    keys, first = np.unique(index.rep[1:].transpose(0, 2, 1), return_index=True)
-    flows = policy.flows.reshape(n, 4, n)[1:].transpose(0, 2, 1).ravel()[first]
-    values = dict(zip(index.names(keys), flows.tolist()))
+    """The reduced-program check on a dict model: each orbit variable, named
+    by the orbit's smallest ``(t.x, t.y, tail.x, tail.y, dir)`` image, reads
+    its member first in ``[t, u, dir]`` order; then the duals and theta."""
+    group = point_group(spec)
+    nodes = list(spec.nodes())
+    # every point-group image of each node and direction, one at a time
+    node_images = [[apply_automorphism(spec, phi, u) for phi in group] for u in nodes]
+    dir_images = [[apply_to_direction(phi, d) for phi in group] for d in Direction]
+    flows = policy.flows.tolist()
+    values: dict[str, float] = {}
+    for t, t_images in enumerate(node_images[1:], 1):  # the origin's slab names nothing
+        for u, (x, y) in enumerate(nodes):
+            for d in Direction:
+                dest, tail, dir_ = min(zip(t_images, node_images[u], dir_images[d]))
+                values.setdefault(g_name(dest, DirectedEdge(tail, dir_)), flows[t][d][y][x])
     values["th"] = theta
     values.update(duals)
     return violations(model, values)

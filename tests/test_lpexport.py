@@ -34,6 +34,7 @@ from toruslb.traffic import TrafficMatrix, gen_hotspot, gen_split_diamond
 from tests import lp_oracle
 from tests.lp_oracle import dict_view
 from tests.symmetry_oracle import apply_automorphism, apply_to_edge
+from tests.test_policy import pair_slab
 
 
 def export_text(spec, k):
@@ -152,7 +153,7 @@ def test_opt_lp_accepts_real_routing():
     export_opt_lp(spec, demand, buf)
     model = dict_view(parse_lp(buf.getvalue()))
     policy = build_ecmp(spec)
-    flows = {pair: policy.pair_flows(*pair) for pair in demand.entries}
+    flows = {pair: pair_slab(policy, *pair) for pair in demand.entries}
     theta = edge_loads(policy, demand).max_load
     assert lp_oracle.check_opt_feasibility(spec, demand, model, flows, theta) == []
     # an understated bound must violate some load constraint
@@ -169,7 +170,7 @@ def test_opt_feasibility_reports_bound_violations():
     export_opt_lp(spec, demand, buf)
     model = dict_view(parse_lp(buf.getvalue()))
     policy = build_ecmp(spec)
-    flows = {pair: policy.pair_flows(*pair).copy() for pair in demand.entries}
+    flows = {pair: pair_slab(policy, *pair) for pair in demand.entries}
     theta = edge_loads(policy, demand).max_load
     # a -0.5 circulation around the unit square with corner (3, 3), off the
     # first pair's route: conservation still holds and no load rises, so only
@@ -271,12 +272,6 @@ def test_lp_writer_holds_a_fraction_of_the_text():
     assert peak <= 1.0 * sink.chars
 
 
-def _g_name(t, edge):
-    """The oracle's own spelling of one pair's flow variable."""
-    d = ("pv", "nv", "ph", "nh")[edge.dir]
-    return f"g_t{t.x}_{t.y}_e{edge.tail.x}_{edge.tail.y}_{d}"
-
-
 def orbit_head_name(spec, t, edge):
     """Reference: the name of the smallest point-group image of (t, edge),
     found by applying every automorphism."""
@@ -284,7 +279,7 @@ def orbit_head_name(spec, t, edge):
         (apply_automorphism(spec, phi, t), apply_to_edge(spec, phi, edge))
         for phi in point_group(spec)
     ]
-    return _g_name(*min(orbit))
+    return lp_oracle.g_name(*min(orbit))
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,7 +293,7 @@ def test_orbit_names_match_automorphism_orbits(rows, cols, cap_vertical):
             expected = orbit_head_name(spec, t, edge)
             at = (t.y * cols + t.x, edge.dir, edge.tail.y * cols + edge.tail.x)
             assert index.names(np.array([index.rep[at]]))[0] == expected
-            assert index.names(np.array([index.key[at]]))[0] == _g_name(t, edge)
+            assert index.names(np.array([index.key[at]]))[0] == lp_oracle.g_name(t, edge)
             if t != Node(0, 0):
                 heads.add(expected)
     text, _ = export_text(spec, 2)
@@ -534,8 +529,8 @@ def test_feasibility_checks_match_dict_oracle(program, build, seed, noise, theta
     buf = io.StringIO()
     export_opt_lp(spec, demand, buf)
     pairs = sorted(demand.entries)[: rng.integers(len(demand.entries) + 1)]
-    pair_flows = {pair: perturbed.pair_flows(*pair) for pair in pairs}
-    values = lp_oracle.opt_values(spec, demand, pair_flows, theta)
+    flows = {pair: pair_slab(perturbed, *pair) for pair in pairs}
+    values = lp_oracle.opt_values(spec, demand, flows, theta)
     assert _violations(parse_lp(buf.getvalue()), values) == (
         lp_oracle.violations(lp_oracle.parse_lp(buf.getvalue()), values)
     )

@@ -559,6 +559,16 @@ def test_max_flow_rejects_negative_capacities():
         max_flow(TorusSpec(4, 4), {Node(0, 0)}, {Node(2, 2)}, np.full((4, 4, 4), -1.0))
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_max_flow_rejects_non_finite_capacities(value):
+    # Fraction raises OverflowError on inf and a message of its own on NaN,
+    # so the library must reject both before it scales
+    capacity = np.ones((4, 4, 4))
+    capacity[2, 1, 3] = value
+    with pytest.raises(ValueError, match=f"capacity {value!r} is not finite"):
+        max_flow(TorusSpec(4, 4), {Node(0, 0)}, {Node(2, 2)}, capacity)
+
+
 def test_max_flow_rejects_nodes_off_the_grid():
     with pytest.raises(ValueError, match=r"Node\(x=5, y=0\) is not a node of the 4x4 torus"):
         max_flow(TorusSpec(4, 4), {Node(5, 0)}, {Node(2, 2)})

@@ -26,6 +26,7 @@ from toruslb.policy import (
 )
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
 from toruslb.torus import (
+    DIRECTION_FROM_TOKEN,
     Automorphism,
     DirectedEdge,
     Direction,
@@ -33,10 +34,18 @@ from toruslb.torus import (
     TorusSpec,
     automorphism_group,
     node_add,
+    node_index,
     point_group,
 )
 
 from tests.test_evaluate import random_origin_policy
+
+
+def pair_slab(policy, s, t):
+    """Edge flows ``[dir, y, x]`` of the one pair s -> t, read through the
+    policy's ``gather``; a node off the grid raises ``ValueError``."""
+    src, dst = np.array([[node_index(policy.spec, s)], [node_index(policy.spec, t)]])
+    return policy.gather(src, dst)[0]
 
 
 def test_validate_ecmp_clean():
@@ -76,12 +85,12 @@ def test_expand_translation():
     full = expand(g)
     assert validate_policy(full) == []
     s, t_off = Node(2, 3), Node(1, 2)
-    translated = dict(edge_entries(full.pair_flows(s, node_add(spec, s, t_off))))
-    base = dict(edge_entries(g.pair_flows(Node(0, 0), t_off)))
+    translated = dict(edge_entries(pair_slab(full, s, node_add(spec, s, t_off))))
+    base = dict(edge_entries(pair_slab(g, Node(0, 0), t_off)))
     for edge, v in base.items():
         shifted = DirectedEdge(node_add(spec, edge.tail, s), edge.dir)
         assert translated[shifted] == pytest.approx(v)
-    origin_pair = dict(edge_entries(full.pair_flows(Node(0, 0), t_off)))
+    origin_pair = dict(edge_entries(pair_slab(full, Node(0, 0), t_off)))
     assert origin_pair == base
 
 
@@ -173,8 +182,8 @@ def test_policies_reject_nodes_off_the_grid(full):
         for call in (
             lambda: policy.on_edge(edge),
             lambda: pair_weights_on_edge(policy, edge),
-            lambda: policy.pair_flows(off, Node(0, 0)),
-            lambda: policy.pair_flows(Node(0, 0), off),
+            lambda: pair_slab(policy, off, Node(0, 0)),
+            lambda: pair_slab(policy, Node(0, 0), off),
         ):
             with pytest.raises(ValueError, match=re.escape(f"{off!r} is not a node of the 4x4")):
                 call()
@@ -182,7 +191,7 @@ def test_policies_reject_nodes_off_the_grid(full):
     edges = [DirectedEdge(u, Direction.POS_HOR) for u in (Node(2.0, 0), Node(2, 0))]
     assert np.array_equal(*(policy.on_edge(e) for e in edges))
     pairs = [(Node(2.0, 0), Node(0, 1.0)), (Node(2, 0), Node(0, 1))]
-    assert np.array_equal(*(policy.pair_flows(*pair) for pair in pairs))
+    assert np.array_equal(*(pair_slab(policy, *pair) for pair in pairs))
 
 
 @pytest.mark.parametrize("full", [False, True], ids=["origin", "full"])
@@ -331,6 +340,23 @@ def test_origin_policy_csv_later_row_overrides():
     assert g[1, Direction.POS_HOR, 0, 0] == 1.0
     assert np.count_nonzero(g) == 1
     assert validate_policy(OriginPolicy(TorusSpec(4, 4), g)) == []
+
+
+def test_validate_policy_rejects_a_nan_flow_read_from_csv():
+    # every comparison with NaN is False, so each box and balance check must
+    # be written so that NaN fails it
+    spec = TorusSpec(4, 4)
+    header, first, *rest = policy_to_csv(build_ecmp(spec)).splitlines()
+    fields = first.split(",")
+    text = "\n".join([header, ",".join(fields[:-1] + ["nan"]), *rest]) + "\n"
+    violations = validate_policy(origin_policy_from_csv(spec, text))
+    dst, tail = Node(int(fields[0]), int(fields[1])), Node(int(fields[2]), int(fields[3]))
+    edge = DirectedEdge(tail, DIRECTION_FROM_TOKEN[fields[4]])
+    head = node_add(spec, tail, Node(*edge.dir.delta))
+    # the flow itself, then the residual at both ends of its edge, by (y, x)
+    assert violations == [f"dest {dst}: flow nan on {edge} outside [0, 1]"] + [
+        f"dest {dst}: node {u} residual nan" for u in sorted((tail, head), key=lambda u: (u.y, u.x))
+    ]
 
 
 def test_validate_policy_names_flows_outside_the_box():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from toruslb.bounds import llb_load_upper
 from toruslb.evaluate import edge_loads, worst_case_load
 from toruslb import paths, schemes
 from toruslb.paths import PathError, RadiusTooLarge
@@ -17,14 +18,17 @@ from toruslb.schemes import (
     _probe_high_cut,
     _stem_flows,
     gllb_radii,
+    llb_radius,
 )
 from toruslb.torus import DirectedEdge, Direction, Node, TorusSpec, hop_distance
 from toruslb.traffic import gen_split_diamond
 
+from tests.test_policy import pair_slab
+
 
 def route(policy, t):
     """A policy's origin-to-t route as {DirectedEdge: fraction}."""
-    return dict(edge_entries(policy.pair_flows(Node(0, 0), t)))
+    return dict(edge_entries(pair_slab(policy, Node(0, 0), t)))
 
 
 def brute_force_shortest_paths(spec, t):
@@ -191,7 +195,7 @@ def test_vlb_equals_two_phase_ecmp_average(dims):
     for i, s in enumerate(nodes):
         for j, t in enumerate(nodes):
             if s != t:
-                np.testing.assert_allclose(vlb.pair_flows(s, t), via[i, j], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(pair_slab(vlb, s, t), via[i, j], rtol=0, atol=1e-12)
 
 
 def test_gllb_radii_formula():
@@ -219,6 +223,24 @@ def test_gllb_radii_stay_in_build_gllb_domain():
     assert cases == 8400
     for spec, r1, r2 in at_cap:
         assert build_gllb(spec, r1, r2).spec == spec
+
+
+def test_llb_radius_stays_in_build_llb_domain():
+    """Every k up to n^2/2 on n x n, n in 3..16, gives the lowest radius in
+    [1, max(1, (n - 1)//2)] that minimizes llb_load_upper, and build_llb
+    accepts it: LLB is built once per n <= 12 and radius at the cap."""
+    at_cap = set()
+    for n in range(3, 17):
+        spec, top = TorusSpec(n, n), max(1, (n - 1) // 2)
+        for k in range(1, n * n // 2 + 1):
+            r = llb_radius(spec, k)
+            assert 1 <= r <= top, (n, k, r)
+            loads = [llb_load_upper(radius, k) for radius in range(1, top + 1)]
+            assert r == 1 + loads.index(min(loads)), (n, k, r)
+            if r == top and n <= 12:
+                at_cap.add((n, r))
+    for n, r in sorted(at_cap):
+        assert build_llb(TorusSpec(n, n), r).spec == TorusSpec(n, n)
 
 
 def test_gllb_matches_llb_on_square():
