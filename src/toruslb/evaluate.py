@@ -6,7 +6,11 @@ arrays, read with one :meth:`~toruslb.policy.OriginPolicy.gather`, and
 reduced to per-demand loads and mean hops.  :func:`run_trials` evaluates its
 generated demands in such blocks, and :func:`edge_loads` is the one-demand
 block; both give what adding one pair at a time in entry order gives, to
-the bit.
+the bit.  The gathered flows are multiplied by their amounts only if some
+amount in the block is not 1.0, and divided by their capacities only if a
+capacity is not 1.0: x * 1.0 and x / 1.0 are x in IEEE 754, so the skip is
+exact, and unit demands on a unit-capacity torus (every ``table1`` trial)
+pay for neither pass.
 
 The worst case over the k-limited polytope is computed combinatorially: for a
 fixed edge the load is linear in the demand, the polytope's vertices are 0/1
@@ -99,21 +103,28 @@ def _evaluate_block(
     Bit-identical to evaluating one pair at a time: a reduction over the
     pair axis, which is not the innermost, adds each demand's rows in entry
     order; a row sum is the same pairwise sum that a lone slab's ``.sum()``
-    gives; and the hops are a running sum, from 0.0, in entry order."""
+    gives; and the hops are a running sum, from 0.0, in entry order.
+
+    The ``× amount`` passes run unless every amount in the block is 1.0, and
+    the ``÷ capacity`` pass unless both capacities are 1.0: x * 1.0 and
+    x / 1.0 are x in IEEE 754, so skipping them changes no bit."""
     spec = p.spec
     b, w = len(block), len(block[0].entries)
     cv, ch = spec.cap_vertical, spec.cap_horizontal
-    caps = np.array([cv, cv, ch, ch])[:, None, None]  # by Direction's axis bit
     flat = np.array(
         [u.y * spec.cols + u.x for d in block for pair in d.entries for u in pair], dtype=np.intp
     ).reshape(b * w, 2)  # [pair, (src, dst)]
     amount = np.array([v for d in block for v in d.entries.values()], dtype=float).reshape(b, w)
     flows = p.gather(flat[:, 0], flat[:, 1])  # a fresh array, scaled in place below
     terms = np.zeros((b, w + 1))
-    np.multiply(amount, flows.reshape(b, w, 4 * spec.num_nodes).sum(axis=2), out=terms[:, 1:])
+    terms[:, 1:] = flows.reshape(b, w, 4 * spec.num_nodes).sum(axis=2)
+    if not (amount == 1.0).all():
+        np.multiply(amount, terms[:, 1:], out=terms[:, 1:])
+        np.multiply(amount.reshape(b * w, 1, 1, 1), flows, out=flows)
     hops = terms.cumsum(axis=1)[:, -1]
-    np.multiply(amount.reshape(b * w, 1, 1, 1), flows, out=flows)
-    np.divide(flows, caps, out=flows)
+    if cv != 1.0 or ch != 1.0:
+        caps = np.array([cv, cv, ch, ch])[:, None, None]  # by Direction's axis bit
+        np.divide(flows, caps, out=flows)
     load = np.add.reduce(flows.reshape(b, w, 4, spec.rows, spec.cols), axis=1, initial=0.0)
     # every entry is positive, so a demand's total is positive iff it has entries
     avg_hops = hops / np.array([d.total() for d in block]) if w else hops

@@ -32,12 +32,13 @@ enter and leave only as these arrays: the scheme constructors write their
 routes into them, :func:`policy_to_csv` writes either class in one sorted
 walk, and :func:`origin_policy_from_csv` reads rows into ``G``, naming the
 line of a row with a wrong field count or a non-number, a node off the grid,
-destination (0, 0) or an unknown direction.
+destination (0, 0), an unknown direction or a fraction that is not finite.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from io import StringIO
@@ -280,7 +281,8 @@ def policy_to_csv(p: Policy) -> str:
 def origin_policy_from_csv(spec: TorusSpec, text: str) -> OriginPolicy:
     """:func:`policy_to_csv`'s rows of an :class:`OriginPolicy`, each written
     into ``G[t, dir, y, x]`` (a later row overrides an earlier one); a row
-    that cannot be placed raises ``ValueError`` naming its line."""
+    that cannot be placed, or whose fraction is NaN or infinite, raises
+    ``ValueError`` naming its line."""
     reader = csv.reader(StringIO(text))
     header = next(reader)
     if header != ORIGIN_CSV_HEADER:
@@ -298,7 +300,10 @@ def origin_policy_from_csv(spec: TorusSpec, text: str) -> OriginPolicy:
                 raise ValueError("destination (0, 0) is the origin, which routes nothing")
             if tok not in DIRECTION_FROM_TOKEN:
                 raise ValueError(f"unknown direction {tok!r}")
-            g[ys[0] * spec.cols + xs[0], DIRECTION_FROM_TOKEN[tok], ys[1], xs[1]] = float(v)
+            fraction = float(v)
+            if not math.isfinite(fraction):
+                raise ValueError(f"fraction {v} is not finite")
+            g[ys[0] * spec.cols + xs[0], DIRECTION_FROM_TOKEN[tok], ys[1], xs[1]] = fraction
         except ValueError as exc:
             raise ValueError(f"line {reader.line_num}: {','.join(row)}: {exc}") from None
     return OriginPolicy(spec=spec, flows=g)

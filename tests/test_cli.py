@@ -87,6 +87,10 @@ COMMAND_DIGESTS = {
                         "6435a2d7096ad753c2b95e321e67945ea0e03de4e2e6ac36ae512856d6ad692a", ""),
     "evaluate": (["evaluate", "--n", "8", "--scheme", "vlb", "--traffic", "random", "--k", "5", "--seed", "3"],
                  "2d16aeb36489033b550edeaec16f6b4a2ea99ee872e0f64ab907a96b338e3c59", ""),
+    # vertical capacity 2: the evaluator's capacity division runs
+    "evaluate-c1-2": (["evaluate", "--n", "6", "--m", "8", "--c1", "2", "--scheme", "vlb",
+                       "--traffic", "random", "--k", "5", "--seed", "3"],
+                      "e3ce420df8477450ceb4a4cd08ebdadecc710dd6899de0269c627a2dd89cabdc", ""),
     "export-lp": (["export-lp", "--n", "5", "--k", "3"],
                   "858c7abafa15064a86f79bf55dedc7915ab98ae5ef6247a1ed543c62f9c38b8d",
                   "variables=652 constraints=801 flow_variables=600\n"),

@@ -280,16 +280,21 @@ def roll_loop_loads(g: OriginPolicy, d: TrafficMatrix) -> tuple[np.ndarray, floa
 
 
 def oracle_demands(spec: TorusSpec, k: int, rng: np.random.Generator) -> list[TrafficMatrix]:
-    """Unit and fractional k-sparse demands, one-entry demands, and the empty
-    demand."""
+    """Unit and fractional k-sparse demands, a unit demand but for its last
+    entry, one-entry demands, and the empty demand.  The unit demand and the
+    two after it have one width, so a block of them mixes unit amounts, which
+    skip the evaluator's ``× amount`` passes, with amounts that need them."""
     demands = [TrafficMatrix(spec=spec, entries={})]
     for seed in range(6):
         d = gen_random_sparse(spec, k, seed)
-        demands.append(d)
         fractional = {pair: float(rng.uniform(0.01, 2.5)) for pair in d.entries}
-        demands.append(TrafficMatrix(spec=spec, entries=fractional))
-        pair = next(iter(d.entries))
-        demands.append(TrafficMatrix(spec=spec, entries={pair: float(rng.uniform(0.1, 1))}))
+        pair, *_, last = d.entries
+        single = {pair: float(rng.uniform(0.1, 1))}
+        almost_unit = {**d.entries, last: float(rng.uniform(1.01, 2.5))}
+        demands += [
+            TrafficMatrix(spec=spec, entries=entries)
+            for entries in (d.entries, almost_unit, fractional, single)
+        ]
     return demands
 
 
@@ -302,10 +307,11 @@ def oracle_demands(spec: TorusSpec, k: int, rng: np.random.Generator) -> list[Tr
         (TorusSpec(5, 7, 2.0, 1.0), build_ecmp, 6),
         (TorusSpec(5, 7, 2.0, 1.0), build_vlb, 6),
         (TorusSpec(6, 4, 0.7, 3.0), build_vlb, 5),
+        (TorusSpec(5, 7, 1.0, 2.0), build_vlb, 6),
     ],
     ids=[
         "10x10-ecmp", "10x10-vlb", "10x10-llb3",
-        "5x7-c2-1-ecmp", "5x7-c2-1-vlb", "6x4-c0.7-3-vlb",
+        "5x7-c2-1-ecmp", "5x7-c2-1-vlb", "6x4-c0.7-3-vlb", "5x7-c1-2-vlb",
     ],
 )
 def test_edge_loads_matches_roll_loop_bit_for_bit(spec, build, k):
@@ -354,6 +360,7 @@ TRIAL_CASES = {
     "5x7-c2-1-ecmp": (TorusSpec(5, 7, 2.0, 1.0), build_ecmp, 6),
     "5x7-c2-1-vlb": (TorusSpec(5, 7, 2.0, 1.0), build_vlb, 6),
     "6x4-c0.7-3-vlb": (TorusSpec(6, 4, 0.7, 3.0), build_vlb, 5),
+    "5x7-c1-2-vlb": (TorusSpec(5, 7, 1.0, 2.0), build_vlb, 6),
 }
 
 

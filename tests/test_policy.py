@@ -26,7 +26,6 @@ from toruslb.policy import (
 )
 from toruslb.schemes import build_ecmp, build_gllb, build_llb, build_ring_lb, build_vlb
 from toruslb.torus import (
-    DIRECTION_FROM_TOKEN,
     Automorphism,
     DirectedEdge,
     Direction,
@@ -326,6 +325,9 @@ def test_full_policy_csv_bytes_pinned():
         ("1,0,0,0,+h,1.0,2", "too many values"),
         ("1,0,0,0,+h,half", "could not convert"),
         ("1.5,0,0,0,+h,1.0", "invalid literal"),
+        ("1,0,0,0,+h,nan", "fraction nan is not finite"),
+        ("1,0,0,0,+h,inf", "fraction inf is not finite"),
+        ("1,0,0,0,+h,-inf", "fraction -inf is not finite"),
     ],
 )
 def test_origin_policy_csv_names_a_row_it_cannot_place(row, reason):
@@ -342,16 +344,17 @@ def test_origin_policy_csv_later_row_overrides():
     assert validate_policy(OriginPolicy(TorusSpec(4, 4), g)) == []
 
 
-def test_validate_policy_rejects_a_nan_flow_read_from_csv():
+def test_validate_policy_rejects_a_nan_flow():
     # every comparison with NaN is False, so each box and balance check must
-    # be written so that NaN fails it
+    # be written so that NaN fails it; the CSV reader refuses NaN, so the
+    # policy is built from an array
     spec = TorusSpec(4, 4)
-    header, first, *rest = policy_to_csv(build_ecmp(spec)).splitlines()
-    fields = first.split(",")
-    text = "\n".join([header, ",".join(fields[:-1] + ["nan"]), *rest]) + "\n"
-    violations = validate_policy(origin_policy_from_csv(spec, text))
-    dst, tail = Node(int(fields[0]), int(fields[1])), Node(int(fields[2]), int(fields[3]))
-    edge = DirectedEdge(tail, DIRECTION_FROM_TOKEN[fields[4]])
+    g = build_ecmp(spec).flows.copy()
+    t, d, y, x = np.argwhere(g > 0)[0].tolist()
+    g[t, d, y, x] = np.nan
+    violations = validate_policy(OriginPolicy(spec, g))
+    dst, tail = Node(t % spec.cols, t // spec.cols), Node(x, y)
+    edge = DirectedEdge(tail, Direction(d))
     head = node_add(spec, tail, Node(*edge.dir.delta))
     # the flow itself, then the residual at both ends of its edge, by (y, x)
     assert violations == [f"dest {dst}: flow nan on {edge} outside [0, 1]"] + [
