@@ -21,9 +21,11 @@ the dense ``W[s, t]`` of :meth:`on_edge` with :func:`k_matching_max`, a numpy
 shortest-augmenting-path solver.  It keeps a column-major copy of the costs in
 which matched rows read inf, so each augmentation's cheapest free row per
 column is one contiguous argmin, with no copy, and matching a row is one row
-write.  Each Dijkstra scan is one argmin and four array calls into buffers
+write.  Each Dijkstra scan is one argmin and three array calls into buffers
 allocated once per solve: the scanned row's offers go into a row of a table,
-and only the augmenting path's columns look up which offer set their label.
+labels fall through one ``np.minimum`` (which returns the old label on a tie,
+``±0.0`` included, so a tie changes no bit), and only the augmenting path's
+columns look up which offer set their label.  Weights must be finite.
 Successive shortest paths pass through a maximum matching of every size on
 the way to k (Ahuja, Magnanti & Orlin 1993), so :func:`worst_case_profile`
 reads the worst case at every k up to a bound from one run per edge.  The
@@ -159,8 +161,7 @@ def _k_matching_sparse(
     row_id = {r: i for i, r in enumerate(rows)}
     col_id = {c: j for j, c in enumerate(cols)}
     w = np.zeros((len(rows), len(cols)))
-    for (r, c), v in weights.items():
-        w[row_id[r], col_id[c]] = v
+    w[[row_id[r] for r, _ in weights], [col_id[c] for _, c in weights]] = list(weights.values())
     value, pairs, a, b, gamma = _k_matching(w, k)
     assignment = [(rows[i], cols[j]) for i, j in pairs]
     return MatchingResult(
@@ -187,7 +188,8 @@ def k_matching_max(
     that gains nothing, so the duals of :func:`_k_matching` price exactly the
     optimum; a tolerance on the gain would leave up to ``k`` uncertified gains
     below it.  Returns the value (the ``math.fsum`` of the matched weights)
-    and the sorted matched pairs of positive weight.
+    and the sorted matched pairs of positive weight.  Raises ``ValueError``
+    naming the first NaN or infinite weight, and for k < 1.
     """
     value, pairs, *_ = _k_matching(weights, k)
     return value, pairs
@@ -208,6 +210,9 @@ def _k_matching(
     if k < 1:
         raise ValueError("k must be at least 1")
     w = np.atleast_2d(np.asarray(weights, dtype=float))
+    if not np.isfinite(w).all():
+        index = [int(v) for v in np.unravel_index(np.isfinite(w).argmin(), w.shape)]
+        raise ValueError(f"weights{index} is {w[tuple(index)]}; weights must be finite")
     a, b = np.zeros(w.shape[0]), np.zeros(w.shape[1])
     rows = np.flatnonzero((w > 0).any(axis=1))
     cols = np.flatnonzero((w > 0).any(axis=0))
@@ -232,7 +237,7 @@ def _k_matching(
     m = min(k, nr, nc)
     offers = np.empty((m, nc))
     offer_rows, cost_rows = list(offers), list(cost)
-    key, better = np.empty(nc), np.empty(nc, dtype=bool)
+    key = np.empty(nc)
     lift = np.empty(())  # d + pr[i], a 0-d array that numpy adds without conversion
 
     def matched_value() -> float:
@@ -267,8 +272,7 @@ def _k_matching(
             np.subtract(cost_rows[i], base, out=offer)
             lift[()] = d + pr_at[i]
             np.add(offer, lift, out=offer)
-            np.less(offer, key, out=better)
-            np.putmask(key, better, offer)
+            np.minimum(offer, key, out=key)
         d_sink = key.item(j)
         # updated before the stop test, so the duals below see the last search
         dist_row = row_start.copy()
@@ -282,9 +286,11 @@ def _k_matching(
         if pt >= 0.0:
             break
         # Each path column's predecessor is the first source whose offer set
-        # its final label, as strict < updates leave it: the row of that
-        # scan, which reached it through the column it holds, or the free
-        # rows' first cheapest row.
+        # its final label: np.minimum returns the label, its second operand,
+        # on a tie, so a later equal offer neither takes the column nor flips
+        # the sign of a zero.  It is the row of that scan, which reached the
+        # column through the column it holds, or the free rows' first
+        # cheapest row.
         matched_col[j] = True
         d, sources = d_sink, offers[: len(labels) + 1]
         while s := int((sources[:, j] == d).argmax()):
@@ -352,19 +358,21 @@ def candidate_edges(p: Policy) -> list[DirectedEdge]:
 def worst_case_load(p: Policy, k: int) -> WorstCaseResult:
     """Exact maximum of MaxLoad(p, d) over all k-limited demands, with an
     integral k-sparse witness: one :func:`k_matching_max` per candidate edge.
-    Raises ``ValueError`` for k < 1 on every policy."""
+    Raises ``ValueError`` for k < 1 on every policy, and for a NaN or
+    infinite flow on a candidate edge."""
     if k < 1:
         raise ValueError("k must be at least 1")
     spec = p.spec
-    nodes = list(spec.nodes())
+    cols = spec.cols
     best: WorstCaseResult | None = None
     for edge in candidate_edges(p):
         value, pairs = k_matching_max(p.on_edge(edge), k)
         load = value / spec.capacity(edge.dir)
         if pairs and (best is None or load > best.value + VALUE_TOL):
-            witness = TrafficMatrix(
-                spec=spec, entries={(nodes[s], nodes[t]): 1.0 for s, t in pairs}
-            )
+            entries = {
+                (Node(s % cols, s // cols), Node(t % cols, t // cols)): 1.0 for s, t in pairs
+            }
+            witness = TrafficMatrix(spec=spec, entries=entries)
             best = WorstCaseResult(value=load, witness=witness, edge=edge)
     if best is None:
         empty_edge = DirectedEdge(Node(0, 0), Direction.POS_VERT)

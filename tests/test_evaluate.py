@@ -148,6 +148,35 @@ def test_k_matching_rejects_k_below_one():
     assert k_matching_max([], 3) == (0.0, [])
 
 
+def test_k_matching_rejects_non_finite_weights():
+    # a NaN was skipped (this matrix read 0.5, though its optimum with the NaN
+    # taken as 0 is 2.0) and an inf read inf with RuntimeWarnings; the first
+    # non-finite entry in row-major order is named, -inf too
+    with pytest.raises(ValueError, match=r"^weights\[0, 0\] is nan; weights must be finite$"):
+        k_matching_max([[np.nan, 1.0], [1.0, 0.5]], 2)
+    assert k_matching_max([[0.0, 1.0], [1.0, 0.5]], 2) == (2.0, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match=r"^weights\[1, 0\] is inf;"):
+        k_matching_max([[1.0, 0.5], [np.inf, 2.0]], 2)
+    with pytest.raises(ValueError, match=r"^weights\[0, 1\] is -inf;"):
+        k_matching_max([[1.0, -np.inf], [np.nan, 2.0]], 1)
+    with pytest.raises(ValueError, match=r"^weights\[0, 1\] is nan;"):
+        _k_matching_sparse({("a", "x"): 1.0, ("a", "y"): np.nan}, 1)
+
+
+def test_worst_case_load_rejects_a_nan_flow():
+    # ECMP 4x4 with one POS_VERT fraction set to NaN read 1.5, the NaN
+    # dropped; the CSV reader refuses NaN, so the policy is built from an array
+    spec = TorusSpec(4, 4)
+    g = build_ecmp(spec).flows.copy()
+    t, y, x = np.argwhere(g[:, Direction.POS_VERT] > 0)[0].tolist()
+    g[t, Direction.POS_VERT, y, x] = np.nan
+    policy = OriginPolicy(spec, g)
+    assert DirectedEdge(Node(0, 0), Direction.POS_VERT) in candidate_edges(policy)
+    for solve in (worst_case_load, worst_case_profile):
+        with pytest.raises(ValueError, match="is nan; weights must be finite"):
+            solve(policy, 4)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_k_matching_duals_certify_optimum(seed):
     rng = np.random.default_rng(100 + seed)

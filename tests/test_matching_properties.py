@@ -167,8 +167,33 @@ def tied_matrices_with_zero_lines(draw):
 @example(np.array([[0.5], [1.0], [1.0], [0.0]]), 2)
 @example(np.ones((4, 4)), 4)
 @example(np.zeros((3, 2)), 2)
+# -0.0 weights mixed with exact ties
+@example(np.array([[-0.0, 0.5, 0.5], [0.5, -0.0, 0.5], [0.5, 0.5, -0.0]]), 3)
+@example(np.array([[1.0, -0.0, 1.0, 0.0], [-0.0, 1.0, 1.0, -0.0], [1.0, 1.0, -0.0, 0.25]]), 2)
+@example(np.array([[-0.0, 0.25, 0.0], [0.25, -0.0, 0.25], [0.0, 0.25, -0.0], [-0.0] * 3]), 4)
+@example(np.array([[0.5, -0.0], [-0.0, 0.5], [0.5, 0.5]]), 1)
 def test_matching_bit_identical_to_copying_reference(weights, k):
     assert_same_matching(weights, k)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 7, 8, 9, 16, 17, 33, 130])
+def test_minimum_keeps_the_label_on_ties(n):
+    """The scan's label update ``np.minimum(offer, key, out=key)`` gives the
+    bits of the copying reference's strict ``<`` update: on equal inputs,
+    ``0.0`` against ``-0.0`` included, numpy must return its second operand.
+    Lengths cover its vector loops and their tails."""
+    rng = np.random.default_rng(n)
+    values = np.array([0.0, -0.0, 0.5, -0.5, 1.25, np.inf])
+    for offer_value, key_value in [(0.0, -0.0), (-0.0, 0.0), (1.25, 1.25), (np.inf, np.inf)]:
+        key = np.full(n, key_value)
+        np.minimum(np.full(n, offer_value), key, out=key)
+        assert key.tobytes() == np.full(n, key_value).tobytes()
+    for _ in range(20):
+        offer, key = rng.choice(values, n), rng.choice(values, n)
+        strict = key.copy()
+        np.putmask(strict, offer < key, offer)
+        np.minimum(offer, key, out=key)
+        assert key.tobytes() == strict.tobytes()
 
 
 # worst_case_load on LLB(4) 12x12, whose one candidate edge carries the
