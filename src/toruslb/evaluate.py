@@ -189,10 +189,20 @@ def k_matching_max(
     optimum; a tolerance on the gain would leave up to ``k`` uncertified gains
     below it.  Returns the value (the ``math.fsum`` of the matched weights)
     and the sorted matched pairs of positive weight.  Raises ``ValueError``
-    naming the first NaN or infinite weight, and for k < 1.
+    naming the first NaN or infinite weight, and for k < 1, a bool or a
+    k that is not an integer.
     """
     value, pairs, *_ = _k_matching(weights, k)
     return value, pairs
+
+
+def _check_k(k: int) -> None:
+    """Raise ``ValueError`` naming ``k`` unless it is an integer, Python or
+    numpy but not a bool, of at least 1."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, not {k!r}")
+    if k < 1:
+        raise ValueError("k must be at least 1")
 
 
 def _k_matching(
@@ -207,8 +217,7 @@ def _k_matching(
     A run to k passes through the run to every smaller k: after its t-th
     augmentation it holds what the run to t ends with.  If ``values`` is a
     list, the value after each augmentation is appended to it."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     if not np.isfinite(w).all():
         index = [int(v) for v in np.unravel_index(np.isfinite(w).argmin(), w.shape)]
@@ -358,10 +367,9 @@ def candidate_edges(p: Policy) -> list[DirectedEdge]:
 def worst_case_load(p: Policy, k: int) -> WorstCaseResult:
     """Exact maximum of MaxLoad(p, d) over all k-limited demands, with an
     integral k-sparse witness: one :func:`k_matching_max` per candidate edge.
-    Raises ``ValueError`` for k < 1 on every policy, and for a NaN or
-    infinite flow on a candidate edge."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    Raises ``ValueError`` for k < 1, a bool or a non-integer k on every
+    policy, and for a NaN or infinite flow on a candidate edge."""
+    _check_k(k)
     spec = p.spec
     cols = spec.cols
     best: WorstCaseResult | None = None
@@ -388,8 +396,7 @@ def worst_case_profile(p: Policy, kmax: int) -> np.ndarray:
     edge: the run passes through the optimum for every smaller k.  Across
     edges each k keeps :func:`worst_case_load`'s rule, so a later edge wins
     only by more than ``VALUE_TOL``."""
-    if kmax < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(kmax)
     best = np.full(kmax, -np.inf)  # until an edge's matching has a pair
     for edge in candidate_edges(p):
         values = [0.0]

@@ -16,9 +16,10 @@ form, senses, right-hand sides and bounds, all arrays.  The builders
 conservation rows from one COO block, +1 at every edge's tail and -1 at its
 head, merged by column; ``_write_lp`` only formats it, each distinct
 coefficient once; :func:`parse_lp` reads the text back into one by array
-operations on its bytes, so every ``.17g`` coefficient, exponent forms
-included, round-trips exactly; and the oblivious feasibility check computes
-every row's left-hand side with one ``np.bincount``.  No solver is embedded.
+operations on its bytes, a window of it at a time, so every ``.17g``
+coefficient, exponent forms included, round-trips exactly; and the oblivious
+feasibility check computes every row's left-hand side with one
+``np.bincount``.  No solver is embedded.
 
 Variable naming (bit-exact; ``tests/test_lpexport.py`` pins both writers'
 text by sha256 and checks every name against orbits computed node by node
@@ -45,9 +46,9 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from operator import add
-from typing import IO, Callable, NamedTuple
+from typing import IO, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -186,10 +187,17 @@ def _conservation(
     return names, counts, ids[first[keep]], coef[keep], "=", rhs
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values``, sorted: ``np.unique`` without its
+    masked-array check, which imports ``numpy.ma`` (1.3 MB) on first use."""
+    ordered = np.sort(values, axis=None)
+    return ordered[np.append(True, ordered[1:] != ordered[:-1])]
+
+
 def _formatted(values: np.ndarray, fmt: Callable[[float], str]) -> Callable[[int, int], list[str]]:
     """``fmt`` of ``values[a:b]`` for the ``a, b`` it is called with, each
     distinct value formatted once per ``_formatted`` call."""
-    distinct = np.unique(values)
+    distinct = _distinct(values)
     strings = [fmt(v) for v in distinct.tolist()]
     return lambda a, b: list(map(strings.__getitem__, distinct.searchsorted(values[a:b]).tolist()))
 
@@ -253,7 +261,7 @@ def reduced_oblivious_program(spec: TorusSpec, k: int) -> LpModel:
     (every pair reads its orbit head's variable), box bounds, and one
     dualized hose constraint block per load-edge class."""
     index, n = _OrbitIndex(spec), spec.num_nodes
-    keys = np.unique(index.rep[1:])  # the origin's own slab names no variable
+    keys = _distinct(index.rep[1:])  # the origin's own slab names no variable
     cols = index.names(keys)
     flows = len(cols)
     # every pair's column; the origin's own slab is never read
@@ -335,94 +343,173 @@ def opt_program(spec: TorusSpec, d: TrafficMatrix) -> LpModel:
 _SECTION_RE = re.compile(r"\n[ \t]*(minimize|maximize|subject to|bounds|end)[ \t\r]*(?=\n|$)", re.I)
 _LABEL_RE = re.compile(r"\n[ \t]*([A-Za-z_][A-Za-z0-9_]*)[ \t]*:")
 _COMMENT_RE = re.compile(r"\n[ \t]*\\[^\n]*")
+_NEWLINE_RE = re.compile("\n")
 # a token's kind by its first byte: plus, minus, number, <=, >=, =, or name (w)
 _PLUS, _MINUS, _NUMBER, _LE, _GE, _EQ, _NAME = b"pmnlgew"
-_DOT, _ZERO, _EQUALS = b".0="
+_DOT, _ZERO, _EQUALS, _SPACE = b".0= "
 _KIND = np.full(256, _NAME, np.uint8)
 for _chars, _kind in zip((b"+", b"-", b"0123456789.", b"<", b">", b"="), b"pmnlge"):
     _KIND[list(_chars)] = _kind
-# records as strings of kinds, each ending in a newline: the objective, rows
-# (terms, a sense, a value) and bound lines (lo <= name [<= hi]); a value is a
-# number or a word such as -1, which float must read
-_OBJECTIVE_RE = re.compile(rb"[pmnw]*\n")
-_ROWS_RE = re.compile(rb"(?:[pmnw]*[lge][nw]\n)*")
-_BOUNDS_RE = re.compile(rb"(?:(?:[nw]lw(?:l[nw])?)?\n)*")
-_CHUNK = 2048  # records read at a time, so a chunk's arrays and token objects stay small
+# each record's kinds follow a newline; a search finds the newline before the
+# first record that is not an objective, a row (terms, a sense, a value) or a
+# bound line (lo <= name [<= hi]), where a value is a number or a word such as
+# -1 that float must read.  It keeps no state from one record to the next,
+# where a repeated group's match grew by hundreds of bytes a record
+_OBJECTIVE_RE, _ROWS_RE, _BOUNDS_RE = (
+    re.compile(rb"\n(?!%s(?:\n|\Z))" % record)
+    for record in (rb"[pmnw]*", rb"[pmnw]*[lge][nw]", rb"(?:[nw]lw(?:l[nw])?)?")
+)
+# characters of text read at a time: a window's transient peak is 9-11x its
+# size, 0.56-0.71 MiB, on the reduced programs at 8x8 k=18 and 12x12 k=32;
+# 32 KiB windows parse them about 10% slower, 128 KiB ones no faster
+_CHUNK = 1 << 16
 
 
-class _Chunk(NamedTuple):
-    """The whitespace tokens of ``records`` joined by newlines, classified by
-    array operations on their bytes: record r has the next ``counts[r]``
-    tokens; each token has a ``kind``, a name its ``word`` id in a shared
-    numbering, and a one-digit number its ``digit`` value (else nan)."""
+def _sections(text: str) -> Iterator[tuple[str, int, int]]:
+    """Each section's header, in lower case, and the span of its body in
+    ``text``, up to ``End``; the first line may be a header too."""
+    line = text.find("\n")
+    first = _SECTION_RE.match("\n" + text[: line if line >= 0 else len(text)])
+    heads = [(first[1], 0, first.end() - 1)] if first else []
+    heads += [(m[1], m.start(), m.end()) for m in _SECTION_RE.finditer(text)]
+    for (header, _, lo), (_, hi, _) in zip(heads, [*heads[1:], ("", len(text), 0)]):
+        if (header := header.lower()) == "end":
+            return
+        yield header, lo, hi
 
-    counts: np.ndarray
-    kind: np.ndarray
-    word: np.ndarray
-    digit: np.ndarray
-    split: list[bytes]
 
-    @classmethod
-    def of(cls, records: list[str], index: defaultdict[bytes, int]) -> _Chunk:
-        text = "\n".join(records)
-        raw = text.encode()
+def _windows(text: str, spans: list[tuple[int, int]], cut: re.Pattern) -> Iterator[str]:
+    """The bodies ``spans`` of ``text``, joined, in windows of at least
+    ``_CHUNK`` characters (but the last) that each end where ``cut`` next
+    matches, with comment lines dropped.  Yields at least one window."""
+    if len(spans) == 1:
+        (lo, hi), joined = spans[0], text
+    else:  # sections given more than once are read as one
+        joined = "".join(text[lo:hi] for lo, hi in spans)
+        lo, hi = 0, len(joined)
+    while True:
+        m = cut.search(joined, lo + _CHUNK, hi)
+        window = joined[lo : m.start() if m else hi]
+        yield _COMMENT_RE.sub("", window) if "\\" in window else window
+        if m is None:
+            return
+        lo = m.start()
+
+
+def _last(mask: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The place of the last True of ``mask`` before each of ``at``, else -1."""
+    where = np.flatnonzero(mask)
+    return np.append(-1, where)[np.searchsorted(where, at)]
+
+
+class _Window:
+    """The whitespace tokens of ``records`` joined by newlines, classified
+    by array operations on their bytes: record r has the next ``counts[r]``
+    tokens, each of one ``kind``.  Signs, senses and one-digit numbers are
+    read from their bytes (``short``, a digit's value from its ``first``
+    byte); only the other tokens, names and longer numbers, become Python
+    objects, ``kept`` in order.  Raises ``fail(r)`` of the first record r
+    whose kinds do not match ``grammar``."""
+
+    def __init__(self, records: list[str], grammar: re.Pattern, fail: Callable):
+        raw = "\n".join(records).encode()
         code = np.frombuffer(raw, np.uint8)
-        space = np.ones(len(code) + 2, bool)  # the bytes bytes.split splits at: 9-13, 32
-        np.less_equal(code - 9, 4, out=space[1:-1])
-        space[1:-1] |= code == 32
-        start = np.flatnonzero(space[:-2] & ~space[1:-1])
-        end = np.flatnonzero(~space[1:-1] & space[2:]) + 1
-        sizes = np.fromiter(map(len, records if text.isascii() else map(str.encode, records)), int)
-        counts = np.diff(np.searchsorted(start, np.cumsum(sizes + 1)), prepend=0)
-        kind, second = _KIND[code[start]], code[np.minimum(start + 1, len(code) - 1)]
-        # signs, one-digit numbers and senses are read from their bytes
-        short = (kind == _PLUS) | (kind == _MINUS) | (kind == _EQ) | (kind == _NUMBER) & (code[start] != _DOT)
-        short &= end - start == 1
-        short |= (end - start == 2) & ((kind == _LE) | (kind == _GE)) & (second == _EQUALS)
+        n = len(code)
+        space = np.ones(n + 3, bool)  # the bytes bytes.split splits at, 9-13 and 32, padded
+        np.less_equal(code - 9, 4, out=space[1 : n + 1])
+        space[1 : n + 1] |= code == _SPACE
+        at = np.flatnonzero(space[:n] & ~space[1 : n + 1])  # each token's first byte
+        sizes = np.fromiter(map(len, records if raw.isascii() else map(str.encode, records)), int, len(records))
+        self.counts = np.diff(np.searchsorted(at, np.cumsum(sizes + 1)), prepend=0)
+        self.first = code[at]
+        kind = _KIND[self.first]
+        one = space[2:][at]  # the token is one byte long
+        short = one & ((kind == _PLUS) | (kind == _MINUS) | (kind == _EQ) | (kind == _NUMBER) & (self.first != _DOT))
+        sense = ~one & space[3:][at] & ((kind == _LE) | (kind == _GE))
+        sense[sense] = code[1:][at[sense]] == _EQUALS
+        short |= sense
         kind[~short & (kind != _NUMBER)] = _NAME
-        split, names = raw.split(), np.flatnonzero(kind == _NAME)
-        word = np.full(len(kind), -1)
-        word[names] = np.fromiter(map(index.__getitem__, map(split.__getitem__, names.tolist())), int)
-        digit = np.where(short & (kind == _NUMBER), code[start] - float(_ZERO), np.nan)
-        return cls(counts, kind, word, digit, split)
+        self.kind, self.short = kind, short
+        shape = np.insert(kind, np.cumsum(self.counts) - self.counts, ord("\n")).tobytes()
+        if bad := grammar.search(shape):
+            raise fail(shape.count(b"\n", 0, bad.start()))
+        masked = code.copy()
+        masked[at[short]] = _SPACE
+        masked[1:][at[sense]] = _SPACE
+        self.kept = masked.tobytes().split()
+        self.kept_at = np.flatnonzero(~short)
+
+    def _kept(self, at: np.ndarray) -> Iterator[bytes]:
+        return map(self.kept.__getitem__, np.searchsorted(self.kept_at, at).tolist())
 
     def values(self, at: np.ndarray) -> np.ndarray:
         """The tokens at ``at`` read by ``float``."""
-        out = self.digit[at]
-        rest = np.flatnonzero(np.isnan(out))
-        out[rest] = list(map(float, map(self.split.__getitem__, at[rest].tolist())))
+        out = self.first[at] - float(_ZERO)
+        rest = np.flatnonzero(~self.short[at])
+        out[rest] = list(map(float, self._kept(at[rest])))
         return out
 
-    def terms(self):
+    def words(self, at: np.ndarray, index: defaultdict[bytes, int]) -> np.ndarray:
+        """The ids of the names at ``at`` in ``index``'s numbering."""
+        return np.fromiter(map(index.__getitem__, self._kept(at)), np.int32, len(at))
+
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The terms ``[+|-] [magnitude] name`` of every record: a name takes
         the last sign (default +) and the last magnitude (default 1) since
         the previous name in its record.  Returns each name's record, token
         and coefficient."""
-        kind, pos = self.kind, np.arange(len(self.kind), dtype=np.int32)
+        kind, ends = self.kind, np.cumsum(self.counts)
         names = np.flatnonzero(kind == _NAME)
-        record = np.repeat(np.arange(len(self.counts), dtype=np.int32), self.counts)[names]
-        after = np.maximum(np.append(-1, names[:-1]), (np.cumsum(self.counts) - self.counts)[record] - 1)
-        signs = (kind == _PLUS) | (kind == _MINUS)
-        sign, magnitude = (np.maximum.accumulate(np.where(k, pos, -1))[names] for k in (signs, kind == _NUMBER))
+        record = np.searchsorted(ends, names, side="right")
+        after = np.maximum(np.append(-1, names[:-1]), (ends - self.counts)[record] - 1)
+        sign, magnitude = _last((kind == _PLUS) | (kind == _MINUS), names), _last(kind == _NUMBER, names)
         coefs = np.ones(len(names))
         coefs[magnitude > after] = self.values(magnitude[magnitude > after])
         coefs[(sign > after) & (kind[sign] == _MINUS)] *= -1.0
         return record, names, coefs
 
 
-def _read(records: list[str], index: defaultdict[bytes, int], grammar: re.Pattern, fail: Callable):
-    """Each chunk of ``records`` with the place of its first record, once
-    the chunk's kinds match ``grammar``; else ``fail(r)`` of the first
-    record r that does not."""
-    for lo in range(0, max(len(records), 1), _CHUNK):
-        chunk = _Chunk.of(records[lo : lo + _CHUNK], index)
-        shape = np.full(len(chunk.kind) + len(chunk.counts), ord("\n"), np.uint8)
-        shape[np.arange(len(chunk.kind)) + np.repeat(np.arange(len(chunk.counts)), chunk.counts)] = chunk.kind
-        shape = shape.tobytes()
-        stop = grammar.match(shape).end()
-        if stop < len(shape):
-            raise fail(lo + shape.count(b"\n", 0, stop))
-        yield lo, chunk
+def _fail(what: str, line: str) -> ValueError:
+    return ValueError(f"cannot parse {what}: {' '.join(line.split())!r}")
+
+
+def _objective(objective: str, index: defaultdict[bytes, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The column id and coefficient of each term of the objective."""
+    terms = _Window([objective], _OBJECTIVE_RE, lambda r: _fail("objective", objective))
+    _, at, coefs = terms.terms()
+    return terms.words(at, index), coefs
+
+
+def _rows(window: str, index: defaultdict[bytes, int]) -> tuple:
+    """The rows of one window of Subject To text: their names, each term's
+    column id and coefficient, each row's number of terms, sense kind and
+    right-hand side.  Names repeated in a row add up in written order, at
+    their first place."""
+    labelled = _LABEL_RE.split(window)  # labelled[0] is blank: parse_lp checks it
+    names, bodies = labelled[1::2], labelled[2::2]
+    rows = _Window(bodies, _ROWS_RE, lambda r: _fail("constraint", f"{names[r]}: {bodies[r]}"))
+    ends = np.cumsum(rows.counts)
+    sense_kind, rhs = rows.kind[ends - 2], rows.values(ends - 1)
+    rows.kind[ends - 1] = _NUMBER  # a value such as -1 closes its row, naming nothing
+    record, at, coefs = rows.terms()
+    ids = rows.words(at, index)
+    key = record * len(index) + ids
+    if (np.diff(np.sort(key)) == 0).any():
+        _, once, inverse = np.unique(key, return_index=True, return_inverse=True)
+        keep = np.sort(once)
+        coefs, record, ids = np.bincount(inverse, weights=coefs)[inverse[keep]], record[keep], ids[keep]
+    return names, ids, coefs, np.bincount(record, minlength=len(names)), sense_kind, rhs
+
+
+def _bounds(window: str, index: defaultdict[bytes, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column ids, lower and upper bounds of one window of bound lines."""
+    lines = window.split("\n")
+    bounds = _Window(lines, _BOUNDS_RE, lambda r: _fail("bound", lines[r]))
+    lo = (np.cumsum(bounds.counts) - bounds.counts)[bounds.counts > 0]
+    full = bounds.counts[bounds.counts > 0] == 5
+    upper = np.full(len(lo), np.inf)
+    upper[full] = bounds.values(lo[full] + 4)
+    return bounds.words(lo + 2, index), bounds.values(lo), upper
 
 
 def parse_lp(text: str) -> LpModel:
@@ -431,72 +518,43 @@ def parse_lp(text: str) -> LpModel:
     else continues the previous entry (wrapped long constraints), and lines
     that start with a backslash are comments.  The objective, each row and
     each bound line is a record; records' whitespace tokens are found and
-    classified by array operations on their bytes, a chunk of records at a
-    time, so ``1.0000000000000001e-05`` is one coefficient and only tokens
-    of more than one character become Python objects.  A row that does not
-    end in a sense and a value, or a bound line of another shape, raises
-    ``ValueError`` naming it."""
-    parts = _SECTION_RE.split("\n" + text)
-    sense, objective, rows, bounds = "min", [], [], []
-    for header, body in zip(parts[1::2], parts[2::2]):
-        header = header.lower()
-        if header == "end":
-            break
-        body = _COMMENT_RE.sub("", body) if "\\" in body else body
+    classified by array operations on their bytes, so
+    ``1.0000000000000001e-05`` is one coefficient and only names and numbers
+    of more than one character become Python objects.  The text is read one
+    window of about ``_CHUNK`` characters at a time and never copied whole
+    (a section given twice is joined first).  Columns are numbered as they
+    first appear as names.  A row that does not end in a sense and a value,
+    or a bound line of another shape, raises ``ValueError`` naming it."""
+    sense, objective, spans = "min", [], {"s": [], "b": []}
+    for header, lo, hi in _sections(text):
         if header[0] == "m":
             sense = header[:3]
-            objective.append(_LABEL_RE.sub("\n", body))
+            body = text[lo:hi]
+            objective.append(_LABEL_RE.sub("\n", _COMMENT_RE.sub("", body) if "\\" in body else body))
         else:
-            (rows if header[0] == "s" else bounds).append(body)
-    labelled = _LABEL_RE.split("".join(rows))
-    if labelled[0].strip():
-        raise ValueError(f"cannot parse constraint: {labelled[0].strip()!r}")
-    names, bodies, lines = labelled[1::2], labelled[2::2], "".join(bounds).split("\n")
-    index: defaultdict[bytes, int] = defaultdict(count().__next__)  # numbers new words in turn
-
-    def fail(what: str, line: str) -> ValueError:
-        return ValueError(f"cannot parse {what}: {' '.join(line.split())!r}")
-
-    objective = ["".join(objective)]
-    for _, chunk in _read(objective, index, _OBJECTIVE_RE, lambda r: fail("objective", objective[0])):
-        _, at, obj_coefs = chunk.terms()
-        obj_words = chunk.word[at]
-    row_out, bound_out = [], []
-    for lo, chunk in _read(bodies, index, _ROWS_RE, lambda r: fail("constraint", f"{names[r]}: {bodies[r]}")):
-        ends = np.cumsum(chunk.counts)
-        sense_kind, rhs = chunk.kind[ends - 2], chunk.values(ends - 1)
-        chunk.kind[ends - 1] = _NUMBER  # a value such as -1 closes its row, naming nothing
-        record, at, coefs = chunk.terms()
-        row_out.append((record + lo, chunk.word[at], coefs, sense_kind, rhs))
-    for _, chunk in _read(lines, index, _BOUNDS_RE, lambda r: fail("bound", lines[r])):
-        lo = (np.cumsum(chunk.counts) - chunk.counts)[chunk.counts > 0]
-        full = chunk.counts[chunk.counts > 0] == 5
-        upper = np.full(len(lo), np.inf)
-        upper[full] = chunk.values(lo[full] + 4)
-        bound_out.append((chunk.word[lo + 2], chunk.values(lo), upper))
-    rows, row_words, coefs, sense_kind, rhs = map(np.concatenate, zip(*row_out))
-    bound_words, lower, upper = map(np.concatenate, zip(*bound_out))
-
-    # columns in order of first appearance; names repeated in a row add up
-    # in written order, at their first place
-    words = list(index)
-    used = np.flatnonzero(np.bincount(np.concatenate([obj_words, row_words, bound_words]), minlength=len(words)))
-    column = np.zeros(len(words), np.int64)
-    column[used] = np.arange(len(used))
-    columns = list(map(bytes.decode, map(words.__getitem__, used.tolist())))
+            spans[header[0]].append((lo, hi))
+    index: defaultdict[bytes, int] = defaultdict(count().__next__)
+    rows = _windows(text, spans["s"], _LABEL_RE)
+    first = next(rows)  # text before the first label is the first error reported
+    if lead := first[: m.start() if (m := _LABEL_RE.search(first)) else None].strip():
+        raise ValueError(f"cannot parse constraint: {lead!r}")
+    obj_ids, obj_coefs = _objective("".join(objective), index)
+    names, ids, vals, counts, sense_kind, rhs = zip(*(_rows(w, index) for w in chain([first], rows)))
+    bound_ids, lower, upper = zip(*(_bounds(w, index) for w in _windows(text, spans["b"], _NEWLINE_RE)))
+    columns = list(map(bytes.decode, index))
+    del index
     obj: dict[str, float] = {}
-    for j, coef in zip(column[obj_words].tolist(), obj_coefs.tolist()):
+    for j, coef in zip(obj_ids.tolist(), obj_coefs.tolist()):
         obj[columns[j]] = obj[columns[j]] + coef if columns[j] in obj else coef
-    ids = column[row_words]
-    key = rows * len(columns) + ids
-    if (np.diff(np.sort(key)) == 0).any():
-        _, once, inverse = np.unique(key, return_index=True, return_inverse=True)
-        keep = np.sort(once)
-        coefs, rows, ids = np.bincount(inverse, weights=coefs)[inverse[keep]], rows[keep], ids[keep]
+    # the windows' pieces of each array are dropped once joined
+    ids = np.concatenate(ids, dtype=np.int64)
+    vals = np.concatenate(vals)
+    bound_ids = np.concatenate(bound_ids, dtype=np.int64)
+    sense_kind = np.concatenate(sense_kind)
     return LpModel(
-        columns, names, np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=len(names)))]), ids,
-        coefs, np.array(["<=", ">=", "="])[(sense_kind == _GE) + 2 * (sense_kind == _EQ)], rhs,
-        column[bound_words], lower, upper, sense, obj,
+        columns, list(chain.from_iterable(names)), np.append(0, np.cumsum(np.concatenate(counts))), ids, vals,
+        np.array(["<=", ">=", "="])[(sense_kind == _GE) + 2 * (sense_kind == _EQ)], np.concatenate(rhs),
+        bound_ids, np.concatenate(lower), np.concatenate(upper), sense, obj,
     )
 
 

@@ -7,6 +7,7 @@ demand, before any scheme relies on them.
 
 import hashlib
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -146,6 +147,35 @@ def test_k_matching_rejects_k_below_one():
         with pytest.raises(ValueError):
             k_matching_max(weights, 0)
     assert k_matching_max([], 3) == (0.0, [])
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, False, np.True_, "2", None])
+def test_k_must_be_an_integer(k):
+    # k=2.5 read (5.0, [(0, 1), (1, 0)]) from the 2x2 matrix, while the 3x3
+    # one raised a bare TypeError from np.empty, and k=True a TypeError
+    policy = build_ecmp(TorusSpec(4, 4))
+    calls = [
+        (k_matching_max, [[1.0, 2.0], [3.0, 0.5]]),
+        (k_matching_max, np.ones((3, 3))),
+        (_k_matching_sparse, {("a", "x"): 1.0, ("b", "x"): 2.0}),
+        (worst_case_load, policy),
+        (worst_case_profile, policy),
+    ]
+    for solve, arg in calls:
+        with pytest.raises(ValueError, match=rf"^k must be an integer, not {re.escape(repr(k))}$"):
+            solve(arg, k)
+
+
+def test_k_may_be_a_numpy_integer():
+    weights = [[1.0, 2.0], [3.0, 0.5]]
+    policy = build_ecmp(TorusSpec(4, 4))
+    for k in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert k_matching_max(weights, k) == k_matching_max(weights, 2) == (5.0, [(0, 1), (1, 0)])
+        assert _k_matching_sparse({("a", "x"): 1.0}, k) == _k_matching_sparse({("a", "x"): 1.0}, 2)
+        assert worst_case_load(policy, k) == worst_case_load(policy, 2)
+        assert worst_case_profile(policy, k).tolist() == worst_case_profile(policy, 2).tolist()
+    with pytest.raises(ValueError, match="^k must be at least 1$"):
+        k_matching_max(weights, np.int64(0))
 
 
 def test_k_matching_rejects_non_finite_weights():

@@ -272,6 +272,21 @@ def test_lp_writer_holds_a_fraction_of_the_text():
     assert peak <= 1.0 * sink.chars
 
 
+def test_parse_lp_holds_a_fraction_of_the_text():
+    # 12x12 at k=32 reads back 3.2 MB of text into a model of 2.07x the
+    # text; splitting the whole text, with an object for every token, peaked
+    # at 8.11x, windows of the text peak at 2.5x
+    text, counts = export_text(TorusSpec(12, 12), 32)
+    tracemalloc.start()
+    try:
+        model = parse_lp(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(model.columns), len(model.constraints)) == (counts.variables, counts.constraints)
+    assert peak <= 5.0 * len(text)
+
+
 def orbit_head_name(spec, t, edge):
     """Reference: the name of the smallest point-group image of (t, edge),
     found by applying every automorphism."""
